@@ -58,7 +58,7 @@ class CorrelationQuery:
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError("scale t must be > 0")
-        if abs(self.cos_gamma) > 1.0 + 1e-12:
+        if not math.isfinite(self.cos_gamma) or abs(self.cos_gamma) > 1.0 + 1e-12:
             raise ValueError("cos_gamma must lie in [-1, 1]")
         object.__setattr__(self, "cos_gamma", min(1.0, max(-1.0, float(self.cos_gamma))))
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .kernels import NeedletProfile, choose_lmax, profile_eval
-from .legendre import legendre_batch, sph_harm_flat_index, sph_harm_matrix
+from .legendre import _sph_harm_rows, legendre_batch, sph_harm_flat_index, sph_harm_matrix
 from .spectra import PowerSpectrum, spectrum_eval
 
 __all__ = [
@@ -193,15 +193,13 @@ def addition_theorem_check(l: int, point_x, point_y) -> float:
     if l < 0:
         raise ValueError("degree must be >= 0")
     cos_gamma = points_cos_angle(point_x, point_y)
+    p_l = float(legendre_batch(cos_gamma, l).values[l])  # also checks the degree cap
     if l == 0:
         lhs = 1.0 / (4.0 * math.pi)
     else:
-        y = sph_harm_matrix(l, [float(point_x[0]), float(point_y[0])],
-                            [float(point_x[1]), float(point_y[1])])
-        lo = sph_harm_flat_index(l, -l)
-        hi = sph_harm_flat_index(l, l)
-        lhs = float(np.sum(y[0, lo:hi + 1] * y[1, lo:hi + 1]))
-    p_l = float(legendre_batch(cos_gamma, l).values[l])
+        y = _sph_harm_rows(l, l, np.array([float(point_x[0]), float(point_y[0])]),
+                           np.array([float(point_x[1]), float(point_y[1])]))
+        lhs = float(np.sum(y[:, 0] * y[:, 1]))
     return abs(lhs - (2 * l + 1) / (4.0 * math.pi) * p_l)
 
 
@@ -212,15 +210,17 @@ def rotate_alm_about_pole(alm: AlmSet, dphi: float) -> AlmSet:
     of angle m * dphi; evaluating the rotated coefficient set at phi equals
     evaluating the original at phi + dphi.
     """
+    l, m = np.tril_indices(alm.L)
+    l += 1
+    m += 1
+    center = l * l - 1 + l  # flat index of (l, 0)
+    ic = center + m
+    is_ = center - m
+    c, s = np.cos(m * dphi), np.sin(m * dphi)
+    ac, as_ = alm.coeffs[ic], alm.coeffs[is_]
     out = alm.coeffs.copy()
-    for l in range(1, alm.L + 1):
-        for m in range(1, l + 1):
-            c, s = math.cos(m * dphi), math.sin(m * dphi)
-            ic = sph_harm_flat_index(l, m)
-            is_ = sph_harm_flat_index(l, -m)
-            ac, as_ = alm.coeffs[ic], alm.coeffs[is_]
-            out[ic] = c * ac + s * as_
-            out[is_] = -s * ac + c * as_
+    out[ic] = c * ac + s * as_
+    out[is_] = -s * ac + c * as_
     return AlmSet(L=alm.L, coeffs=out, seed=alm.seed, stream=alm.stream)
 
 

@@ -184,8 +184,8 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
         for start in range(0, grid.n, chunk):
             stop = min(start + chunk, grid.n)
             y = sph_harm_matrix(L, grid.theta[start:stop], grid.phi[start:stop])
-            w = y * factors
-            gram += mu_sq * (w.T @ w)
+            y *= factors
+            gram += mu_sq * (y.T @ y)
 
     eigs = np.linalg.eigvalsh(gram)
     a_hat = float(eigs[0])

@@ -3,7 +3,9 @@
 Everything here is built on upward three-term recurrences, which are stable
 for arguments in [-1, 1].  Spherical harmonics use a normalized associated
 Legendre recurrence that carries the orthonormalization inside the recursion,
-so no factorial is ever formed and degrees well past 150 stay finite.
+so no factorial is ever formed; sectoral seeds that would leave the double
+range near the poles carry an extended exponent, so harmonics stay accurate
+up to `degree_cap` instead of underflowing to zero.
 
 Conventions: P_l is the ordinary Legendre polynomial (P_l(1) = 1); the zonal
 harmonic of degree l is Z_l(x) = (2l+1) P_l(x), with the surface-area
@@ -197,40 +199,22 @@ def real_sph_harm(p: SphHarmPoint) -> float:
     """Real orthonormal spherical harmonic at (theta, phi).
 
     m = 0 is the zonal harmonic; m > 0 pairs with sqrt(2) cos(m phi) and
-    m < 0 with sqrt(2) sin(|m| phi).  Built by ascending the sectoral
-    diagonal and then raising the degree, all in normalized form.
+    m < 0 with sqrt(2) sin(|m| phi).
     """
-    _check_degree(p.l)
-    m = abs(p.m)
-    x = math.cos(p.theta)
-    s = math.sin(p.theta)
-
-    pmm = _SQRT_INV_4PI
-    for k in range(1, m + 1):
-        pmm *= -math.sqrt((2 * k + 1) / (2.0 * k)) * s
-    if p.l == m:
-        plm = pmm
-    else:
-        p_lo = pmm
-        p_hi = math.sqrt(2 * m + 3.0) * x * pmm
-        for l in range(m + 2, p.l + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p_lo, p_hi = p_hi, a * (x * p_hi - b * p_lo)
-        plm = p_hi
-
-    if p.m == 0:
-        return plm
-    if p.m > 0:
-        return math.sqrt(2.0) * plm * math.cos(m * p.phi)
-    return math.sqrt(2.0) * plm * math.sin(m * p.phi)
+    l = _check_degree(p.l)
+    if l == 0:
+        return _SQRT_INV_4PI
+    rows = _sph_harm_rows(l, l, np.array([float(p.theta)]), np.array([float(p.phi)]))
+    return float(rows[p.m + l, 0])
 
 
 def sph_harm_matrix(lmax: int, theta, phi) -> np.ndarray:
     """All real harmonics Y_{l,m} for 1 <= l <= lmax at the given points.
 
     Returns shape (npoints, (lmax+1)^2 - 1) with columns in the flat
-    (l, m) layout of `sph_harm_flat_index`.
+    (l, m) layout of `sph_harm_flat_index`.  The array is the transpose of
+    a fresh C-ordered (column, point) buffer that the caller owns and may
+    scale in place.
     """
     lmax = _check_degree(int(lmax))
     if lmax < 1:
@@ -239,33 +223,126 @@ def sph_harm_matrix(lmax: int, theta, phi) -> np.ndarray:
     ph = np.atleast_1d(np.asarray(phi, dtype=float))
     if th.shape != ph.shape or th.ndim != 1:
         raise ValueError("theta and phi must be 1-d arrays of equal length")
-    x = np.cos(th)
-    s = np.sin(th)
-    npts = th.size
-    out = np.empty((npts, (lmax + 1) ** 2 - 1))
+    return _sph_harm_rows(1, lmax, th, ph).T
 
+
+# Sectoral seeds shrink like sin(theta)^m and leave the double range near the
+# poles at high order.  A seed is carried as mantissa * 2**exponent, and an
+# (m, point) pair whose seed is below the normal range runs its degree
+# recurrence in that form until the value climbs back above 2**_REJOIN_EXP.
+# Power-of-two scaling is exact, so every pair whose seed stays normal gets
+# the same bits as plain arithmetic.
+_MIN_NORMAL_EXP = -1021  # frexp exponent of the smallest normal double
+_REJOIN_EXP = -960
+
+
+def _sph_harm_rows(lmin: int, lmax: int, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """Real harmonics of degrees lmin..lmax (lmin >= 1), one row per (l, m).
+
+    Row l*l - lmin*lmin + (m + l) holds Y_{l,m} at every point.  The degree
+    is stepped once; each step advances all orders m <= l together with
+    points on the contiguous axis, using the normalized recurrence
+
+        P_{l,m} = a_{l,m} (x P_{l-1,m} - b_{l,m} P_{l-2,m}),
+
+    seeded by P_{m,m} on the sectoral diagonal and
+    P_{m+1,m} = sqrt(2m+3) x P_{m,m}.  Each value takes the same float
+    operations, in the same order, as a loop over m then l would, so the
+    result does not depend on the layout.
+    """
+    npts = th.size
+    x = np.cos(th)
+    s_mant, s_exp = np.frexp(np.sin(th))
     sqrt2 = math.sqrt(2.0)
-    pmm = np.full(npts, _SQRT_INV_4PI)
-    for m in range(lmax + 1):
-        if m > 0:
-            pmm = pmm * (-math.sqrt((2 * m + 1) / (2.0 * m))) * s
-        if m > 0:
-            ccol = sqrt2 * np.cos(m * ph)
-            scol = sqrt2 * np.sin(m * ph)
-        p_lo = np.zeros(npts)
-        p_hi = pmm
-        for l in range(m, lmax + 1):
-            if l == m + 1:
-                p_lo, p_hi = p_hi, math.sqrt(2 * m + 3.0) * x * pmm
-            elif l > m + 1:
-                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                p_lo, p_hi = p_hi, a * (x * p_hi - b * p_lo)
-            if l == 0:
-                continue
-            if m == 0:
-                out[:, sph_harm_flat_index(l, 0)] = p_hi
-            else:
-                out[:, sph_harm_flat_index(l, m)] = ccol * p_hi
-                out[:, sph_harm_flat_index(l, -m)] = scol * p_hi
+    ms = np.arange(lmax + 1)
+    angles = np.multiply.outer(ms.astype(float), ph)
+    ccol = sqrt2 * np.cos(angles)
+    scol = sqrt2 * np.sin(angles)
+    del angles
+
+    out = np.empty(((lmax + 1) ** 2 - lmin * lmin, npts))
+    p_prev = np.zeros((lmax + 1, npts))  # P_{l-2, m}
+    p_cur = np.zeros((lmax + 1, npts))   # P_{l-1, m}
+    tmp = np.empty((lmax, npts))
+    seed = np.full(npts, _SQRT_INV_4PI)  # P_{m,m} = seed * 2**seed_exp
+    seed_exp = np.zeros(npts, dtype=int)
+    p_cur[0] = seed
+    ext = _ScaledPairs()
+
+    for l in range(1, lmax + 1):
+        k = l - 1  # orders 0 .. l-2 use the three-term recurrence
+        if k:
+            a, b = _recurrence_coeffs(l, ms[:k])
+            np.multiply(p_cur[:k], x, out=tmp[:k])
+            np.multiply(p_prev[:k], b[:, None], out=p_prev[:k])
+            np.subtract(tmp[:k], p_prev[:k], out=p_prev[:k])
+            np.multiply(p_prev[:k], a[:, None], out=p_prev[:k])
+        np.multiply(math.sqrt(2 * k + 3.0) * x, p_cur[k], out=p_prev[k])
+        seed = seed * (-math.sqrt((2 * l + 1) / (2.0 * l))) * s_mant
+        seed, shift = np.frexp(seed)
+        seed_exp += shift + s_exp
+        p_prev[l] = np.ldexp(seed, seed_exp)
+        p_prev, p_cur = p_cur, p_prev
+
+        if ext.size:
+            ext.step(l, x, p_prev, p_cur)
+        lost = seed_exp < _MIN_NORMAL_EXP  # seed below 2**-1022, and not zero
+        if lost.any():
+            ext.add(l, np.flatnonzero(lost), seed[lost], seed_exp[lost])
+
+        if l >= lmin:
+            base = l * l - lmin * lmin
+            out[base + l] = p_cur[0]
+            np.multiply(ccol[1:l + 1], p_cur[1:l + 1], out=out[base + l + 1:base + 2 * l + 1])
+            np.multiply(scol[l:0:-1], p_cur[l:0:-1], out=out[base:base + l])
     return out
+
+
+def _recurrence_coeffs(l: int, m: np.ndarray):
+    """a_{l,m} and b_{l,m} of the normalized degree recurrence."""
+    m2 = m * m
+    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m2))
+    b = np.sqrt(((l - 1.0) ** 2 - m2) / (4.0 * (l - 1.0) ** 2 - 1.0))
+    return a, b
+
+
+class _ScaledPairs:
+    """(m, point) pairs whose degree recurrence runs as mantissa * 2**exp.
+
+    Mantissas are renormalized to [0.5, 1) after every step; the shared
+    exponent applies to both the current and the previous degree.
+    """
+
+    def __init__(self):
+        self.m = np.empty(0, dtype=int)
+        self.pt = np.empty(0, dtype=int)
+        self.lo = np.empty(0)
+        self.hi = np.empty(0)
+        self.exp = np.empty(0, dtype=int)
+
+    @property
+    def size(self) -> int:
+        return self.m.size
+
+    def add(self, m: int, pts, seed, seed_exp) -> None:
+        self.m = np.concatenate([self.m, np.full(pts.size, m)])
+        self.pt = np.concatenate([self.pt, pts])
+        self.lo = np.concatenate([self.lo, np.zeros(pts.size)])
+        self.hi = np.concatenate([self.hi, seed])
+        self.exp = np.concatenate([self.exp, seed_exp])
+
+    def step(self, l: int, x, p_prev, p_cur) -> None:
+        """Advance every pair to degree l and write its values into the state."""
+        a, b = _recurrence_coeffs(l, self.m)
+        hi = a * (x[self.pt] * self.hi - b * self.lo)
+        hi, shift = np.frexp(hi)
+        self.lo = np.ldexp(self.hi, -shift)
+        self.hi = hi
+        self.exp += shift
+        p_cur[self.m, self.pt] = np.ldexp(self.hi, self.exp)
+        back = self.exp >= _REJOIN_EXP
+        if back.any():
+            p_prev[self.m[back], self.pt[back]] = np.ldexp(self.lo[back], self.exp[back])
+            keep = ~back
+            self.m, self.pt = self.m[keep], self.pt[keep]
+            self.lo, self.hi, self.exp = self.lo[keep], self.hi[keep], self.exp[keep]

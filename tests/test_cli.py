@@ -73,6 +73,11 @@ class TestCorrelationCommand:
         assert res.returncode == 4
         assert "4r + 2" in res.stderr
 
+    def test_nan_distance_is_config_error(self):
+        res = run("correlation", "--r", "1", "--alpha", "3", "--t", "0.2", "--d", "nan")
+        assert res.returncode == 2
+        assert res.stdout == ""
+
     def test_spectrum_file(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text('{"family": "power", "alpha": 3.0}')

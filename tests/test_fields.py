@@ -20,11 +20,26 @@ from needlets import (
     sample_alm,
     tabulated_spectrum,
 )
+from needlets import sph_harm_flat_index
 from needlets.fields import rotate_alm_about_pole
 
 RNG = np.random.default_rng(20240816)
 PROFILE = NeedletProfile(1)
 SPECTRUM = power_spectrum(3.0)
+
+
+def loop_rotate_alm_about_pole(alm, dphi):
+    """The (l, m) loop that rotate_alm_about_pole used to be, kept as an oracle."""
+    out = alm.coeffs.copy()
+    for l in range(1, alm.L + 1):
+        for m in range(1, l + 1):
+            c, s = math.cos(m * dphi), math.sin(m * dphi)
+            ic = sph_harm_flat_index(l, m)
+            is_ = sph_harm_flat_index(l, -m)
+            ac, as_ = alm.coeffs[ic], alm.coeffs[is_]
+            out[ic] = c * ac + s * as_
+            out[is_] = -s * ac + c * as_
+    return out
 
 
 class TestSampleAlm:
@@ -114,6 +129,13 @@ class TestNeedletCoefficient:
         rotated = needlet_coefficient(rotate_alm_about_pole(alm, dphi),
                                       PROFILE, 0.3, (theta, phi))
         assert direct.value == pytest.approx(rotated.value, rel=1e-12)
+
+    @pytest.mark.parametrize("L,dphi", [(55, 1.234), (116, -0.3), (200, 5.9)])
+    def test_rotation_matches_loop(self, L, dphi):
+        alm = sample_alm(SPECTRUM, L, seed=10)
+        mine = rotate_alm_about_pole(alm, dphi).coeffs
+        ref = loop_rotate_alm_about_pole(alm, dphi)
+        assert np.max(np.abs(mine - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestMonteCarloCorrelation:

@@ -1,6 +1,7 @@
 """Legendre polynomials, zonal series, and real spherical harmonics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,8 +21,79 @@ from needlets import (
     zonal_series,
 )
 from needlets.defaults import DEGREE_CAP_ENV
+from needlets.legendre import _sph_harm_rows
 
 RNG = np.random.default_rng(20240811)
+TINY = np.finfo(float).tiny
+
+
+def fibonacci_points(n):
+    i = np.arange(n)
+    theta = np.arccos(1.0 - (2.0 * i + 1.0) / n)
+    phi = np.mod(i * math.pi * (3.0 - math.sqrt(5.0)), 2.0 * math.pi)
+    return theta, phi
+
+
+def loop_sph_harm_matrix(lmax, theta, phi):
+    """The (m, l) double loop that sph_harm_matrix used to be, kept as an oracle.
+
+    Also returns a mask of the entries whose sectoral seed P_{m,m} fell below
+    the normal double range (subnormal, or zero although sin(theta) != 0).
+    """
+    x = np.cos(theta)
+    s = np.sin(theta)
+    npts = theta.size
+    out = np.empty((npts, (lmax + 1) ** 2 - 1))
+    lost = np.zeros(out.shape, dtype=bool)
+    sqrt2 = math.sqrt(2.0)
+    pmm = np.full(npts, math.sqrt(1.0 / (4.0 * math.pi)))
+    for m in range(lmax + 1):
+        if m > 0:
+            pmm = pmm * (-math.sqrt((2 * m + 1) / (2.0 * m))) * s
+            ccol = sqrt2 * np.cos(m * phi)
+            scol = sqrt2 * np.sin(m * phi)
+        low = (np.abs(pmm) < TINY) & (s != 0.0)
+        p_lo = np.zeros(npts)
+        p_hi = pmm
+        for l in range(m, lmax + 1):
+            if l == m + 1:
+                p_lo, p_hi = p_hi, math.sqrt(2 * m + 3.0) * x * pmm
+            elif l > m + 1:
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p_lo, p_hi = p_hi, a * (x * p_hi - b * p_lo)
+            if l == 0:
+                continue
+            cols = [sph_harm_flat_index(l, m)]
+            if m == 0:
+                out[:, cols[0]] = p_hi
+            else:
+                cols.append(sph_harm_flat_index(l, -m))
+                out[:, cols[0]] = ccol * p_hi
+                out[:, cols[1]] = scol * p_hi
+            for c in cols:
+                lost[:, c] = low
+    return out, lost
+
+
+def jacobi_real_sph_harm(l, m, theta, phi):
+    """Y_{l,m} at 40 digits through P_l^m(cos t) = (-1)^m (l+m)!/(2^m l!)
+    sin(t)^m P^(m,m)_{l-m}(cos t), with P^(m,m)_n(-x) = (-1)^n P^(m,m)_n(x)
+    keeping the hypergeometric argument (1 - |x|)/2 at or below 1/2."""
+    mp = pytest.importorskip("mpmath")
+    am = abs(m)
+    with mp.workdps(40):
+        t = mp.mpf(theta)
+        x = mp.cos(t)
+        parity = (-1) ** (l - am) if x < 0 else 1
+        plm = ((-1) ** am * parity * mp.factorial(l + am) / (2 ** am * mp.factorial(l))
+               * mp.sin(t) ** am * mp.jacobi(l - am, am, am, abs(x)))
+        y = mp.sqrt((2 * l + 1) / (4 * mp.pi) * mp.factorial(l - am) / mp.factorial(l + am)) * plm
+        if m > 0:
+            y *= mp.sqrt(2) * mp.cos(am * mp.mpf(phi))
+        elif m < 0:
+            y *= mp.sqrt(2) * mp.sin(am * mp.mpf(phi))
+        return +y
 
 
 def reference_real_sph_harm(l, m, theta, phi):
@@ -202,6 +274,93 @@ class TestSphHarmMatrix:
                     ref = real_sph_harm(SphHarmPoint(l, m, thetas[i], phis[i]))
                     assert mat[i, sph_harm_flat_index(l, m)] == pytest.approx(ref, abs=1e-13)
 
+    @pytest.mark.parametrize("lmax", [1, 2, 16, 24, 116])
+    def test_bit_identical_to_double_loop(self, lmax):
+        theta, phi = fibonacci_points(256)
+        theta = np.concatenate([theta, [0.0, 1e-3, math.pi - 1e-3, math.pi]])
+        phi = np.concatenate([phi, [0.3, 1.1, 2.2, 5.0]])
+        mine = sph_harm_matrix(lmax, theta, phi)
+        ref, lost = loop_sph_harm_matrix(lmax, theta, phi)
+        # every seed on the grid stays normal; only the pole rows can lose one
+        assert not lost[:256].any()
+        assert np.array_equal(mine[~lost].view(np.int64), ref[~lost].view(np.int64))
+        # where the loop's seed went subnormal, both results are negligible
+        assert np.max(np.abs(mine[lost] - ref[lost]), initial=0.0) <= 1e-290
+
+    def test_scaled_seeds_match_jacobi_oracle(self):
+        # near-pole orders whose seed underflows plain doubles but whose value
+        # at degree l is back in range
+        for theta, m in ((0.3, 700), (0.05, 150), (math.pi - 0.05, 120)):
+            l = 1000
+            mine = real_sph_harm(SphHarmPoint(l, m, theta, 0.4))
+            ref = jacobi_real_sph_harm(l, m, theta, 0.4)
+            assert abs(ref) > 1e-250
+            assert abs(mine - float(ref)) <= 1e-10 * abs(float(ref))
+
     def test_flat_index_layout(self):
         idx = [sph_harm_flat_index(l, m) for l in range(1, 5) for m in range(-l, l + 1)]
         assert idx == list(range(24))
+
+
+class TestHighDegree:
+    """Harmonics near `degree_cap`, where sectoral seeds leave the double range."""
+
+    @pytest.mark.parametrize("l", [1000, 2000, 4096])
+    def test_unsold_identity(self, l):
+        # sum_m Y_{l,m}(x)^2 = (2l+1)/(4 pi): three uniform colatitudes and one
+        # point within 0.05 rad of each pole
+        near = RNG.uniform(0.005, 0.05, 2)
+        theta = np.concatenate([RNG.uniform(0.0, math.pi, 3), [near[0], math.pi - near[1]]])
+        phi = RNG.uniform(0.0, 2.0 * math.pi, theta.size)
+        rows = _sph_harm_rows(l, l, theta, phi)
+        sums = np.array([math.fsum(rows[:, k] ** 2) for k in range(theta.size)])
+        rel = np.abs(sums / ((2 * l + 1) / (4.0 * math.pi)) - 1.0)
+        assert np.max(rel) <= 1e-10
+
+    def test_unsold_identity_closer_to_the_pole(self):
+        # Within about 4/l of a pole the identity is limited by the rounding of
+        # cos(theta) and sin(theta), not by the recurrence: one ulp in x moves
+        # P_l by l(l+1)/2 ulps near x = 1.
+        l = 4096
+        theta = np.array([1e-8, 1e-6, 1e-4, 3e-4, 1e-3, math.pi - 3e-4])
+        rows = _sph_harm_rows(l, l, theta, np.full(theta.size, 0.5))
+        sums = np.array([math.fsum(rows[:, k] ** 2) for k in range(theta.size)])
+        rel = np.abs(sums / ((2 * l + 1) / (4.0 * math.pi)) - 1.0)
+        assert np.max(rel) <= l * (l + 1) / 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("l", [1000, 2000])
+    def test_against_mpmath(self, l):
+        mp = pytest.importorskip("mpmath")
+        orders = (0, 1, -1, l // 2 - 1, l // 2, -(l // 2), l - 1, l, -l)
+        checked = 0
+        for theta in (0.05, 0.3, 1.0, math.pi - 0.2):
+            row = _sph_harm_rows(l, l, np.array([theta]), np.array([0.7]))[:, 0]
+            for m in orders:
+                ref = jacobi_real_sph_harm(l, m, theta, 0.7)
+                if abs(ref) <= mp.mpf("1e-250"):
+                    continue
+                assert abs(row[m + l] - float(ref)) <= 1e-10 * abs(float(ref)), (theta, m)
+                checked += 1
+        assert checked >= 20
+
+    def test_jacobi_oracle_matches_legenp(self):
+        # the Jacobi form is used because legenp needs a limit at integer
+        # order and takes 10-60 s per value at m ~ l/2 and l = 1000
+        mp = pytest.importorskip("mpmath")
+        for l, m, theta in ((1000, 0, 0.3), (2000, 1, 1.0), (300, 150, 0.3)):
+            with mp.workdps(40):
+                x = mp.cos(mp.mpf(theta))
+                ref = (mp.sqrt((2 * l + 1) / (4 * mp.pi) * mp.factorial(l - m)
+                               / mp.factorial(l + m)) * mp.legenp(l, m, x))
+                if m:
+                    ref *= mp.sqrt(2) * mp.cos(m * mp.mpf(0.7))
+                assert abs(jacobi_real_sph_harm(l, m, theta, 0.7) - ref) <= mp.mpf("1e-30") * abs(ref)
+
+    def test_matrix_at_degree_2000_is_fast_and_complete(self):
+        start = time.perf_counter()
+        y = sph_harm_matrix(2000, [0.3], [0.1])
+        elapsed = time.perf_counter() - start
+        top = y[0, sph_harm_flat_index(2000, -2000):]
+        total = math.fsum(top ** 2)
+        assert total == pytest.approx(4001 / (4 * math.pi), rel=1e-10)
+        assert elapsed < 5.0
