@@ -14,7 +14,10 @@ from .correlation import (
     analytic_correlation,
     analytic_covariance,
     correlation_decay_check,
+    correlation_ratio,
     covariance_coefficients,
+    covariance_series,
+    fit_correlation_decay,
     least_integer_above,
     variance_scaling_check,
     zonal_decay_bound,

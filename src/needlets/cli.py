@@ -20,9 +20,10 @@ from dataclasses import asdict
 from .correlation import (
     CorrelationQuery,
     analytic_correlation,
-    analytic_covariance,
-    correlation_decay_check,
+    correlation_ratio,
     covariance_coefficients,
+    covariance_series,
+    fit_correlation_decay,
     least_integer_above,
     variance_scaling_check,
     zonal_decay_bound,
@@ -62,7 +63,7 @@ def _floats(text: str) -> list[float]:
 
 
 def _grid_spec(text: str) -> list[float]:
-    """Either 'start:stop:count' (inclusive linspace) or a comma list."""
+    """Either 'start:stop:count' (inclusive linspace) or a comma list, all finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -71,8 +72,12 @@ def _grid_spec(text: str) -> list[float]:
         if count < 2 or stop <= start:
             raise ValueError(f"bad grid spec {text!r}")
         step = (stop - start) / (count - 1)
-        return [start + step * i for i in range(count)]
-    return _floats(text)
+        values = [start + step * i for i in range(count)]
+    else:
+        values = _floats(text)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid spec {text!r} has a non-finite value")
+    return values
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -135,11 +140,11 @@ def cmd_kernel(args) -> int:
     profile = _profile(args)
     theta_min = DEFAULTS["theta_min"]
     thetas = [max(th, theta_min) for th in _grid_spec(args.theta)]
+    xs = [math.cos(th) for th in thetas]
     rows = []
     for t in _floats(args.t):
-        spec = make_kernel(profile, t, args.eps_tail)
-        for th in thetas:
-            rows.append((t, th, kernel_eval(spec, math.cos(th))))
+        values = kernel_eval(make_kernel(profile, t, args.eps_tail), xs)
+        rows.extend((t, th, float(v)) for th, v in zip(thetas, values))
     _emit(_table(["t", "theta", "value"], rows), args.output)
     return EXIT_OK
 
@@ -160,23 +165,28 @@ def cmd_correlation(args) -> int:
             f"decay fit needs 4r + 2 > alpha; got 4*{profile.r} + 2 <= {spectrum.alpha}")
 
     rows = []
+    cors_by_gamma = [[] for _ in cos_gammas]
     for t in ts:
-        for cg in cos_gammas:
-            q = CorrelationQuery(profile, spectrum, t, cg)
-            cov = analytic_covariance(q, args.eps_tail)
-            cor = analytic_correlation(q, args.eps_tail)
-            d = q.geodesic_distance
-            bound = abs(cor) * d ** (2 * n_exp) * t ** -exponent
+        qs = [CorrelationQuery(profile, spectrum, t, cg) for cg in cos_gammas]
+        if not qs:
+            continue
+        # one scan and one series per scale; the last point gives the variance
+        *covs, variance = map(float, covariance_series(
+            profile, spectrum, t, [q.cos_gamma for q in qs] + [1.0], args.eps_tail))
+        for cg, q, cov, cors in zip(cos_gammas, qs, covs, cors_by_gamma):
+            cor = 1.0 if q.cos_gamma == 1.0 else correlation_ratio(cov, variance, t)
+            cors.append(cor)
+            bound = abs(cor) * q.geodesic_distance ** (2 * n_exp) * t ** -exponent
             rows.append((t, cg, cov, cor, exponent, n_exp, bound))
     out = _table(["t", "cos_gamma", "covariance", "correlation",
                   "predicted_exponent", "N", "bound_constant"], rows)
 
     if args.fit:
         reports = []
-        for cg in cos_gammas:
+        for cg, cors in zip(cos_gammas, cors_by_gamma):
             if cg == 1.0:
                 continue
-            rep = correlation_decay_check(profile, spectrum, cg, ts, args.eps_tail)
+            rep = fit_correlation_decay(profile, spectrum, cg, ts, cors)
             reports.append({"cos_gamma": cg, **asdict(rep)})
         out += "\n" + _json_doc({"defaults": DEFAULTS, "reports": reports})
     _emit(out, args.output)

@@ -10,10 +10,13 @@ and the correlation is Cov(t, cos gamma) / Cov(t, 1).  For spectra with
 power-law envelope l^(-alpha) and profiles f(s) = s^r f0(s) with
 4r + 2 > alpha, the correlation at fixed geodesic distance d = arccos(cos
 gamma) is bounded by C t^(4r - alpha + 2) / d^(2N), N the least positive
-integer above 2r - alpha/2 + 1.  `correlation_decay_check` verifies the rate
-empirically on a scale grid; `zonal_decay_bound` estimates the constant of
-the underlying series bound; `variance_scaling_check` confirms the variance
-floor Cov(t, 1) ~ t^(alpha - 2) that the ratio rests on.
+integer above 2r - alpha/2 + 1.  `covariance_series` is the engine: one
+truncation scan and one series call per scale, over all of that scale's
+evaluation points.  `correlation_decay_check` verifies the rate empirically
+on a scale grid (`fit_correlation_decay` fits correlations already at hand);
+`zonal_decay_bound` estimates the constant of the underlying series bound;
+`variance_scaling_check` confirms the variance floor Cov(t, 1) ~ t^(alpha - 2)
+that the ratio rests on.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .defaults import DEFAULTS
 from .differences import CoeffSequence, multiply_cos_minus_one_power
 from .errors import DecayHypothesisError, NumericFailure
-from .kernels import NeedletProfile, choose_lmax, profile_eval
+from .kernels import NeedletProfile, check_scale, choose_lmax, profile_eval
 from .legendre import legendre_series, zonal_series
 from .spectra import PowerSpectrum, spectrum_eval
 
@@ -37,11 +40,14 @@ __all__ = [
     "VarianceScalingReport",
     "ZonalDecayBound",
     "least_integer_above",
+    "covariance_series",
+    "correlation_ratio",
     "analytic_covariance",
     "analytic_correlation",
     "covariance_coefficients",
     "zonal_decay_bound",
     "variance_scaling_check",
+    "fit_correlation_decay",
     "correlation_decay_check",
 ]
 
@@ -56,8 +62,7 @@ class CorrelationQuery:
     cos_gamma: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("scale t must be > 0")
+        check_scale(self.t)
         if not math.isfinite(self.cos_gamma) or abs(self.cos_gamma) > 1.0 + 1e-12:
             raise ValueError("cos_gamma must lie in [-1, 1]")
         object.__setattr__(self, "cos_gamma", min(1.0, max(-1.0, float(self.cos_gamma))))
@@ -111,33 +116,47 @@ def covariance_coefficients(profile: NeedletProfile, spectrum: PowerSpectrum,
 
     Stored for l = 1..lmax; a_0 reads as 0 by the window convention.
     """
-    if t <= 0:
-        raise ValueError("scale t must be > 0")
+    check_scale(t)
     ls = np.arange(1, int(lmax) + 1, dtype=float)
     f = profile_eval(profile, (t * t) * ls * (ls + 1.0))
     return CoeffSequence(1, f * f * spectrum_eval(spectrum, ls))
 
 
+def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
+                      xs, eps_tail: float | None = None) -> np.ndarray:
+    """Cov(t, x) at every inner product x in `xs`, as an array.
+
+    One truncation scan (for the squared profile) and one compensated series
+    call serve all points; the series is elementwise in x, so each value has
+    the bits of a one-point evaluation.
+    """
+    lmax = choose_lmax(profile, t, eps_tail, squared=True)
+    ls = np.arange(1, lmax + 1, dtype=float)
+    coeffs = covariance_coefficients(profile, spectrum, t, lmax).values * (2.0 * ls + 1.0)
+    return legendre_series(coeffs, np.asarray(xs, dtype=float), offset=1)
+
+
+def correlation_ratio(cov: float, variance: float, t: float) -> float:
+    """Cov / Var at scale t; refuses a variance that is not finite and positive."""
+    if not math.isfinite(variance) or variance <= 0.0:
+        raise NumericFailure(
+            f"variance degenerate at t={t}: {variance!r}; "
+            "the scale is too large for every retained coefficient")
+    return cov / variance
+
+
 def analytic_covariance(q: CorrelationQuery, eps_tail: float | None = None) -> float:
     """Cov(t, cos gamma) with truncation chosen for the squared profile."""
-    lmax = choose_lmax(q.profile, q.t, eps_tail, squared=True)
-    ls = np.arange(1, lmax + 1, dtype=float)
-    f = profile_eval(q.profile, (q.t * q.t) * ls * (ls + 1.0))
-    coeffs = f * f * spectrum_eval(q.spectrum, ls) * (2.0 * ls + 1.0)
-    return legendre_series(coeffs, q.cos_gamma, offset=1)
+    return float(covariance_series(q.profile, q.spectrum, q.t, [q.cos_gamma], eps_tail)[0])
 
 
 def analytic_correlation(q: CorrelationQuery, eps_tail: float | None = None) -> float:
     """Cov(t, cos gamma) / Cov(t, 1); exactly 1 at coincident points."""
     if q.cos_gamma == 1.0:
         return 1.0
-    variance = analytic_covariance(
-        CorrelationQuery(q.profile, q.spectrum, q.t, 1.0), eps_tail)
-    if not math.isfinite(variance) or variance <= 0.0:
-        raise NumericFailure(
-            f"variance degenerate at t={q.t}: {variance!r}; "
-            "the scale is too large for every retained coefficient")
-    return analytic_covariance(q, eps_tail) / variance
+    cov, variance = map(float, covariance_series(
+        q.profile, q.spectrum, q.t, [q.cos_gamma, 1.0], eps_tail))
+    return correlation_ratio(cov, variance, q.t)
 
 
 def zonal_decay_bound(a: CoeffSequence, mu: float,
@@ -202,16 +221,9 @@ def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
                                  infimum=lo, ratio=ratio, passed=passed)
 
 
-def correlation_decay_check(profile: NeedletProfile, spectrum: PowerSpectrum,
-                            cos_gamma: float, t_grid,
-                            eps_tail: float | None = None) -> DecayReport:
-    """Measure |Cor| along a scale grid and compare with the predicted rate.
-
-    The predicted exponent is 4r - alpha + 2 (hypothesis 4r + 2 > alpha must
-    hold); the fitted log-log slope over the smallest scales must come
-    within the slope tolerance of it, and |Cor| d^(2N) t^(-exponent) must
-    stay within the stability ratio across the grid.
-    """
+def _decay_setup(profile: NeedletProfile, spectrum: PowerSpectrum, cos_gamma: float,
+                 n_scales: int) -> tuple[float, int, float]:
+    """Validate a decay measurement; return (exponent, N, geodesic distance)."""
     alpha = spectrum.alpha
     r = profile.r
     if not 4 * r + 2 > alpha:
@@ -222,13 +234,41 @@ def correlation_decay_check(profile: NeedletProfile, spectrum: PowerSpectrum,
     d = math.acos(min(1.0, max(-1.0, float(cos_gamma))))
     if d < 0.1:
         raise ValueError("geometry too close to coincidence; need distance >= 0.1")
-    t_grid = tuple(sorted((float(t) for t in t_grid), reverse=True))
-    if len(t_grid) < 2:
+    if n_scales < 2:
         raise ValueError("need at least two scales to measure decay")
+    return exponent, n_exp, d
 
-    cors = tuple(
-        analytic_correlation(CorrelationQuery(profile, spectrum, t, cos_gamma), eps_tail)
-        for t in t_grid)
+
+def correlation_decay_check(profile: NeedletProfile, spectrum: PowerSpectrum,
+                            cos_gamma: float, t_grid,
+                            eps_tail: float | None = None) -> DecayReport:
+    """Measure |Cor| along a scale grid and compare with the predicted rate.
+
+    Computes the correlations and hands them to `fit_correlation_decay`.
+    """
+    t_grid = tuple(sorted((float(t) for t in t_grid), reverse=True))
+    _decay_setup(profile, spectrum, cos_gamma, len(t_grid))
+    cors = [analytic_correlation(CorrelationQuery(profile, spectrum, t, cos_gamma), eps_tail)
+            for t in t_grid]
+    return fit_correlation_decay(profile, spectrum, cos_gamma, t_grid, cors)
+
+
+def fit_correlation_decay(profile: NeedletProfile, spectrum: PowerSpectrum,
+                          cos_gamma: float, t_grid, correlations) -> DecayReport:
+    """Compare correlations measured along a scale grid with the predicted rate.
+
+    `correlations[i]` is Cor(t_grid[i], cos_gamma).  The predicted exponent
+    is 4r - alpha + 2 (hypothesis 4r + 2 > alpha must hold); the fitted
+    log-log slope over the smallest scales must come within the slope
+    tolerance of it, and |Cor| d^(2N) t^(-exponent) must stay within the
+    stability ratio across the grid.
+    """
+    t_grid = [float(t) for t in t_grid]
+    correlations = [float(c) for c in correlations]
+    exponent, n_exp, d = _decay_setup(profile, spectrum, cos_gamma, len(t_grid))
+    if len(correlations) != len(t_grid):
+        raise ValueError("need one correlation per scale")
+    t_grid, cors = zip(*sorted(zip(t_grid, correlations), key=lambda p: p[0], reverse=True))
     abs_cors = np.abs(cors)
     if np.any(abs_cors == 0.0) or not np.all(np.isfinite(abs_cors)):
         raise NumericFailure("correlation vanished or diverged on the grid; cannot fit")

@@ -39,4 +39,13 @@ DEFAULTS = {
 
 def degree_cap() -> int:
     """Maximum spherical-harmonic degree allowed anywhere in the package."""
-    return int(os.environ.get(DEGREE_CAP_ENV, DEFAULTS["degree_cap"]))
+    raw = os.environ.get(DEGREE_CAP_ENV)
+    if raw is None:
+        return DEFAULTS["degree_cap"]
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{DEGREE_CAP_ENV}={raw!r} must be an integer >= 1")
+    return cap

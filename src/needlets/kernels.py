@@ -94,6 +94,12 @@ def profile_eval(profile: NeedletProfile, s):
     return float(out[0]) if scalar else out
 
 
+def check_scale(t: float) -> None:
+    """Reject a scale that is not a finite positive number."""
+    if not math.isfinite(t) or t <= 0:
+        raise ValueError("scale t must be finite and > 0")
+
+
 def _series_terms(profile: NeedletProfile, t: float, ls: np.ndarray, squared: bool) -> np.ndarray:
     s = (t * t) * ls * (ls + 1.0)
     f = profile_eval(profile, s)
@@ -110,8 +116,7 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
     geometric sequence, so extending the scan until the last term is far
     below eps_tail times the running total makes the remainder negligible.
     """
-    if t <= 0:
-        raise ValueError("scale t must be > 0")
+    check_scale(t)
     eps = DEFAULTS["eps_tail"] if eps_tail is None else float(eps_tail)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps_tail must lie in (0, 1)")
@@ -146,6 +151,7 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
 def make_kernel(profile: NeedletProfile, t: float, eps_tail: float | None = None,
                 lmax: int | None = None) -> KernelSpec:
     """Build the truncated kernel coefficient vector for scale t."""
+    check_scale(t)
     if lmax is None:
         lmax = choose_lmax(profile, t, eps_tail)
     else:

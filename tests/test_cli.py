@@ -3,12 +3,19 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import needlets.correlation as correlation_module
+from needlets import cli
+from needlets.defaults import DEGREE_CAP_ENV
+
 CMD = [sys.executable, "-m", "needlets"]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(*args, env_extra=None):
@@ -47,6 +54,13 @@ class TestKernelCommand:
         res = run("kernel", "--r", "1", "--t", "0.0001", "--theta", "0.1,0.2")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("theta", ["nan", "0.1,nan", "0:nan:5", "0.1,inf"])
+    def test_non_finite_theta_is_config_error(self, theta):
+        res = run("kernel", "--r", "1", "--t", "0.2", "--theta", theta)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "non-finite" in res.stderr
+
 
 class TestCorrelationCommand:
     def test_coincidence_row_is_one(self):
@@ -73,6 +87,29 @@ class TestCorrelationCommand:
         assert res.returncode == 4
         assert "4r + 2" in res.stderr
 
+    def test_degenerate_variance_on_coincident_row_only(self):
+        # at t = 50 every retained coefficient underflows: the coincident row
+        # needs no variance, the next row does
+        res = run("correlation", "--r", "1", "--alpha", "3", "--t", "50", "--cos-gamma", "1")
+        assert res.returncode == 0
+        row = rows_of(res.stdout)[0]
+        assert float(row["correlation"]) == 1.0
+        assert float(row["covariance"]) == 0.0
+        res = run("correlation", "--r", "1", "--alpha", "3", "--t", "50", "--cos-gamma", "1,0")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr == ("error: variance degenerate at t=50.0: 0.0; "
+                              "the scale is too large for every retained coefficient\n")
+
+    def test_one_scan_and_one_series_per_scale(self, count_calls, capsys):
+        scans = count_calls(correlation_module, "choose_lmax")
+        series = count_calls(correlation_module, "legendre_series")
+        code = cli.main(["correlation", "--r", "1", "--alpha", "3", "--t", "0.2,0.1,0.05",
+                         "--cos-gamma=-0.5,0,0.5,1", "--fit"])
+        assert code == 0
+        assert len(rows_of(capsys.readouterr().out.split("\n\n")[0])) == 12
+        assert (len(scans), len(series)) == (3, 3)
+
     def test_nan_distance_is_config_error(self):
         res = run("correlation", "--r", "1", "--alpha", "3", "--t", "0.2", "--d", "nan")
         assert res.returncode == 2
@@ -84,6 +121,27 @@ class TestCorrelationCommand:
         res = run("correlation", "--r", "1", "--spectrum", str(path),
                   "--t", "0.2", "--cos-gamma", "0")
         assert res.returncode == 0
+
+
+class TestScaleAndCapDomain:
+    @pytest.mark.parametrize("command", [
+        ("kernel", "--r", "1", "--theta", "0.1,0.5"),
+        ("correlation", "--r", "1", "--alpha", "3", "--cos-gamma", "0"),
+        ("simulate", "--r", "1", "--alpha", "3", "--d", "0.5", "--replicas", "100"),
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_scale_is_config_error(self, command, t):
+        res = run(*command, "--t", t)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: scale t must be finite and > 0\n"
+
+    def test_junk_degree_cap_is_config_error(self):
+        res = run("kernel", "--r", "1", "--t", "0.2", "--theta", "0.1",
+                  env_extra={DEGREE_CAP_ENV: "abc"})
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"{DEGREE_CAP_ENV}='abc'" in res.stderr
 
 
 class TestSimulateCommand:
@@ -188,3 +246,19 @@ class TestDeterminism:
         assert run(*args, "--output", str(a)).returncode == 0
         assert run(*args, "--output", str(b)).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBenchmarkReplay:
+    """The `analytic` benchmark's kernel and correlation lines, byte for byte.
+
+    The command lines are read from `perfbench/workloads.py` and the expected
+    bytes from `perfbench/reference/`; neither is written.
+    """
+
+    @pytest.mark.parametrize("label", ["kernel", "correlation"])
+    def test_stdout_matches_reference(self, label):
+        workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
+        (command,) = [c for c in workloads["analytic"] if c.label == label]
+        res = subprocess.run(CMD + command.args(0), capture_output=True)
+        assert res.returncode == 0
+        assert res.stdout == (PERFBENCH / "reference" / f"{label}.out").read_bytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+import needlets.correlation as correlation_module
 from needlets import (
     CoeffSequence,
     CorrelationQuery,
@@ -17,9 +18,14 @@ from needlets import (
     choose_lmax,
     correlation_decay_check,
     covariance_coefficients,
+    covariance_series,
+    fit_correlation_decay,
     least_integer_above,
+    legendre_series,
     points_cos_angle,
     power_spectrum,
+    profile_eval,
+    spectrum_eval,
     variance_scaling_check,
     zonal_decay_bound,
     zonal_series,
@@ -68,6 +74,43 @@ class TestCovariance:
         q = CorrelationQuery(PROFILE, SPECTRUM, 0.2, 0.0)
         ref = brute_force_covariance(1, 3.0, 0.2, 0.0)
         assert analytic_covariance(q) == pytest.approx(ref, rel=1e-10)
+
+
+class TestCovarianceSeries:
+    XS = [-1.0, -0.95, -0.3, 0.0, 0.42, 0.9, 0.995, 1.0]
+
+    @pytest.mark.parametrize("r,alpha,t", [(1, 3.0, 0.2), (1, 3.0, 0.0125), (2, 4.0, 0.05)])
+    def test_matches_pointwise_series_bit_for_bit(self, r, alpha, t):
+        # the one-point formula the engine used before it was batched
+        profile, spectrum = NeedletProfile(r), power_spectrum(alpha)
+        lmax = choose_lmax(profile, t, squared=True)
+        ls = np.arange(1, lmax + 1, dtype=float)
+        f = profile_eval(profile, (t * t) * ls * (ls + 1.0))
+        coeffs = f * f * spectrum_eval(spectrum, ls) * (2.0 * ls + 1.0)
+        batched = covariance_series(profile, spectrum, t, self.XS)
+        for x, value in zip(self.XS, batched):
+            assert value == legendre_series(coeffs, x, offset=1)
+            assert value == analytic_covariance(CorrelationQuery(profile, spectrum, t, x))
+
+    def test_one_scan_and_one_series_per_call(self, count_calls):
+        scans = count_calls(correlation_module, "choose_lmax")
+        series = count_calls(correlation_module, "legendre_series")
+        covariance_series(PROFILE, SPECTRUM, 0.1, self.XS)
+        assert (len(scans), len(series)) == (1, 1)
+        analytic_correlation(CorrelationQuery(PROFILE, SPECTRUM, 0.1, 0.3))
+        assert (len(scans), len(series)) == (2, 2)
+
+
+class TestScaleDomain:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -0.2])
+    def test_query_rejects_bad_scale(self, t):
+        with pytest.raises(ValueError, match="scale t must be finite and > 0"):
+            CorrelationQuery(PROFILE, SPECTRUM, t, 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_coefficients_reject_non_finite_scale(self, t):
+        with pytest.raises(ValueError, match="scale t must be finite and > 0"):
+            covariance_coefficients(PROFILE, SPECTRUM, t, 30)
 
 
 class TestCorrelation:
@@ -215,6 +258,24 @@ class TestCorrelationDecay:
     def test_hypothesis_violation(self):
         with pytest.raises(DecayHypothesisError):
             correlation_decay_check(PROFILE, power_spectrum(7.0), 0.0, [0.2, 0.1])
+
+    def test_fit_of_given_correlations_equals_check(self):
+        # scales in any order; the fit pairs each with its correlation and sorts
+        ts = [0.05, 0.2, 0.025, 0.1]
+        cors = [analytic_correlation(CorrelationQuery(PROFILE, SPECTRUM, t, 0.0)) for t in ts]
+        fitted = fit_correlation_decay(PROFILE, SPECTRUM, 0.0, ts, cors)
+        assert fitted == correlation_decay_check(PROFILE, SPECTRUM, 0.0, ts)
+        assert fitted.t_grid == (0.2, 0.1, 0.05, 0.025)
+
+    def test_fit_validates_before_looking_at_values(self):
+        with pytest.raises(DecayHypothesisError):
+            fit_correlation_decay(PROFILE, power_spectrum(7.0), 0.0, [0.2, 0.1], [0.1, 0.01])
+        with pytest.raises(ValueError, match="too close"):
+            fit_correlation_decay(PROFILE, SPECTRUM, 0.9999, [0.2, 0.1], [0.1, 0.01])
+        with pytest.raises(ValueError, match="two scales"):
+            fit_correlation_decay(PROFILE, SPECTRUM, 0.0, [0.2], [0.1])
+        with pytest.raises(ValueError, match="one correlation per scale"):
+            fit_correlation_decay(PROFILE, SPECTRUM, 0.0, [0.2, 0.1], [0.1])
 
     def test_geometry_too_close(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Needlet profile, kernel truncation and evaluation, localization, Calderon sums."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from needlets import (
     make_kernel,
     profile_eval,
 )
-from needlets.defaults import DEGREE_CAP_ENV
+from needlets.defaults import DEFAULTS, DEGREE_CAP_ENV, degree_cap
 
 RNG = np.random.default_rng(20240814)
 
@@ -90,6 +91,31 @@ class TestChooseLmax:
     def test_floor_of_eight(self):
         assert choose_lmax(NeedletProfile(1), 5.0, 1e-6) >= 8
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_scale(self, t):
+        with pytest.raises(ValueError, match="scale t must be finite and > 0"):
+            choose_lmax(NeedletProfile(1), t)
+        # an explicit lmax skips the scan but not the check
+        with pytest.raises(ValueError, match="scale t must be finite and > 0"):
+            make_kernel(NeedletProfile(1), t, lmax=16)
+
+
+class TestDegreeCapOverride:
+    def test_default_without_override(self, monkeypatch):
+        monkeypatch.delenv(DEGREE_CAP_ENV, raising=False)
+        assert degree_cap() == DEFAULTS["degree_cap"]
+
+    def test_integer_override(self, monkeypatch):
+        monkeypatch.setenv(DEGREE_CAP_ENV, "128")
+        assert degree_cap() == 128
+
+    @pytest.mark.parametrize("raw", ["abc", "", "1.5", "0", "-3"])
+    def test_bad_override_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(DEGREE_CAP_ENV, raw)
+        message = f"{DEGREE_CAP_ENV}={raw!r} must be an integer >= 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            degree_cap()
+
 
 class TestKernelEval:
     def test_positive_at_coincidence(self):
@@ -133,6 +159,14 @@ class TestKernelEval:
         assert kernel_eval(spec, 0.42) == kernel_eval(spec, 0.42)
         batched = kernel_eval(spec, np.array([0.42, -0.1]))
         assert batched[0] == kernel_eval(spec, 0.42)
+
+    @pytest.mark.parametrize("t", [0.1, 0.05, 0.025])
+    def test_batched_equals_pointwise_at_the_ends(self, t):
+        # x = +-1 and the clamped grid end cos(theta_min) are where P_l moves fastest
+        spec = make_kernel(NeedletProfile(1), t)
+        xs = [-1.0, 1.0, math.cos(DEFAULTS["theta_min"]), -math.cos(DEFAULTS["theta_min"]), 0.3]
+        batched = kernel_eval(spec, xs)
+        assert [float(v) for v in batched] == [kernel_eval(spec, x) for x in xs]
 
 
 class TestLocalization:
