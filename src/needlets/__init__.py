@@ -38,6 +38,7 @@ from .fields import (
     MonteCarloCorrelation,
     addition_theorem_check,
     monte_carlo_correlation,
+    monte_carlo_correlations,
     needlet_coefficient,
     points_cos_angle,
     sample_alm,

@@ -30,7 +30,7 @@ from .correlation import (
 )
 from .defaults import DEFAULTS
 from .errors import DecayHypothesisError, DegreeCapExceeded, NumericFailure
-from .fields import monte_carlo_correlation, points_cos_angle
+from .fields import monte_carlo_correlations, points_cos_angle
 from .frames import build_grid, estimate_frame_bounds
 from .kernels import (
     NeedletProfile,
@@ -197,18 +197,21 @@ def cmd_simulate(args) -> int:
     profile = _profile(args)
     spectrum = _resolve_spectrum(args)
     point_x = (math.pi / 2.0, 0.0)
+    grid = [(t, d, (math.pi / 2.0, d)) for t in _floats(args.t) for d in _floats(args.d)]
+    # every query is validated before anything is drawn
+    qs = [CorrelationQuery(profile, spectrum, t, points_cos_angle(point_x, point_y))
+          for t, _, point_y in grid]
+    # one draw of each replica serves the whole t x d grid
+    estimates = monte_carlo_correlations(
+        profile, spectrum, [(t, point_x, point_y) for t, _, point_y in grid],
+        args.replicas, args.seed, args.eps_tail)
     rows = []
     worst = 0.0
-    for t in _floats(args.t):
-        for d in _floats(args.d):
-            point_y = (math.pi / 2.0, d)
-            est, se = monte_carlo_correlation(profile, spectrum, t, point_x, point_y,
-                                              args.replicas, args.seed, args.eps_tail)
-            q = CorrelationQuery(profile, spectrum, t, points_cos_angle(point_x, point_y))
-            true = analytic_correlation(q, args.eps_tail)
-            z = 0.0 if se == 0.0 and est == true else (est - true) / se
-            worst = max(worst, abs(z))
-            rows.append((t, d, args.replicas, args.seed, est, se, true, z))
+    for (t, d, _), q, (est, se) in zip(grid, qs, estimates):
+        true = analytic_correlation(q, args.eps_tail)
+        z = 0.0 if se == 0.0 and est == true else (est - true) / se
+        worst = max(worst, abs(z))
+        rows.append((t, d, args.replicas, args.seed, est, se, true, z))
     _emit(_table(["t", "d", "replicas", "seed", "estimate", "stderr",
                   "analytic", "z"], rows), args.output)
     if worst > 5.0:

@@ -37,12 +37,15 @@ __all__ = [
     "sample_alm",
     "needlet_coefficient",
     "monte_carlo_correlation",
+    "monte_carlo_correlations",
     "addition_theorem_check",
     "rotate_alm_about_pole",
     "points_cos_angle",
 ]
 
 _U64 = 2 ** 64
+# default size of one block of replica coefficients in the Monte-Carlo loop
+_BLOCK_BYTES = 8 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,20 @@ def _check_u64(name: str, value: int) -> int:
     return value
 
 
-def _counter_normals(seed: int, stream: int, count: int) -> np.ndarray:
-    """Standard normals from the counter-based stream keyed by (seed, stream)."""
+def _counter_normals(seed: int, stream: int, count: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals from the counter-based stream keyed by (seed, stream).
+
+    Written into `out` (a float64 row of length `count`) when given; the
+    uniforms are converted in place, so a draw makes no other temporaries.
+    """
     key = np.array([seed, stream], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(count)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return ndtri(u, out=u if out is None else out)
 
 
 def _sigma_per_coefficient(spectrum: PowerSpectrum, L: int) -> np.ndarray:
@@ -131,7 +142,7 @@ def needlet_coefficient(alm: AlmSet, profile: NeedletProfile, t: float,
     if alm.L < required:
         raise ValueError(
             f"coefficients stored to degree {alm.L} but scale t={t} needs {required}")
-    theta, phi = float(point[0]), float(point[1])
+    theta, phi = _point(point)
     y = sph_harm_matrix(alm.L, [theta], [phi])[0]
     w = _profile_weights(profile, t, alm.L)
     value = float(np.sum(alm.coeffs * w * y))
@@ -141,38 +152,72 @@ def needlet_coefficient(alm: AlmSet, profile: NeedletProfile, t: float,
 def monte_carlo_correlation(profile: NeedletProfile, spectrum: PowerSpectrum,
                             t: float, point_x, point_y, replicas: int,
                             seed: int, eps_tail: float | None = None,
-                            chunk: int = 1024) -> MonteCarloCorrelation:
-    """Sample correlation of coefficient pairs over independent field draws.
+                            chunk: int | None = None) -> MonteCarloCorrelation:
+    """Sample correlation of one coefficient pair; see monte_carlo_correlations."""
+    (result,) = monte_carlo_correlations(profile, spectrum, [(t, point_x, point_y)],
+                                         replicas, seed, eps_tail, chunk)
+    return result
 
-    Replica i uses stream (seed, i), so the estimate is a pure function of
-    (seed, replicas) regardless of chunking or parallel schedule.  The
-    estimate is the uncentered moment ratio matching the defining
-    expectation formula for these zero-mean fields; the standard error is
-    the leave-one-out jackknife of that ratio.
+
+def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
+                             queries, replicas: int, seed: int,
+                             eps_tail: float | None = None,
+                             chunk: int | None = None) -> list[MonteCarloCorrelation]:
+    """Sample correlations of coefficient pairs over independent field draws.
+
+    `queries` is a sequence of (t, point_x, point_y).  Replica i uses stream
+    (seed, i) and is drawn once, at the largest degree any scale needs; a
+    scale of degree L reads the first L(L+2) coefficients, which are the
+    draws it would make alone, so every result is a pure function of
+    (seed, replicas) and its query, whatever the other queries, the chunking
+    or the schedule.  `chunk` is the number of replicas per block (default:
+    about 8 MiB of coefficients, whatever the replica count).  The estimate is the uncentered
+    moment ratio matching the defining expectation formula for these
+    zero-mean fields; the standard error is the leave-one-out jackknife of
+    that ratio.
     """
     replicas = int(replicas)
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a usable standard error")
     seed = _check_u64("seed", seed)
-    L = choose_lmax(profile, t, eps_tail)
-    y_pair = sph_harm_matrix(L, [float(point_x[0]), float(point_y[0])],
-                             [float(point_x[1]), float(point_y[1])])
-    w = _profile_weights(profile, t, L)
-    wx = w * y_pair[0]
-    wy = w * y_pair[1]
-    sigma = _sigma_per_coefficient(spectrum, L)
+    queries = [(float(t), _point(point_x), _point(point_y))
+               for t, point_x, point_y in queries]
+    if not queries:
+        return []
+    degrees = {t: choose_lmax(profile, t, eps_tail)
+               for t in dict.fromkeys(t for t, _, _ in queries)}
+    weights = {t: _profile_weights(profile, t, L) for t, L in degrees.items()}
+    projections = []
+    for t, point_x, point_y in queries:
+        y_pair = sph_harm_matrix(degrees[t], [point_x[0], point_y[0]],
+                                 [point_x[1], point_y[1]])
+        projections.append((weights[t] * y_pair[0], weights[t] * y_pair[1]))
+    sigma = _sigma_per_coefficient(spectrum, max(degrees.values()))
+    if chunk is None:
+        chunk = max(1, _BLOCK_BYTES // (sigma.size * sigma.itemsize))
+    chunk = int(chunk)
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1 replica")
 
-    bx = np.empty(replicas)
-    by = np.empty(replicas)
+    bx = np.empty((len(queries), replicas))
+    by = np.empty((len(queries), replicas))
+    block = np.empty((min(chunk, replicas), sigma.size))
     for start in range(0, replicas, chunk):
         stop = min(start + chunk, replicas)
-        block = np.empty((stop - start, sigma.size))
+        b = block[:stop - start]
         for i in range(start, stop):
-            block[i - start] = _counter_normals(seed, i, sigma.size)
-        block *= sigma
-        bx[start:stop] = (block * wx).sum(axis=1)
-        by[start:stop] = (block * wy).sum(axis=1)
+            _counter_normals(seed, i, sigma.size, out=b[i - start])
+        b *= sigma
+        for q, (wx, wy) in enumerate(projections):
+            head = b[:, :wx.size]
+            bx[q, start:stop] = (head * wx).sum(axis=1)
+            by[q, start:stop] = (head * wy).sum(axis=1)
+    return [_jackknife_correlation(x, y) for x, y in zip(bx, by)]
 
+
+def _jackknife_correlation(bx: np.ndarray, by: np.ndarray) -> MonteCarloCorrelation:
+    """Moment-ratio correlation of paired coefficient samples, with its stderr."""
+    replicas = bx.size
     sxx = float(np.sum(bx * bx))
     syy = float(np.sum(by * by))
     sxy = float(np.sum(bx * by))
@@ -224,10 +269,18 @@ def rotate_alm_about_pole(alm: AlmSet, dphi: float) -> AlmSet:
     return AlmSet(L=alm.L, coeffs=out, seed=alm.seed, stream=alm.stream)
 
 
+def _point(point) -> tuple[float, float]:
+    """A (theta, phi) pair as floats; both must be finite."""
+    theta, phi = float(point[0]), float(point[1])
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError("point coordinates (theta, phi) must be finite")
+    return theta, phi
+
+
 def points_cos_angle(point_x, point_y) -> float:
     """Inner product of two unit vectors given as (theta, phi) pairs."""
-    tx, px = float(point_x[0]), float(point_x[1])
-    ty, py = float(point_y[0]), float(point_y[1])
+    tx, px = _point(point_x)
+    ty, py = _point(point_y)
     c = (math.cos(tx) * math.cos(ty)
          + math.sin(tx) * math.sin(ty) * math.cos(px - py))
     return min(1.0, max(-1.0, c))

@@ -161,6 +161,14 @@ class TestSimulateCommand:
         assert res.returncode == 0
         assert abs(float(rows[0]["z"])) <= 5.0
 
+    @pytest.mark.parametrize("d", ["nan", "inf", "0.3,nan"])
+    def test_non_finite_distance_is_config_error(self, d):
+        res = run("simulate", "--r", "1", "--alpha", "3", "--t", "0.2",
+                  "--d", d, "--replicas", "200")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: point coordinates (theta, phi) must be finite\n"
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self):
@@ -249,16 +257,20 @@ class TestDeterminism:
 
 
 class TestBenchmarkReplay:
-    """The `analytic` benchmark's kernel and correlation lines, byte for byte.
+    """Benchmark command lines replayed byte for byte: the `analytic`
+    workload's kernel and correlation lines and the `montecarlo` workload's
+    simulate lines at seed 0.
 
     The command lines are read from `perfbench/workloads.py` and the expected
     bytes from `perfbench/reference/`; neither is written.
     """
 
-    @pytest.mark.parametrize("label", ["kernel", "correlation"])
+    @pytest.mark.parametrize("label", ["kernel", "correlation", "simulate-r1", "simulate-r2"])
     def test_stdout_matches_reference(self, label):
         workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
-        (command,) = [c for c in workloads["analytic"] if c.label == label]
+        (command,) = [c for name in ("analytic", "montecarlo")
+                      for c in workloads[name] if c.label == label]
+        reference = f"{label}-seed0.out" if command.seeded else f"{label}.out"
         res = subprocess.run(CMD + command.args(0), capture_output=True)
         assert res.returncode == 0
-        assert res.stdout == (PERFBENCH / "reference" / f"{label}.out").read_bytes()
+        assert res.stdout == (PERFBENCH / "reference" / reference).read_bytes()

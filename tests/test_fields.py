@@ -1,9 +1,11 @@
 """Gaussian field sampling, needlet coefficients, Monte-Carlo correlation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from needlets import (
     AlmSet,
@@ -14,13 +16,18 @@ from needlets import (
     analytic_covariance,
     choose_lmax,
     monte_carlo_correlation,
+    monte_carlo_correlations,
     needlet_coefficient,
     points_cos_angle,
     power_spectrum,
+    profile_eval,
     sample_alm,
+    sph_harm_matrix,
+    spectrum_eval,
     tabulated_spectrum,
 )
 from needlets import sph_harm_flat_index
+import needlets.fields as fields_module
 from needlets.fields import rotate_alm_about_pole
 
 RNG = np.random.default_rng(20240816)
@@ -101,6 +108,12 @@ class TestNeedletCoefficient:
         out = needlet_coefficient(alm, PROFILE, 0.3, (1.0, 2.0))
         assert isinstance(out.value, float) and math.isfinite(out.value)
 
+    @pytest.mark.parametrize("point", [(math.nan, 0.2), (0.5, math.inf)])
+    def test_non_finite_point_rejected(self, point):
+        alm = sample_alm(SPECTRUM, choose_lmax(PROFILE, 0.3), seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            needlet_coefficient(alm, PROFILE, 0.3, point)
+
     def test_insufficient_degree_rejected(self):
         alm = sample_alm(SPECTRUM, 4, seed=2)
         with pytest.raises(ValueError):
@@ -176,6 +189,121 @@ class TestMonteCarloCorrelation:
         with pytest.raises(ValueError):
             monte_carlo_correlation(PROFILE, SPECTRUM, 0.25,
                                     (0.5, 0.5), (0.6, 0.6), 50, seed=0)
+
+    def test_bounded_memory(self):
+        # L = 116: 300 replicas of 13 688 coefficients are 33 MB, so the loop
+        # has to work in blocks and must not hold a whole-sample temporary
+        profile = NeedletProfile(2)
+        x, y = (math.pi / 2, 0.0), (math.pi / 2, 0.3)
+        assert choose_lmax(profile, 0.05) == 116
+        tracemalloc.start()
+        try:
+            monte_carlo_correlation(profile, power_spectrum(4.0), 0.05, x, y, 300, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+def loop_monte_carlo_correlation(profile, spectrum, t, point_x, point_y, replicas, seed):
+    """The per-query draw loop that monte_carlo_correlation used to be, kept as an oracle."""
+    L = choose_lmax(profile, t)
+    ls = np.arange(1, L + 1)
+    counts = 2 * ls + 1
+    sigma = np.repeat(np.sqrt(np.atleast_1d(spectrum_eval(spectrum, ls))), counts)
+    f = profile_eval(profile, (t * t) * ls.astype(float) * (ls + 1.0))
+    y_pair = sph_harm_matrix(L, [point_x[0], point_y[0]], [point_x[1], point_y[1]])
+    wx, wy = np.repeat(f, counts) * y_pair[0], np.repeat(f, counts) * y_pair[1]
+    block = np.empty((replicas, sigma.size))
+    for i in range(replicas):
+        raw = np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).random_raw(sigma.size)
+        block[i] = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+    block *= sigma
+    bx, by = (block * wx).sum(axis=1), (block * wy).sum(axis=1)
+    sxx, syy, sxy = float(np.sum(bx * bx)), float(np.sum(by * by)), float(np.sum(bx * by))
+    loo = (sxy - bx * by) / np.sqrt((sxx - bx * bx) * (syy - by * by))
+    stderr = float(np.sqrt((replicas - 1) / replicas * np.sum((loo - np.mean(loo)) ** 2)))
+    return sxy / math.sqrt(sxx * syy), stderr
+
+
+def hexes(results):
+    return [(float.hex(est), float.hex(se)) for est, se in results]
+
+
+EQUATOR_X = (math.pi / 2, 0.0)
+# the t x d grid of the `simulate` benchmark's first command
+GRID_QUERIES = [(t, EQUATOR_X, (math.pi / 2, d))
+                for t in (0.2, 0.1) for d in (0.3, 0.785, 1.571)]
+
+
+class TestBatchedMonteCarlo:
+    """One draw per replica at the largest degree, projected onto every query."""
+
+    def test_batched_equals_per_query_bit_for_bit(self):
+        batched = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
+        single = [monte_carlo_correlation(PROFILE, SPECTRUM, t, x, y, 300, seed=7)
+                  for t, x, y in GRID_QUERIES]
+        assert hexes(batched) == hexes(single)
+
+    def test_matches_old_per_query_loop_bit_for_bit(self):
+        batched = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
+        oracle = [loop_monte_carlo_correlation(PROFILE, SPECTRUM, t, x, y, 300, 7)
+                  for t, x, y in GRID_QUERIES]
+        assert hexes(batched) == hexes(oracle)
+
+    def test_chunk_independent(self):
+        a = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=3)
+        b = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=3, chunk=37)
+        assert hexes(a) == hexes(b)
+
+    def test_one_truncation_scan_per_scale(self, count_calls):
+        scans = count_calls(fields_module, "choose_lmax")
+        monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 100, seed=0)
+        assert sorted(args[1] for args in scans) == [0.1, 0.2]
+
+    def test_each_stream_drawn_once(self, monkeypatch):
+        keys = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            keys.append(tuple(int(k) for k in kwargs["key"]))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 150, seed=4)
+        assert keys == [(4, i) for i in range(150)]
+
+    def test_empty_query_list(self):
+        assert monte_carlo_correlations(PROFILE, SPECTRUM, [], 100, seed=0) == []
+
+    def test_bad_chunk_rejected(self):
+        with pytest.raises(ValueError, match="chunk"):
+            monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 100, seed=0, chunk=0)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf)])
+    def test_non_finite_point_rejected(self, bad):
+        queries = GRID_QUERIES + [(0.2, EQUATOR_X, bad)]
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo_correlations(PROFILE, SPECTRUM, queries, 100, seed=0)
+
+    def test_gap_between_scale_degrees_rejected(self):
+        # c_l > 0 up to the smaller scale's degree, then one missing degree
+        small, large = choose_lmax(PROFILE, 0.2), choose_lmax(PROFILE, 0.1)
+        assert small < large
+        ls = [l for l in range(1, large + 1) if l != small + 1]
+        gappy = tabulated_spectrum(ls, [l ** -3.0 for l in ls], 3.0)
+        monte_carlo_correlation(PROFILE, gappy, 0.2, EQUATOR_X, (math.pi / 2, 0.3), 100, seed=0)
+        with pytest.raises(ValueError, match=f"c_{small + 1};"):
+            monte_carlo_correlations(PROFILE, gappy, GRID_QUERIES, 100, seed=0)
+
+
+class TestPointsCosAngle:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        for x, y in [((bad, 0.0), (0.5, 0.5)), ((0.5, bad), (0.5, 0.5)),
+                     ((0.5, 0.5), (bad, 0.0)), ((0.5, 0.5), (0.5, bad))]:
+            with pytest.raises(ValueError, match="finite"):
+                points_cos_angle(x, y)
 
 
 class TestAdditionTheorem:
