@@ -17,6 +17,7 @@ from .correlation import (
     correlation_ratio,
     covariance_coefficients,
     covariance_series,
+    decay_exponents,
     fit_correlation_decay,
     least_integer_above,
     variance_scaling_check,
@@ -34,7 +35,6 @@ from .differences import (
 from .errors import DecayHypothesisError, DegreeCapExceeded, NeedletError, NumericFailure
 from .fields import (
     AlmSet,
-    CoefficientSample,
     MonteCarloCorrelation,
     addition_theorem_check,
     monte_carlo_correlation,
@@ -62,16 +62,16 @@ from .kernels import (
     localization_check,
     make_kernel,
     profile_eval,
+    spectral_weights,
 )
 from .legendre import (
-    LegendreTable,
     SphHarmPoint,
     generating_function_check,
-    legendre_batch,
     legendre_series,
     real_sph_harm,
     recursion_residual,
     sph_harm_flat_index,
+    sph_harm_flat_repeat,
     sph_harm_matrix,
     zonal_eval,
     zonal_series,

@@ -23,12 +23,12 @@ from .correlation import (
     correlation_ratio,
     covariance_coefficients,
     covariance_series,
+    decay_exponents,
     fit_correlation_decay,
-    least_integer_above,
     variance_scaling_check,
     zonal_decay_bound,
 )
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, degree_cap
 from .errors import DecayHypothesisError, DegreeCapExceeded, NumericFailure
 from .fields import monte_carlo_correlations, points_cos_angle
 from .frames import build_grid, estimate_frame_bounds
@@ -116,6 +116,11 @@ def _json_doc(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _defaults_in_effect() -> dict:
+    """The defaults table as this run used it: the degree cap after any override."""
+    return {**DEFAULTS, "degree_cap": degree_cap()}
+
+
 def _resolve_spectrum(args):
     if getattr(args, "spectrum", None):
         if args.spectrum.endswith(".csv"):
@@ -158,8 +163,7 @@ def cmd_correlation(args) -> int:
     else:
         cos_gammas = _floats(args.cos_gamma)
 
-    exponent = 4.0 * profile.r - spectrum.alpha + 2.0
-    n_exp = least_integer_above(2.0 * profile.r - spectrum.alpha / 2.0 + 1.0)
+    exponent, n_exp = decay_exponents(profile, spectrum)
     if args.fit and not 4 * profile.r + 2 > spectrum.alpha:
         raise DecayHypothesisError(
             f"decay fit needs 4r + 2 > alpha; got 4*{profile.r} + 2 <= {spectrum.alpha}")
@@ -188,7 +192,7 @@ def cmd_correlation(args) -> int:
                 continue
             rep = fit_correlation_decay(profile, spectrum, cg, ts, cors)
             reports.append({"cos_gamma": cg, **asdict(rep)})
-        out += "\n" + _json_doc({"defaults": DEFAULTS, "reports": reports})
+        out += "\n" + _json_doc({"defaults": _defaults_in_effect(), "reports": reports})
     _emit(out, args.output)
     return EXIT_OK
 
@@ -260,7 +264,7 @@ def cmd_verify(args) -> int:
     }
     passed = all(c["passed"] for c in checks.values())
     report = {
-        "defaults": DEFAULTS,
+        "defaults": _defaults_in_effect(),
         "config": {
             "r": profile.r,
             "f0": profile.f0,

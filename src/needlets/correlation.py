@@ -30,7 +30,7 @@ import numpy as np
 from .defaults import DEFAULTS
 from .differences import CoeffSequence, multiply_cos_minus_one_power
 from .errors import DecayHypothesisError, NumericFailure
-from .kernels import NeedletProfile, check_scale, choose_lmax, profile_eval
+from .kernels import NeedletProfile, check_scale, choose_lmax, spectral_weights
 from .legendre import legendre_series, zonal_series
 from .spectra import PowerSpectrum, spectrum_eval
 
@@ -40,6 +40,7 @@ __all__ = [
     "VarianceScalingReport",
     "ZonalDecayBound",
     "least_integer_above",
+    "decay_exponents",
     "covariance_series",
     "correlation_ratio",
     "analytic_covariance",
@@ -110,6 +111,13 @@ def least_integer_above(x: float, floor: int = 1) -> int:
     return max(floor, math.floor(x) + 1)
 
 
+def decay_exponents(profile: NeedletProfile, spectrum: PowerSpectrum) -> tuple[float, int]:
+    """(4r - alpha + 2, N): the exponent of |Cor| in t, and N, the least
+    integer above 2r - alpha/2 + 1."""
+    r, alpha = profile.r, spectrum.alpha
+    return 4.0 * r - alpha + 2.0, least_integer_above(2.0 * r - alpha / 2.0 + 1.0)
+
+
 def covariance_coefficients(profile: NeedletProfile, spectrum: PowerSpectrum,
                             t: float, lmax: int) -> CoeffSequence:
     """Coefficients a_l = f(t^2 l(l+1))^2 c_l of the covariance zonal series.
@@ -117,9 +125,9 @@ def covariance_coefficients(profile: NeedletProfile, spectrum: PowerSpectrum,
     Stored for l = 1..lmax; a_0 reads as 0 by the window convention.
     """
     check_scale(t)
-    ls = np.arange(1, int(lmax) + 1, dtype=float)
-    f = profile_eval(profile, (t * t) * ls * (ls + 1.0))
-    return CoeffSequence(1, f * f * spectrum_eval(spectrum, ls))
+    f = spectral_weights(profile, t * t, lmax)
+    c = spectrum_eval(spectrum, np.arange(1, int(lmax) + 1))
+    return CoeffSequence(1, f * f * c)
 
 
 def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
@@ -224,13 +232,10 @@ def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
 def _decay_setup(profile: NeedletProfile, spectrum: PowerSpectrum, cos_gamma: float,
                  n_scales: int) -> tuple[float, int, float]:
     """Validate a decay measurement; return (exponent, N, geodesic distance)."""
-    alpha = spectrum.alpha
-    r = profile.r
-    if not 4 * r + 2 > alpha:
+    if not 4 * profile.r + 2 > spectrum.alpha:
         raise DecayHypothesisError(
-            f"4r + 2 = {4 * r + 2} must exceed alpha = {alpha}; raise r")
-    exponent = 4.0 * r - alpha + 2.0
-    n_exp = least_integer_above(2.0 * r - alpha / 2.0 + 1.0)
+            f"4r + 2 = {4 * profile.r + 2} must exceed alpha = {spectrum.alpha}; raise r")
+    exponent, n_exp = decay_exponents(profile, spectrum)
     d = math.acos(min(1.0, max(-1.0, float(cos_gamma))))
     if d < 0.1:
         raise ValueError("geometry too close to coincidence; need distance >= 0.1")

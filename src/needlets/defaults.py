@@ -1,8 +1,8 @@
 """Shared numeric defaults.
 
-Every JSON report emitted by the CLI echoes this table so that a run can be
-reproduced from its output alone.  The degree cap may be overridden through
-the NEEDLETS_DEGREE_CAP environment variable.
+Every JSON report emitted by the CLI echoes this table, with the degree cap
+in effect, so that a run can be reproduced from its output alone.  The degree
+cap may be overridden through the NEEDLETS_DEGREE_CAP environment variable.
 """
 
 import os

@@ -26,13 +26,18 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .kernels import NeedletProfile, choose_lmax, profile_eval
-from .legendre import _sph_harm_rows, legendre_batch, sph_harm_flat_index, sph_harm_matrix
+from .kernels import NeedletProfile, choose_lmax, spectral_weights
+from .legendre import (
+    _sph_harm_rows,
+    sph_harm_flat_index,
+    sph_harm_flat_repeat,
+    sph_harm_matrix,
+    zonal_eval,
+)
 from .spectra import PowerSpectrum, spectrum_eval
 
 __all__ = [
     "AlmSet",
-    "CoefficientSample",
     "MonteCarloCorrelation",
     "sample_alm",
     "needlet_coefficient",
@@ -59,15 +64,6 @@ class AlmSet:
 
     def get(self, l: int, m: int) -> float:
         return float(self.coeffs[sph_harm_flat_index(l, m)])
-
-
-@dataclass(frozen=True)
-class CoefficientSample:
-    """One needlet coefficient: scale, evaluation point, value."""
-
-    t: float
-    point: tuple[float, float]
-    value: float
 
 
 class MonteCarloCorrelation(NamedTuple):
@@ -105,7 +101,7 @@ def _sigma_per_coefficient(spectrum: PowerSpectrum, L: int) -> np.ndarray:
         bad = int(ls[np.argmin(c)])
         raise ValueError(f"spectrum gives non-positive variance c_{bad}; "
                          "every sampled degree needs c_l > 0")
-    return np.repeat(np.sqrt(c), 2 * ls + 1)
+    return sph_harm_flat_repeat(np.sqrt(c))
 
 
 def sample_alm(spectrum: PowerSpectrum, L: int, seed: int, stream: int = 0) -> AlmSet:
@@ -124,15 +120,9 @@ def sample_alm(spectrum: PowerSpectrum, L: int, seed: int, stream: int = 0) -> A
     return AlmSet(L=L, coeffs=z * sigma, seed=seed, stream=stream)
 
 
-def _profile_weights(profile: NeedletProfile, t: float, L: int) -> np.ndarray:
-    ls = np.arange(1, L + 1, dtype=float)
-    f = profile_eval(profile, (t * t) * ls * (ls + 1.0))
-    return np.repeat(f, (2 * np.arange(1, L + 1)) + 1)
-
-
 def needlet_coefficient(alm: AlmSet, profile: NeedletProfile, t: float,
                         point: tuple[float, float],
-                        eps_tail: float | None = None) -> CoefficientSample:
+                        eps_tail: float | None = None) -> float:
     """beta_{t,x} = sum_{l,m} f(t^2 l(l+1)) a_{l,m} Y_{l,m}(x).
 
     Refuses to run when the stored degree L cannot carry the scale's
@@ -144,9 +134,8 @@ def needlet_coefficient(alm: AlmSet, profile: NeedletProfile, t: float,
             f"coefficients stored to degree {alm.L} but scale t={t} needs {required}")
     theta, phi = _point(point)
     y = sph_harm_matrix(alm.L, [theta], [phi])[0]
-    w = _profile_weights(profile, t, alm.L)
-    value = float(np.sum(alm.coeffs * w * y))
-    return CoefficientSample(t=float(t), point=(theta, phi), value=value)
+    w = sph_harm_flat_repeat(spectral_weights(profile, t * t, alm.L))
+    return float(np.sum(alm.coeffs * w * y))
 
 
 def monte_carlo_correlation(profile: NeedletProfile, spectrum: PowerSpectrum,
@@ -186,7 +175,8 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
         return []
     degrees = {t: choose_lmax(profile, t, eps_tail)
                for t in dict.fromkeys(t for t, _, _ in queries)}
-    weights = {t: _profile_weights(profile, t, L) for t, L in degrees.items()}
+    weights = {t: sph_harm_flat_repeat(spectral_weights(profile, t * t, L))
+               for t, L in degrees.items()}
     projections = []
     for t, point_x, point_y in queries:
         y_pair = sph_harm_matrix(degrees[t], [point_x[0], point_y[0]],
@@ -234,18 +224,15 @@ def _jackknife_correlation(bx: np.ndarray, by: np.ndarray) -> MonteCarloCorrelat
 
 def addition_theorem_check(l: int, point_x, point_y) -> float:
     """|sum_m Y_{l,m}(x) Y_{l,m}(y) - (2l+1)/(4 pi) P_l(x . y)|."""
+    z_l = zonal_eval(l, points_cos_angle(point_x, point_y))  # checks the degree too
     l = int(l)
-    if l < 0:
-        raise ValueError("degree must be >= 0")
-    cos_gamma = points_cos_angle(point_x, point_y)
-    p_l = float(legendre_batch(cos_gamma, l).values[l])  # also checks the degree cap
     if l == 0:
         lhs = 1.0 / (4.0 * math.pi)
     else:
         y = _sph_harm_rows(l, l, np.array([float(point_x[0]), float(point_y[0])]),
                            np.array([float(point_x[1]), float(point_y[1])]))
         lhs = float(np.sum(y[:, 0] * y[:, 1]))
-    return abs(lhs - (2 * l + 1) / (4.0 * math.pi) * p_l)
+    return abs(lhs - z_l / (4.0 * math.pi))
 
 
 def rotate_alm_about_pole(alm: AlmSet, dphi: float) -> AlmSet:

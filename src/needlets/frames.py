@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULTS
-from .kernels import NeedletProfile, choose_lmax, profile_eval
-from .legendre import sph_harm_matrix
+from .kernels import NeedletProfile, choose_lmax, spectral_weights
+from .legendre import sph_harm_flat_repeat, sph_harm_matrix
 
 __all__ = [
     "SphereGrid",
@@ -109,13 +109,6 @@ def grid_min_separation(grid: SphereGrid, chunk: int = 512) -> float:
     return math.acos(min(1.0, best))
 
 
-def _profile_factors(profile: NeedletProfile, a: float, j: int, L: int) -> np.ndarray:
-    """f(a^(2j) l(l+1)) repeated per order, in the flat (l, m) layout."""
-    ls = np.arange(1, L + 1, dtype=float)
-    f = profile_eval(profile, a ** (2 * j) * ls * (ls + 1.0))
-    return np.repeat(f, (2 * np.arange(1, L + 1)) + 1)
-
-
 def _check_resolution(profile: NeedletProfile, a: float, j_min: int, L: int) -> None:
     resolvable = choose_lmax(profile, a ** j_min, DEFAULTS["eps_tail"])
     if L > resolvable:
@@ -141,7 +134,7 @@ def frame_coefficients(f_hat: np.ndarray, profile: NeedletProfile,
     _check_resolution(profile, a, min(g.j for g in grids), L)
     out = []
     for g in grids:
-        weighted = _profile_factors(profile, a, g.j, L) * f_hat
+        weighted = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * g.j), L)) * f_hat
         y = sph_harm_matrix(L, g.theta, g.phi)
         out.append(g.weights * (y @ weighted))
     return out
@@ -165,13 +158,13 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
         raise ValueError("band limit L must be >= 1")
     _check_resolution(profile, a, j_min, L)
 
-    ls = np.arange(1, L + 1, dtype=float)
+    a = float(a)
     coverage = np.zeros(L)
     for j in range(j_min, j_max + 1):
-        f = profile_eval(profile, float(a) ** (2 * j) * ls * (ls + 1.0))
+        f = spectral_weights(profile, a ** (2 * j), L)
         coverage += f * f
     if float(np.min(coverage)) < 1e-8 * float(np.max(coverage)):
-        bad = int(ls[np.argmin(coverage)])
+        bad = int(np.argmin(coverage)) + 1
         raise ValueError(
             f"degree {bad} has no spectral coverage in j_range {j_min}..{j_max}")
 
@@ -179,7 +172,7 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
     gram = np.zeros((ncol, ncol))
     for j in range(j_min, j_max + 1):
         grid = build_grid(a, j, oversample)
-        factors = _profile_factors(profile, float(a), j, L)
+        factors = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * j), L))
         mu_sq = 4.0 * math.pi / grid.n
         for start in range(0, grid.n, chunk):
             stop = min(start + chunk, grid.n)

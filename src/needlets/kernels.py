@@ -27,6 +27,7 @@ __all__ = [
     "KernelSpec",
     "LocalizationReport",
     "profile_eval",
+    "spectral_weights",
     "choose_lmax",
     "make_kernel",
     "kernel_eval",
@@ -83,8 +84,8 @@ def profile_eval(profile: NeedletProfile, s):
     sv = np.asarray(s, dtype=float)
     scalar = sv.ndim == 0
     sv = np.atleast_1d(sv)
-    if np.any(sv < 0):
-        raise ValueError("profile argument must be >= 0")
+    if not np.all((sv >= 0) & np.isfinite(sv)):
+        raise ValueError("profile argument must be finite and >= 0")
     out = np.zeros_like(sv)
     pos = sv > 0
     if np.any(pos):
@@ -94,17 +95,16 @@ def profile_eval(profile: NeedletProfile, s):
     return float(out[0]) if scalar else out
 
 
+def spectral_weights(profile: NeedletProfile, scale_sq: float, lmax: int) -> np.ndarray:
+    """f(scale_sq l(l+1)) for l = 1..lmax; scale_sq is t * t, or a^(2j) on a frame."""
+    ls = np.arange(1, int(lmax) + 1, dtype=float)
+    return profile_eval(profile, scale_sq * ls * (ls + 1.0))
+
+
 def check_scale(t: float) -> None:
     """Reject a scale that is not a finite positive number."""
     if not math.isfinite(t) or t <= 0:
         raise ValueError("scale t must be finite and > 0")
-
-
-def _series_terms(profile: NeedletProfile, t: float, ls: np.ndarray, squared: bool) -> np.ndarray:
-    s = (t * t) * ls * (ls + 1.0)
-    f = profile_eval(profile, s)
-    w = f * f if squared else np.abs(f)
-    return w * (2.0 * ls + 1.0)
 
 
 def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None,
@@ -126,8 +126,8 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
     hi = max(64, 6 * l_peak)
     hard_stop = 64 * max(cap, hi)
     while True:
-        ls = np.arange(1, hi + 1, dtype=float)
-        g = _series_terms(profile, t, ls, squared)
+        f = spectral_weights(profile, t * t, hi)
+        g = (f * f if squared else np.abs(f)) * (2.0 * np.arange(1, hi + 1) + 1.0)
         total = float(np.sum(g))
         if total == 0.0:
             return 8  # everything underflowed; any truncation is exact
@@ -160,10 +160,9 @@ def make_kernel(profile: NeedletProfile, t: float, eps_tail: float | None = None
             raise ValueError("lmax must be >= 1")
         if lmax > degree_cap():
             raise DegreeCapExceeded(f"lmax={lmax} above the configured cap")
-    ls = np.arange(1, lmax + 1, dtype=float)
-    f = profile_eval(profile, (t * t) * ls * (ls + 1.0))
+    f = spectral_weights(profile, t * t, lmax)
     return KernelSpec(profile=profile, t=float(t), lmax=lmax,
-                      coeffs=f * (2.0 * ls + 1.0))
+                      coeffs=f * (2.0 * np.arange(1, lmax + 1) + 1.0))
 
 
 def kernel_eval(spec: KernelSpec, cos_gamma):

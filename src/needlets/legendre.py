@@ -15,6 +15,7 @@ cos(m phi) for m > 0 and sin(|m| phi) for m < 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,9 +25,7 @@ from .defaults import degree_cap
 from .errors import DegreeCapExceeded
 
 __all__ = [
-    "LegendreTable",
     "SphHarmPoint",
-    "legendre_batch",
     "legendre_series",
     "zonal_eval",
     "zonal_series",
@@ -34,6 +33,7 @@ __all__ = [
     "generating_function_check",
     "real_sph_harm",
     "sph_harm_flat_index",
+    "sph_harm_flat_repeat",
     "sph_harm_matrix",
 ]
 
@@ -41,11 +41,12 @@ __all__ = [
 X_DOMAIN_TOL = 1e-12
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or abs(x) > 1.0 + X_DOMAIN_TOL:
-        raise ValueError(f"argument {x!r} lies outside [-1, 1]")
-    return min(1.0, max(-1.0, x))
+def _check_x(x):
+    """A float or an array clipped to [-1, 1]; NaN or a value past the tolerance is an error."""
+    xs = np.asarray(x, dtype=float)
+    if xs.size and not np.max(np.abs(xs)) <= 1.0 + X_DOMAIN_TOL:
+        raise ValueError("arguments must lie in [-1, 1]")
+    return np.clip(xs, -1.0, 1.0) if xs.ndim else min(1.0, max(-1.0, float(xs)))
 
 
 def _check_degree(l: int) -> int:
@@ -56,15 +57,6 @@ def _check_degree(l: int) -> int:
     if l > cap:
         raise DegreeCapExceeded(f"degree {l} exceeds the configured cap {cap}")
     return l
-
-
-@dataclass(frozen=True)
-class LegendreTable:
-    """Values P_0(x) .. P_lmax(x) at a single abscissa."""
-
-    lmax: int
-    x: float
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,17 +80,17 @@ class SphHarmPoint:
         return float(self.l * (self.l + 1))
 
 
-def legendre_batch(x: float, lmax: int) -> LegendreTable:
-    """Evaluate P_0(x) .. P_lmax(x) with (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}."""
-    x = _check_x(x)
-    lmax = _check_degree(lmax)
-    values = np.empty(lmax + 1)
-    values[0] = 1.0
-    if lmax >= 1:
-        values[1] = x
-    for l in range(1, lmax):
-        values[l + 1] = ((2 * l + 1) * x * values[l] - l * values[l - 1]) / (l + 1)
-    return LegendreTable(lmax=lmax, x=x, values=values)
+def _legendre_p(x, top: int):
+    """Yield P_0(x) .. P_top(x) by (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}.
+
+    `x` is a checked float or array; each array element takes the float
+    operations of a lone float, so the two agree bit for bit.
+    """
+    p_prev, p = 0.0, 1.0
+    yield p
+    for l in range(top):
+        p, p_prev = ((2 * l + 1) * x * p - l * p_prev) / (l + 1), p
+        yield p
 
 
 def legendre_series(coeffs: np.ndarray, x, offset: int = 0):
@@ -111,27 +103,19 @@ def legendre_series(coeffs: np.ndarray, x, offset: int = 0):
     coeffs = np.asarray(coeffs, dtype=float)
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xv = np.atleast_1d(xs).astype(float)
-    if xv.size and np.max(np.abs(xv)) > 1.0 + X_DOMAIN_TOL:
-        raise ValueError("series arguments must lie in [-1, 1]")
-    xv = np.clip(xv, -1.0, 1.0)
-    top = offset + coeffs.size - 1
+    scalar = np.ndim(x) == 0
+    xv = np.atleast_1d(_check_x(x))
 
     total = np.zeros_like(xv)
     carry = np.zeros_like(xv)
-    p_prev = np.zeros_like(xv)  # P_{-1} = 0
-    p = np.ones_like(xv)        # P_0
-    for l in range(top + 1):
-        if l >= offset:
-            term = coeffs[l - offset] * p
-            new = total + term
-            carry += np.where(np.abs(total) >= np.abs(term),
-                              (total - new) + term,
-                              (term - new) + total)
-            total = new
-        p, p_prev = ((2 * l + 1) * xv * p - l * p_prev) / (l + 1), p
+    ps = itertools.islice(_legendre_p(xv, offset + coeffs.size - 1), offset, None)
+    for c, p in zip(coeffs, ps):
+        term = c * p
+        new = total + term
+        carry += np.where(np.abs(total) >= np.abs(term),
+                          (total - new) + term,
+                          (term - new) + total)
+        total = new
     out = total + carry
     return float(out[0]) if scalar else out
 
@@ -139,8 +123,8 @@ def legendre_series(coeffs: np.ndarray, x, offset: int = 0):
 def zonal_eval(l: int, x: float) -> float:
     """Zonal harmonic Z_l(x) = (2l+1) P_l(x)."""
     l = _check_degree(l)
-    table = legendre_batch(x, l)
-    return (2 * l + 1) * float(table.values[l])
+    *_, p_l = _legendre_p(_check_x(x), l)
+    return (2 * l + 1) * p_l
 
 
 def zonal_series(values: np.ndarray, x, offset: int = 0):
@@ -157,10 +141,8 @@ def recursion_residual(l: int, x: float) -> float:
     """
     l = _check_degree(l)
     x = _check_x(x)
-    table = legendre_batch(x, l + 1)
-    p_lm1 = float(table.values[l - 1]) if l >= 1 else 0.0
-    p_l = float(table.values[l])
-    p_lp1 = float(table.values[l + 1])
+    # the leading 0.0 stands for P_{-1}
+    *_, p_lm1, p_l, p_lp1 = [0.0, *_legendre_p(x, _check_degree(l + 1))]
     lhs = (2 * l + 1) * (x - 1.0) * p_l
     rhs = (l + 1) * p_lp1 - (2 * l + 1) * p_l + l * p_lm1
     return lhs - rhs
@@ -175,9 +157,9 @@ def generating_function_check(xi: float, eta: float, terms: int) -> float:
     disc = 1.0 - 2.0 * xi * eta + xi * xi
     if disc <= 0.0:
         raise ValueError("generating function is singular: 1 - 2 xi eta + xi^2 <= 0")
-    table = legendre_batch(eta, terms)
+    terms = _check_degree(terms)
     powers = xi ** np.arange(terms + 1)
-    partial = math.fsum(table.values * powers)
+    partial = math.fsum(np.fromiter(_legendre_p(eta, terms), float, terms + 1) * powers)
     return abs(partial - disc ** -0.5)
 
 
@@ -193,6 +175,12 @@ def sph_harm_flat_index(l: int, m: int) -> int:
     if l < 1 or abs(m) > l:
         raise ValueError(f"invalid (l, m) = ({l}, {m}) for the flat layout")
     return l * l - 1 + (m + l)
+
+
+def sph_harm_flat_repeat(per_degree) -> np.ndarray:
+    """A vector v_1 .. v_L over degrees, in the flat layout: v_l repeated 2l+1 times."""
+    per_degree = np.asarray(per_degree)
+    return np.repeat(per_degree, 2 * np.arange(1, per_degree.size + 1) + 1)
 
 
 def real_sph_harm(p: SphHarmPoint) -> float:

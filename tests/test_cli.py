@@ -1,6 +1,7 @@
 """CLI contracts: columns, exit codes, byte-for-byte determinism."""
 
 import csv
+import importlib
 import json
 import os
 import runpy
@@ -143,6 +144,17 @@ class TestScaleAndCapDomain:
         assert res.stdout == ""
         assert f"{DEGREE_CAP_ENV}='abc'" in res.stderr
 
+    @pytest.mark.parametrize("command", [
+        ("verify", "--r", "1", "--alpha", "3"),
+        ("correlation", "--r", "1", "--alpha", "3", "--t", "0.2,0.1", "--cos-gamma", "0",
+         "--fit"),
+    ], ids=lambda c: c[0])
+    def test_report_echoes_the_cap_in_effect(self, command):
+        res = run(*command, env_extra={DEGREE_CAP_ENV: "3000"})
+        assert res.returncode == 0
+        report = json.loads(res.stdout.split("\n\n")[-1])
+        assert report["defaults"]["degree_cap"] == 3000
+
 
 class TestSimulateCommand:
     def test_same_point_row(self):
@@ -257,15 +269,18 @@ class TestDeterminism:
 
 
 class TestBenchmarkReplay:
-    """Benchmark command lines replayed byte for byte: the `analytic`
-    workload's kernel and correlation lines and the `montecarlo` workload's
-    simulate lines at seed 0.
+    """Benchmark command lines replayed byte for byte: every line of the
+    `analytic` workload and the `montecarlo` workload's simulate lines at
+    seed 0.  The `frame` lines are left out: their last digits depend on the
+    BLAS thread count.
 
-    The command lines are read from `perfbench/workloads.py` and the expected
-    bytes from `perfbench/reference/`; neither is written.
+    The command lines are read from `perfbench/workloads.py`, the expected
+    bytes from `perfbench/reference/` and the traced names from
+    `perfbench/tracer.py`; none of them is written.
     """
 
-    @pytest.mark.parametrize("label", ["kernel", "correlation", "simulate-r1", "simulate-r2"])
+    @pytest.mark.parametrize("label", ["kernel", "correlation", "verify-r1", "verify-r2",
+                                       "simulate-r1", "simulate-r2"])
     def test_stdout_matches_reference(self, label):
         workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
         (command,) = [c for name in ("analytic", "montecarlo")
@@ -274,3 +289,11 @@ class TestBenchmarkReplay:
         res = subprocess.run(CMD + command.args(0), capture_output=True)
         assert res.returncode == 0
         assert res.stdout == (PERFBENCH / "reference" / reference).read_bytes()
+
+    def test_traced_layers_exist(self):
+        # the tracer rebinds these names; a missing one crashes `--trace 1`
+        layers = runpy.run_path(str(PERFBENCH / "tracer.py"))["LAYERS"]
+        assert layers
+        for mod_name, fn_name, _ in layers:
+            module = importlib.import_module(f"needlets.{mod_name}")
+            assert callable(getattr(module, fn_name, None)), f"needlets.{mod_name}.{fn_name}"

@@ -121,8 +121,7 @@ class TestFrameBounds:
         est = estimate_frame_bounds(PROFILE, 2.0, (-4, 0), 8, oversample=2.0)
         # equal-weight construction: scaling weights multiplies the Gram by
         # kappa^2 exactly; check the ratio is scale-free by direct assembly
-        from needlets.frames import _profile_factors
-        from needlets import sph_harm_matrix
+        from needlets import sph_harm_flat_repeat, sph_harm_matrix, spectral_weights
         kappa = 2.0
         ncol = 9 ** 2 - 1
         gram = np.zeros((ncol, ncol))
@@ -130,7 +129,7 @@ class TestFrameBounds:
         for j in range(-4, 1):
             grid = build_grid(2.0, j, 2.0)
             y = sph_harm_matrix(8, grid.theta, grid.phi)
-            w = y * _profile_factors(PROFILE, 2.0, j, 8)
+            w = y * sph_harm_flat_repeat(spectral_weights(PROFILE, 2.0 ** (2 * j), 8))
             block = (4 * math.pi / grid.n) * (w.T @ w)
             gram += block
             gram_scaled += kappa ** 2 * block

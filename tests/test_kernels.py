@@ -17,8 +17,13 @@ from needlets import (
     kernel_eval,
     localization_check,
     make_kernel,
+    power_spectrum,
     profile_eval,
+    spectral_weights,
+    sph_harm_flat_repeat,
 )
+from needlets.correlation import covariance_coefficients
+from needlets.spectra import spectrum_eval
 from needlets.defaults import DEFAULTS, DEGREE_CAP_ENV, degree_cap
 
 RNG = np.random.default_rng(20240814)
@@ -59,6 +64,77 @@ class TestProfile:
     def test_negative_argument(self):
         with pytest.raises(ValueError):
             profile_eval(NeedletProfile(1), -0.5)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, [1.0, math.nan]],
+                             ids=["nan", "inf", "array-nan"])
+    def test_non_finite_argument(self, s):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            profile_eval(NeedletProfile(1), s)
+
+
+# The expressions each call site wrote out before `spectral_weights` and
+# `sph_harm_flat_repeat` existed, kept as oracles for their bits.
+def old_scale_weights(profile, t, L):
+    """choose_lmax's _series_terms, make_kernel, covariance_coefficients and
+    fields._profile_weights: f((t*t) l(l+1))."""
+    ls = np.arange(1, L + 1, dtype=float)
+    return profile_eval(profile, (t * t) * ls * (ls + 1.0))
+
+
+def old_frame_factors(profile, a, j, L):
+    """frames._profile_factors: f(a^(2j) l(l+1)) repeated per order."""
+    ls = np.arange(1, L + 1, dtype=float)
+    f = profile_eval(profile, a ** (2 * j) * ls * (ls + 1.0))
+    return np.repeat(f, (2 * np.arange(1, L + 1)) + 1)
+
+
+def old_coverage_term(profile, a, j, L):
+    """The coverage loop of estimate_frame_bounds."""
+    ls = np.arange(1, L + 1, dtype=float)
+    f = profile_eval(profile, float(a) ** (2 * j) * ls * (ls + 1.0))
+    return f * f
+
+
+def old_sigma(spectrum, L):
+    """fields._sigma_per_coefficient, without its c_l > 0 check."""
+    ls = np.arange(1, L + 1)
+    return np.repeat(np.sqrt(np.atleast_1d(spectrum_eval(spectrum, ls))), 2 * ls + 1)
+
+
+PROFILES = [NeedletProfile(1), NeedletProfile(2), NeedletProfile(3, "gaussian")]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSpectralWeights:
+    @pytest.mark.parametrize("profile", PROFILES, ids=str)
+    def test_bits_match_old_site_expressions(self, profile):
+        for t in (0.7, 0.3, 0.1, 0.033, 0.00625):
+            for L in (1, 17, choose_lmax(profile, t)):
+                old = old_scale_weights(profile, t, L)
+                assert same_bits(spectral_weights(profile, t * t, L), old)
+                ls = np.arange(1, L + 1, dtype=float)
+                assert same_bits(make_kernel(profile, t, lmax=L).coeffs,
+                                 old * (2.0 * ls + 1.0))
+                cov = covariance_coefficients(profile, power_spectrum(3.0), t, L).values
+                assert same_bits(cov, old * old * ls ** -3.0)
+        for a in (2.0, 1.5):
+            for j in range(-7, 1):
+                f = spectral_weights(profile, a ** (2 * j), 24)
+                assert same_bits(sph_harm_flat_repeat(f), old_frame_factors(profile, a, j, 24))
+                assert same_bits(f * f, old_coverage_term(profile, a, j, 24))
+
+    @pytest.mark.parametrize("L", [1, 2, 30, 116])
+    def test_flat_repeat_matches_old_expansions(self, L):
+        f = spectral_weights(PROFILES[0], 0.01, L)
+        assert same_bits(sph_harm_flat_repeat(f),
+                         np.repeat(f, (2 * np.arange(1, L + 1)) + 1))
+        spectrum = power_spectrum(3.0)
+        c = np.atleast_1d(spectrum_eval(spectrum, np.arange(1, L + 1)))
+        assert same_bits(sph_harm_flat_repeat(np.sqrt(c)), old_sigma(spectrum, L))
+        assert sph_harm_flat_repeat(f).size == (L + 1) ** 2 - 1
 
 
 class TestChooseLmax:

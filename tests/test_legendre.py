@@ -9,10 +9,12 @@ from scipy.special import eval_legendre, lpmv
 
 from needlets import (
     DegreeCapExceeded,
+    NeedletProfile,
     SphHarmPoint,
     generating_function_check,
-    legendre_batch,
+    kernel_eval,
     legendre_series,
+    make_kernel,
     real_sph_harm,
     recursion_residual,
     sph_harm_flat_index,
@@ -109,43 +111,57 @@ def reference_real_sph_harm(l, m, theta, phi):
     return math.sqrt(2.0) * plm * math.sin(am * phi)
 
 
+def legendre_p(l, x):
+    """P_l(x) alone: the series whose one coefficient, 1, sits at degree l."""
+    return legendre_series([1.0], x, offset=l)
+
+
 class TestLegendreBatch:
+    """P_0 .. P_lmax at a batch of degrees, through zonal_eval and legendre_series."""
+
     def test_at_one_all_ones(self):
-        table = legendre_batch(1.0, 5)
-        assert np.array_equal(table.values, np.ones(6))
+        ls = np.arange(6)
+        assert [zonal_eval(l, 1.0) for l in ls] == list(2.0 * ls + 1.0)
+        assert [legendre_p(l, 1.0) for l in ls] == [1.0] * 6
 
     def test_at_minus_one_parity(self):
-        table = legendre_batch(-1.0, 5)
-        assert np.array_equal(table.values, (-1.0) ** np.arange(6))
+        ls = np.arange(6)
+        assert [zonal_eval(l, -1.0) for l in ls] == list((-1.0) ** ls * (2 * ls + 1))
+        assert [legendre_p(l, -1.0) for l in ls] == list((-1.0) ** ls)
 
     def test_degree_two_explicit_formula(self):
         x = 0.5
         expected = (3 * x * x - 1) / 2  # P_2 written out
-        assert legendre_batch(x, 2).values[2] == pytest.approx(expected, abs=1e-15)
+        assert legendre_p(2, x) == pytest.approx(expected, abs=1e-15)
+        assert zonal_eval(2, x) / 5 == pytest.approx(expected, abs=1e-15)
         assert expected == -0.125
 
     def test_matches_scipy_oracle(self):
-        for x in RNG.uniform(-1, 1, 25):
-            table = legendre_batch(x, 64)
-            ref = eval_legendre(np.arange(65), x)
-            np.testing.assert_allclose(table.values, ref, atol=5e-15)
+        xs = RNG.uniform(-1, 1, 25)
+        for l in range(65):
+            ref = eval_legendre(l, xs)
+            np.testing.assert_allclose(legendre_p(l, xs), ref, atol=5e-15)
+            np.testing.assert_allclose([zonal_eval(l, x) / (2 * l + 1) for x in xs],
+                                       ref, atol=5e-15)
 
     def test_table_invariants(self):
-        for x in RNG.uniform(-1, 1, 100):
-            table = legendre_batch(x, 64)
-            assert table.values[0] == 1.0
-            assert table.values[1] == x
-            assert np.max(np.abs(table.values)) <= 1.0 + 1e-13
+        xs = RNG.uniform(-1, 1, 100)
+        assert np.array_equal(legendre_p(0, xs), np.ones(100))
+        assert np.array_equal(legendre_p(1, xs), xs)
+        for l in range(65):
+            assert np.max(np.abs(legendre_p(l, xs))) <= 1.0 + 1e-13
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            legendre_batch(1.0 + 1e-9, 4)
+            zonal_eval(4, 1.0 + 1e-9)
+        with pytest.raises(ValueError):
+            legendre_series(np.ones(5), 1.0 + 1e-9)
 
     def test_degree_cap(self, monkeypatch):
         monkeypatch.setenv(DEGREE_CAP_ENV, "32")
         with pytest.raises(DegreeCapExceeded):
-            legendre_batch(0.5, 33)
-        legendre_batch(0.5, 32)
+            zonal_eval(33, 0.5)
+        zonal_eval(32, 0.5)
 
 
 class TestZonal:
@@ -170,6 +186,28 @@ class TestZonal:
         batched = legendre_series(coeffs, xs)
         single = np.array([legendre_series(coeffs, x) for x in xs])
         assert np.array_equal(batched, single)
+
+
+# every entry point onto the zonal recurrence, called at argument x
+ZONAL_CALLS = {
+    "legendre_series": lambda x: legendre_series(np.ones(3), x),
+    "zonal_series": lambda x: zonal_series(np.ones(3), x, offset=1),
+    "kernel_eval": lambda x: kernel_eval(make_kernel(NeedletProfile(1), 0.3), x),
+    "zonal_eval": lambda x: zonal_eval(3, x),
+    "recursion_residual": lambda x: recursion_residual(3, x),
+}
+
+
+class TestArgumentDomain:
+    @pytest.mark.parametrize("call", sorted(ZONAL_CALLS))
+    @pytest.mark.parametrize("x", [math.nan, [0.2, math.nan]], ids=["nan", "array-nan"])
+    def test_nan_argument_rejected(self, call, x):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            ZONAL_CALLS[call](x)
+
+    @pytest.mark.parametrize("call", sorted(ZONAL_CALLS))
+    def test_tolerance_band_is_clipped(self, call):
+        assert ZONAL_CALLS[call](1.0 + 1e-13) == ZONAL_CALLS[call](1.0)
 
 
 class TestRecursionResidual:
