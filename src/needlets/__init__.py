@@ -13,6 +13,7 @@ from .correlation import (
     ZonalDecayBound,
     analytic_correlation,
     analytic_covariance,
+    check_decay_hypothesis,
     correlation_decay_check,
     correlation_ratio,
     covariance_coefficients,

@@ -20,6 +20,7 @@ from dataclasses import asdict
 from .correlation import (
     CorrelationQuery,
     analytic_correlation,
+    check_decay_hypothesis,
     correlation_ratio,
     covariance_coefficients,
     covariance_series,
@@ -164,9 +165,8 @@ def cmd_correlation(args) -> int:
         cos_gammas = _floats(args.cos_gamma)
 
     exponent, n_exp = decay_exponents(profile, spectrum)
-    if args.fit and not 4 * profile.r + 2 > spectrum.alpha:
-        raise DecayHypothesisError(
-            f"decay fit needs 4r + 2 > alpha; got 4*{profile.r} + 2 <= {spectrum.alpha}")
+    if args.fit:
+        check_decay_hypothesis(profile, spectrum)
 
     rows = []
     cors_by_gamma = [[] for _ in cos_gammas]

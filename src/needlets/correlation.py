@@ -31,7 +31,7 @@ from .defaults import DEFAULTS
 from .differences import CoeffSequence, multiply_cos_minus_one_power
 from .errors import DecayHypothesisError, NumericFailure
 from .kernels import NeedletProfile, check_scale, choose_lmax, spectral_weights
-from .legendre import legendre_series, zonal_series
+from .legendre import X_DOMAIN_TOL, legendre_series, zonal_series
 from .spectra import PowerSpectrum, spectrum_eval
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "VarianceScalingReport",
     "ZonalDecayBound",
     "least_integer_above",
+    "check_decay_hypothesis",
     "decay_exponents",
     "covariance_series",
     "correlation_ratio",
@@ -64,7 +65,7 @@ class CorrelationQuery:
 
     def __post_init__(self):
         check_scale(self.t)
-        if not math.isfinite(self.cos_gamma) or abs(self.cos_gamma) > 1.0 + 1e-12:
+        if not math.isfinite(self.cos_gamma) or abs(self.cos_gamma) > 1.0 + X_DOMAIN_TOL:
             raise ValueError("cos_gamma must lie in [-1, 1]")
         object.__setattr__(self, "cos_gamma", min(1.0, max(-1.0, float(self.cos_gamma))))
 
@@ -109,6 +110,14 @@ class ZonalDecayBound(NamedTuple):
 def least_integer_above(x: float, floor: int = 1) -> int:
     """Least integer strictly greater than x, clamped below by `floor`."""
     return max(floor, math.floor(x) + 1)
+
+
+def check_decay_hypothesis(profile: NeedletProfile, spectrum: PowerSpectrum) -> None:
+    """Raise DecayHypothesisError unless 4r + 2 > alpha, the condition every
+    decay rate here rests on."""
+    if not 4 * profile.r + 2 > spectrum.alpha:
+        raise DecayHypothesisError(
+            f"4r + 2 = {4 * profile.r + 2} must exceed alpha = {spectrum.alpha}; raise r")
 
 
 def decay_exponents(profile: NeedletProfile, spectrum: PowerSpectrum) -> tuple[float, int]:
@@ -232,9 +241,7 @@ def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
 def _decay_setup(profile: NeedletProfile, spectrum: PowerSpectrum, cos_gamma: float,
                  n_scales: int) -> tuple[float, int, float]:
     """Validate a decay measurement; return (exponent, N, geodesic distance)."""
-    if not 4 * profile.r + 2 > spectrum.alpha:
-        raise DecayHypothesisError(
-            f"4r + 2 = {4 * profile.r + 2} must exceed alpha = {spectrum.alpha}; raise r")
+    check_decay_hypothesis(profile, spectrum)
     exponent, n_exp = decay_exponents(profile, spectrum)
     d = math.acos(min(1.0, max(-1.0, float(cos_gamma))))
     if d < 0.1:

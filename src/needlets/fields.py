@@ -14,12 +14,15 @@ no adjustment).
 
 Randomness is counter-based: draw j of stream (seed, stream) is a fixed
 function of the Philox output word at counter position j, so coefficients
-never depend on evaluation order and replicas can run on any schedule.
+never depend on evaluation order and replicas can run on any schedule.  The
+Monte-Carlo loop uses that: each block of replicas is drawn and projected as
+two row halves on two threads.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +54,8 @@ __all__ = [
 _U64 = 2 ** 64
 # default size of one block of replica coefficients in the Monte-Carlo loop
 _BLOCK_BYTES = 8 * 2 ** 20
+# threads per Monte-Carlo call; each block is split into this many row ranges
+_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -78,20 +83,45 @@ def _check_u64(name: str, value: int) -> int:
     return value
 
 
-def _counter_normals(seed: int, stream: int, count: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals from the counter-based stream keyed by (seed, stream).
+def _philox_words(seed: int, streams, words: np.ndarray) -> None:
+    """Fill row k of the uint64 array `words` with the first raw words of
+    Philox(key=[seed, streams[k]]).
 
-    Written into `out` (a float64 row of length `count`) when given; the
-    uniforms are converted in place, so a draw makes no other temporaries.
+    One generator serves every stream: its state is set to the one a new
+    Philox with that key starts from (counter 0, empty buffer).  Building a
+    generator per stream would also draw OS entropy for a seed the key then
+    overrides.
     """
-    key = np.array([seed, stream], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(count)
-    raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return ndtri(u, out=u if out is None else out)
+    gen = np.random.Philox(0)  # a fixed seed reads no OS entropy; the state below replaces it
+    state = gen.state
+    state["state"]["counter"][:] = 0
+    state["buffer_pos"] = 4
+    key = state["state"]["key"]
+    key[0] = seed
+    for row, stream in zip(words, streams):
+        key[1] = stream
+        gen.state = state
+        row[:] = gen.random_raw(row.size)
+
+
+def _counter_normals(seed: int, streams, out: np.ndarray) -> None:
+    """Fill row k of `out` with standard normals from stream (seed, streams[k]).
+
+    `out` is a C-contiguous float64 array with one row per stream.  Draw j
+    of a row is the inverse normal CDF of the uniform (w + 1/2) 2^-53, w the
+    top 53 bits of Philox word j.  The raw words are written into `out`
+    itself and the whole block is converted in place, so no temporary of
+    the block's size is made.
+    """
+    flat = out.reshape(-1, copy=False)
+    words = flat.view(np.uint64)
+    _philox_words(seed, streams, out.view(np.uint64))
+    words >>= np.uint64(11)
+    # in place on the 1-D view; on a 2-D view numpy would copy the block first
+    np.copyto(flat, words, casting="unsafe")
+    flat += 0.5
+    flat *= 2.0 ** -53
+    ndtri(flat, out=flat)
 
 
 def _sigma_per_coefficient(spectrum: PowerSpectrum, L: int) -> np.ndarray:
@@ -116,8 +146,9 @@ def sample_alm(spectrum: PowerSpectrum, L: int, seed: int, stream: int = 0) -> A
     seed = _check_u64("seed", seed)
     stream = _check_u64("stream", stream)
     sigma = _sigma_per_coefficient(spectrum, L)
-    z = _counter_normals(seed, stream, sigma.size)
-    return AlmSet(L=L, coeffs=z * sigma, seed=seed, stream=stream)
+    z = np.empty((1, sigma.size))
+    _counter_normals(seed, [stream], z)
+    return AlmSet(L=L, coeffs=z[0] * sigma, seed=seed, stream=stream)
 
 
 def needlet_coefficient(alm: AlmSet, profile: NeedletProfile, t: float,
@@ -160,10 +191,12 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
     draws it would make alone, so every result is a pure function of
     (seed, replicas) and its query, whatever the other queries, the chunking
     or the schedule.  `chunk` is the number of replicas per block (default:
-    about 8 MiB of coefficients, whatever the replica count).  The estimate is the uncentered
-    moment ratio matching the defining expectation formula for these
-    zero-mean fields; the standard error is the leave-one-out jackknife of
-    that ratio.
+    about 8 MiB of coefficients, whatever the replica count); two threads
+    each draw and project one half of a block's rows, each replica into its
+    own slot of the sample, so neither the split nor `chunk` moves a bit.
+    The estimate is the uncentered moment ratio matching the defining
+    expectation formula for these zero-mean fields; the standard error is
+    the leave-one-out jackknife of that ratio.
     """
     replicas = int(replicas)
     if replicas < 100:
@@ -192,16 +225,25 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
     bx = np.empty((len(queries), replicas))
     by = np.empty((len(queries), replicas))
     block = np.empty((min(chunk, replicas), sigma.size))
-    for start in range(0, replicas, chunk):
-        stop = min(start + chunk, replicas)
-        b = block[:stop - start]
-        for i in range(start, stop):
-            _counter_normals(seed, i, sigma.size, out=b[i - start])
-        b *= sigma
+
+    def draw_and_project(lo: int, hi: int, rows: np.ndarray) -> None:
+        # rows holds replicas lo..hi-1; every replica is reduced on its own,
+        # so the result does not depend on which rows share a call
+        _counter_normals(seed, range(lo, hi), rows)
+        rows *= sigma
         for q, (wx, wy) in enumerate(projections):
-            head = b[:, :wx.size]
-            bx[q, start:stop] = (head * wx).sum(axis=1)
-            by[q, start:stop] = (head * wy).sum(axis=1)
+            head = rows[:, :wx.size]
+            bx[q, lo:hi] = (head * wx).sum(axis=1)
+            by[q, lo:hi] = (head * wy).sum(axis=1)
+
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        for start in range(0, replicas, chunk):
+            stop = min(start + chunk, replicas)
+            cuts = [start + (stop - start) * k // _WORKERS for k in range(_WORKERS + 1)]
+            futures = [pool.submit(draw_and_project, lo, hi, block[lo - start:hi - start])
+                       for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+            for future in futures:
+                future.result()
     return [_jackknife_correlation(x, y) for x, y in zip(bx, by)]
 
 

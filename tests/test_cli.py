@@ -12,7 +12,13 @@ from pathlib import Path
 import pytest
 
 import needlets.correlation as correlation_module
-from needlets import cli
+from needlets import (
+    DecayHypothesisError,
+    NeedletProfile,
+    cli,
+    correlation_decay_check,
+    power_spectrum,
+)
 from needlets.defaults import DEGREE_CAP_ENV
 
 CMD = [sys.executable, "-m", "needlets"]
@@ -87,6 +93,16 @@ class TestCorrelationCommand:
                   "--cos-gamma", "0", "--fit")
         assert res.returncode == 4
         assert "4r + 2" in res.stderr
+
+    def test_hypothesis_message_is_the_library_message(self, capsys):
+        with pytest.raises(DecayHypothesisError) as exc:
+            correlation_decay_check(NeedletProfile(1), power_spectrum(7.0), 0.0, [0.2, 0.1])
+        code = cli.main(["correlation", "--r", "1", "--alpha", "7", "--t", "0.2,0.1",
+                         "--cos-gamma", "0", "--fit"])
+        assert code == cli.EXIT_HYPOTHESIS
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {exc.value}\n"
 
     def test_degenerate_variance_on_coincident_row_only(self):
         # at t = 50 every retained coefficient underflows: the coincident row

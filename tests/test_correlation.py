@@ -30,6 +30,7 @@ from needlets import (
     zonal_decay_bound,
     zonal_series,
 )
+from needlets.legendre import X_DOMAIN_TOL, _check_x
 
 RNG = np.random.default_rng(20240815)
 PROFILE = NeedletProfile(1)
@@ -111,6 +112,31 @@ class TestScaleDomain:
     def test_coefficients_reject_non_finite_scale(self, t):
         with pytest.raises(ValueError, match="scale t must be finite and > 0"):
             covariance_coefficients(PROFILE, SPECTRUM, t, 30)
+
+
+class TestCosGammaDomain:
+    """A query accepts cos_gamma exactly where the Legendre routines accept x."""
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    def test_within_tolerance_past_the_edge_is_clipped(self, edge):
+        x = edge * (1.0 + 0.5 * X_DOMAIN_TOL)
+        assert CorrelationQuery(PROFILE, SPECTRUM, 0.2, x).cos_gamma == edge
+        assert _check_x(x) == edge
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    def test_beyond_tolerance_is_rejected(self, edge):
+        x = edge * (1.0 + 2.0 * X_DOMAIN_TOL)
+        with pytest.raises(ValueError, match=r"^cos_gamma must lie in \[-1, 1\]$"):
+            CorrelationQuery(PROFILE, SPECTRUM, 0.2, x)
+        with pytest.raises(ValueError):
+            _check_x(x)
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    @pytest.mark.parametrize("inside", [0.5, 2.0])
+    def test_inside_the_interval_keeps_its_bits(self, edge, inside):
+        x = edge * (1.0 - inside * X_DOMAIN_TOL)
+        assert float.hex(CorrelationQuery(PROFILE, SPECTRUM, 0.2, x).cos_gamma) == float.hex(x)
+        assert float.hex(_check_x(x)) == float.hex(x)
 
 
 class TestCorrelation:

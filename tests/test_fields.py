@@ -1,6 +1,8 @@
 """Gaussian field sampling, needlet coefficients, Monte-Carlo correlation."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -47,6 +49,61 @@ def loop_rotate_alm_about_pole(alm, dphi):
             out[ic] = c * ac + s * as_
             out[is_] = -s * ac + c * as_
     return out
+
+
+def old_counter_normals(seed, stream, count):
+    """The one-stream draw that _counter_normals replaced, kept as an oracle."""
+    raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(count)
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+
+
+# 20 stream keys (seed, stream), the 64-bit extremes among them
+STREAM_KEYS = [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1), (0, 2 ** 64 - 1), (2 ** 64 - 1, 0)] + [
+    (int(s), int(i))
+    for s, i in np.random.default_rng(20240817).integers(0, 2 ** 64, size=(16, 2),
+                                                          dtype=np.uint64, endpoint=False)]
+# word counts that leave a partial 4-word Philox block at the end
+WORD_COUNTS = [1, 3, 5, 783, 3135]
+
+
+class TestCounterDraw:
+    """One reused generator gives the words of a new generator per stream."""
+
+    @pytest.mark.parametrize("n", WORD_COUNTS)
+    def test_state_reuse_equals_fresh_generator(self, n):
+        for seed, stream in STREAM_KEYS:
+            words = np.empty((1, n), dtype=np.uint64)
+            fields_module._philox_words(seed, [stream], words)
+            fresh = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+            assert np.array_equal(words[0], fresh.random_raw(n)), (seed, stream)
+
+    @pytest.mark.parametrize("n", WORD_COUNTS)
+    def test_every_row_restarts_the_stream(self, n):
+        # 20 streams through one generator: no row continues the previous one
+        seed = STREAM_KEYS[5][0]
+        streams = [stream for _, stream in STREAM_KEYS]
+        words = np.empty((len(streams), n), dtype=np.uint64)
+        fields_module._philox_words(seed, streams, words)
+        for row, stream in zip(words, streams):
+            fresh = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+            assert np.array_equal(row, fresh.random_raw(n)), stream
+
+    def test_normals_match_old_one_stream_draw(self):
+        seed = STREAM_KEYS[1][0]
+        streams = [stream for _, stream in STREAM_KEYS]
+        out = np.empty((len(streams), 3135))
+        fields_module._counter_normals(seed, streams, out)
+        for row, stream in zip(out, streams):
+            assert row.tobytes() == old_counter_normals(seed, stream, 3135).tobytes()
+
+    @pytest.mark.parametrize("L", [1, 27, 55])
+    def test_sample_alm_matches_old_one_stream_draw(self, L):
+        ls = np.arange(1, L + 1)
+        sigma = np.repeat(np.sqrt(np.atleast_1d(spectrum_eval(SPECTRUM, ls))), 2 * ls + 1)
+        for seed, stream in STREAM_KEYS[:6]:
+            coeffs = sample_alm(SPECTRUM, L, seed=seed, stream=stream).coeffs
+            old = old_counter_normals(seed, stream, sigma.size) * sigma
+            assert coeffs.tobytes() == old.tobytes(), (seed, stream)
 
 
 class TestSampleAlm:
@@ -235,6 +292,13 @@ GRID_QUERIES = [(t, EQUATOR_X, (math.pi / 2, d))
                 for t in (0.2, 0.1) for d in (0.3, 0.785, 1.571)]
 
 
+@pytest.fixture(scope="module")
+def grid_oracle():
+    """float.hex of the per-query loop oracle on GRID_QUERIES, 300 replicas, seed 7."""
+    return hexes(loop_monte_carlo_correlation(PROFILE, SPECTRUM, t, x, y, 300, 7)
+                 for t, x, y in GRID_QUERIES)
+
+
 class TestBatchedMonteCarlo:
     """One draw per replica at the largest degree, projected onto every query."""
 
@@ -261,16 +325,68 @@ class TestBatchedMonteCarlo:
         assert sorted(args[1] for args in scans) == [0.1, 0.2]
 
     def test_each_stream_drawn_once(self, monkeypatch):
+        # the draw keys one reused generator per stream by setting its state;
+        # the two workers interleave their streams, so the keys are sorted
         keys = []
         philox = np.random.Philox
 
-        def counted(*args, **kwargs):
-            keys.append(tuple(int(k) for k in kwargs["key"]))
-            return philox(*args, **kwargs)
+        class Recording(philox):
+            @property
+            def state(self):
+                return philox.state.__get__(self)
 
-        monkeypatch.setattr(np.random, "Philox", counted)
+            @state.setter
+            def state(self, value):
+                keys.append(tuple(int(k) for k in value["state"]["key"]))
+                philox.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "Philox", Recording)
         monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 150, seed=4)
-        assert keys == [(4, i) for i in range(150)]
+        assert sorted(keys) == [(4, i) for i in range(150)]
+
+    @pytest.mark.parametrize("chunk", [None, 37, 1])
+    def test_worker_count_does_not_move_a_bit(self, monkeypatch, grid_oracle, chunk):
+        # chunk=1 leaves one of the two halves of every block empty
+        two = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7,
+                                       chunk=chunk)
+        monkeypatch.setattr(fields_module, "_WORKERS", 1)
+        one = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7,
+                                       chunk=chunk)
+        assert hexes(one) == hexes(two) == grid_oracle
+
+    def test_draws_run_on_at_most_two_worker_threads(self, monkeypatch):
+        threads = set()
+        draw = fields_module._counter_normals
+
+        def recorded(seed, streams, out):
+            threads.add(threading.get_ident())
+            draw(seed, streams, out)
+
+        monkeypatch.setattr(fields_module, "_counter_normals", recorded)
+        monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7, chunk=37)
+        assert 1 <= len(threads) <= 2
+        assert threading.get_ident() not in threads
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        def broken(seed, streams, out):
+            raise RuntimeError(f"draw of streams {streams} failed")
+
+        monkeypatch.setattr(fields_module, "_counter_normals", broken)
+        with pytest.raises(RuntimeError, match="draw of streams range"):
+            monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
+
+    def test_more_workers_than_cores_with_short_switch_interval(self, monkeypatch, grid_oracle):
+        # a row drawn twice, a slot written by the wrong worker or a lost
+        # write would move a bit of some estimate
+        monkeypatch.setattr(fields_module, "_WORKERS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7,
+                                           chunk=37)
+        finally:
+            sys.setswitchinterval(interval)
+        assert hexes(got) == grid_oracle
 
     def test_empty_query_list(self):
         assert monte_carlo_correlations(PROFILE, SPECTRUM, [], 100, seed=0) == []
