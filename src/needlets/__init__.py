@@ -15,7 +15,7 @@ from .correlation import (
     analytic_covariance,
     check_decay_hypothesis,
     correlation_decay_check,
-    correlation_ratio,
+    correlation_series,
     covariance_coefficients,
     covariance_series,
     decay_exponents,

@@ -19,11 +19,9 @@ from dataclasses import asdict
 
 from .correlation import (
     CorrelationQuery,
-    analytic_correlation,
     check_decay_hypothesis,
-    correlation_ratio,
+    correlation_series,
     covariance_coefficients,
-    covariance_series,
     decay_exponents,
     fit_correlation_decay,
     variance_scaling_check,
@@ -168,18 +166,15 @@ def cmd_correlation(args) -> int:
     if args.fit:
         check_decay_hypothesis(profile, spectrum)
 
-    rows = []
-    cors_by_gamma = [[] for _ in cos_gammas]
+    rows, cors_by_t = [], []
     for t in ts:
         qs = [CorrelationQuery(profile, spectrum, t, cg) for cg in cos_gammas]
         if not qs:
             continue
-        # one scan and one series per scale; the last point gives the variance
-        *covs, variance = map(float, covariance_series(
-            profile, spectrum, t, [q.cos_gamma for q in qs] + [1.0], args.eps_tail))
-        for cg, q, cov, cors in zip(cos_gammas, qs, covs, cors_by_gamma):
-            cor = 1.0 if q.cos_gamma == 1.0 else correlation_ratio(cov, variance, t)
-            cors.append(cor)
+        covs, cors = correlation_series(profile, spectrum, t, [q.cos_gamma for q in qs],
+                                        args.eps_tail)
+        cors_by_t.append(cors)
+        for cg, q, cov, cor in zip(cos_gammas, qs, covs.tolist(), cors.tolist()):
             bound = abs(cor) * q.geodesic_distance ** (2 * n_exp) * t ** -exponent
             rows.append((t, cg, cov, cor, exponent, n_exp, bound))
     out = _table(["t", "cos_gamma", "covariance", "correlation",
@@ -187,10 +182,10 @@ def cmd_correlation(args) -> int:
 
     if args.fit:
         reports = []
-        for cg, cors in zip(cos_gammas, cors_by_gamma):
+        for k, cg in enumerate(cos_gammas):
             if cg == 1.0:
                 continue
-            rep = fit_correlation_decay(profile, spectrum, cg, ts, cors)
+            rep = fit_correlation_decay(profile, spectrum, cg, ts, [c[k] for c in cors_by_t])
             reports.append({"cos_gamma": cg, **asdict(rep)})
         out += "\n" + _json_doc({"defaults": _defaults_in_effect(), "reports": reports})
     _emit(out, args.output)
@@ -209,10 +204,16 @@ def cmd_simulate(args) -> int:
     estimates = monte_carlo_correlations(
         profile, spectrum, [(t, point_x, point_y) for t, _, point_y in grid],
         args.replicas, args.seed, args.eps_tail)
+    # one analytic series per distinct scale, over all of its distances
+    cos_gammas = {}
+    for q in qs:
+        cos_gammas.setdefault(q.t, []).append(q.cos_gamma)
+    truths = {t: iter(correlation_series(profile, spectrum, t, cgs, args.eps_tail)[1].tolist())
+              for t, cgs in cos_gammas.items()}
     rows = []
     worst = 0.0
-    for (t, d, _), q, (est, se) in zip(grid, qs, estimates):
-        true = analytic_correlation(q, args.eps_tail)
+    for (t, d, _), (est, se) in zip(grid, estimates):
+        true = next(truths[t])
         z = 0.0 if se == 0.0 and est == true else (est - true) / se
         worst = max(worst, abs(z))
         rows.append((t, d, args.replicas, args.seed, est, se, true, z))

@@ -12,7 +12,8 @@ power-law envelope l^(-alpha) and profiles f(s) = s^r f0(s) with
 gamma) is bounded by C t^(4r - alpha + 2) / d^(2N), N the least positive
 integer above 2r - alpha/2 + 1.  `covariance_series` is the engine: one
 truncation scan and one series call per scale, over all of that scale's
-evaluation points.  `correlation_decay_check` verifies the rate empirically
+evaluation points, and `correlation_series` is the one place that divides
+by the variance.  `correlation_decay_check` verifies the rate empirically
 on a scale grid (`fit_correlation_decay` fits correlations already at hand);
 `zonal_decay_bound` estimates the constant of the underlying series bound;
 `variance_scaling_check` confirms the variance floor Cov(t, 1) ~ t^(alpha - 2)
@@ -43,7 +44,7 @@ __all__ = [
     "check_decay_hypothesis",
     "decay_exponents",
     "covariance_series",
-    "correlation_ratio",
+    "correlation_series",
     "analytic_covariance",
     "analytic_correlation",
     "covariance_coefficients",
@@ -153,13 +154,27 @@ def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float
     return legendre_series(coeffs, np.asarray(xs, dtype=float), offset=1)
 
 
-def correlation_ratio(cov: float, variance: float, t: float) -> float:
-    """Cov / Var at scale t; refuses a variance that is not finite and positive."""
-    if not math.isfinite(variance) or variance <= 0.0:
-        raise NumericFailure(
-            f"variance degenerate at t={t}: {variance!r}; "
-            "the scale is too large for every retained coefficient")
-    return cov / variance
+def correlation_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float, cos_gammas,
+                       eps_tail: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(Cov(t, x), Cor(t, x)) at every inner product x in `cos_gammas`.
+
+    One `covariance_series` call serves every point, with the variance
+    Cov(t, 1) as its last point.  Cor is exactly 1 where x == 1 and
+    Cov(t, x) / Cov(t, 1) elsewhere; a variance that is not finite and
+    positive is refused unless every x is 1.
+    """
+    xs = np.asarray(cos_gammas, dtype=float)
+    values = covariance_series(profile, spectrum, t, np.append(xs, 1.0), eps_tail)
+    covs, variance = values[:-1], float(values[-1])
+    cors = np.ones_like(covs)
+    apart = xs != 1.0
+    if np.any(apart):
+        if not math.isfinite(variance) or variance <= 0.0:
+            raise NumericFailure(
+                f"variance degenerate at t={t}: {variance!r}; "
+                "the scale is too large for every retained coefficient")
+        cors[apart] = covs[apart] / variance
+    return covs, cors
 
 
 def analytic_covariance(q: CorrelationQuery, eps_tail: float | None = None) -> float:
@@ -171,14 +186,11 @@ def analytic_correlation(q: CorrelationQuery, eps_tail: float | None = None) -> 
     """Cov(t, cos gamma) / Cov(t, 1); exactly 1 at coincident points."""
     if q.cos_gamma == 1.0:
         return 1.0
-    cov, variance = map(float, covariance_series(
-        q.profile, q.spectrum, q.t, [q.cos_gamma, 1.0], eps_tail))
-    return correlation_ratio(cov, variance, q.t)
+    _, cors = correlation_series(q.profile, q.spectrum, q.t, [q.cos_gamma], eps_tail)
+    return float(cors[0])
 
 
-def zonal_decay_bound(a: CoeffSequence, mu: float,
-                      theta_min: float | None = None,
-                      grid_points: int = 1024) -> ZonalDecayBound:
+def zonal_decay_bound(a: CoeffSequence, mu: float) -> ZonalDecayBound:
     """Estimate the constant in |sum_l a_l Z_l(cos theta)| <= C / theta^(2N).
 
     N is the least positive integer above mu/2 + 1.  The input is first
@@ -204,16 +216,15 @@ def zonal_decay_bound(a: CoeffSequence, mu: float,
     scale = float(np.max(np.abs(a.values[pos]) * ls[pos] ** -mu))
     scaled = CoeffSequence(a.offset, a.values / scale)
 
-    tmin = DEFAULTS["theta_min"] if theta_min is None else float(theta_min)
     split = DEFAULTS["series_bound_theta_split"]
 
     sup = 0.0
-    near = np.geomspace(tmin, split, grid_points // 4, endpoint=False)
+    near = np.geomspace(DEFAULTS["theta_min"], split, 256, endpoint=False)
     direct = zonal_series(scaled.values, np.cos(near), offset=scaled.offset)
     sup = max(sup, float(np.max(np.abs(direct) * near ** (2 * n_exp))))
 
     transformed = multiply_cos_minus_one_power(scaled, n_exp)
-    far = np.linspace(split, math.pi, grid_points)
+    far = np.linspace(split, math.pi, 1024)
     numer = zonal_series(transformed.values, np.cos(far), offset=transformed.offset)
     vals = np.abs(numer) * far ** (2 * n_exp) / np.abs(np.cos(far) - 1.0) ** n_exp
     sup = max(sup, float(np.max(vals)))

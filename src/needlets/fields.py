@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 _U64 = 2 ** 64
-# default size of one block of replica coefficients in the Monte-Carlo loop
+# size of one block of replica coefficients in the Monte-Carlo loop
 _BLOCK_BYTES = 8 * 2 ** 20
 # threads per Monte-Carlo call; each block is split into this many row ranges
 _WORKERS = 2
@@ -171,29 +171,27 @@ def needlet_coefficient(alm: AlmSet, profile: NeedletProfile, t: float,
 
 def monte_carlo_correlation(profile: NeedletProfile, spectrum: PowerSpectrum,
                             t: float, point_x, point_y, replicas: int,
-                            seed: int, eps_tail: float | None = None,
-                            chunk: int | None = None) -> MonteCarloCorrelation:
+                            seed: int, eps_tail: float | None = None) -> MonteCarloCorrelation:
     """Sample correlation of one coefficient pair; see monte_carlo_correlations."""
     (result,) = monte_carlo_correlations(profile, spectrum, [(t, point_x, point_y)],
-                                         replicas, seed, eps_tail, chunk)
+                                         replicas, seed, eps_tail)
     return result
 
 
 def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
                              queries, replicas: int, seed: int,
-                             eps_tail: float | None = None,
-                             chunk: int | None = None) -> list[MonteCarloCorrelation]:
+                             eps_tail: float | None = None) -> list[MonteCarloCorrelation]:
     """Sample correlations of coefficient pairs over independent field draws.
 
     `queries` is a sequence of (t, point_x, point_y).  Replica i uses stream
     (seed, i) and is drawn once, at the largest degree any scale needs; a
     scale of degree L reads the first L(L+2) coefficients, which are the
     draws it would make alone, so every result is a pure function of
-    (seed, replicas) and its query, whatever the other queries, the chunking
-    or the schedule.  `chunk` is the number of replicas per block (default:
-    about 8 MiB of coefficients, whatever the replica count); two threads
-    each draw and project one half of a block's rows, each replica into its
-    own slot of the sample, so neither the split nor `chunk` moves a bit.
+    (seed, replicas) and its query, whatever the other queries, the blocking
+    or the schedule.  A block holds about 8 MiB of coefficients, whatever
+    the replica count; two threads each draw and project one half of a
+    block's rows, each replica into its own slot of the sample, so neither
+    the split nor the block size moves a bit.
     The estimate is the uncentered moment ratio matching the defining
     expectation formula for these zero-mean fields; the standard error is
     the leave-one-out jackknife of that ratio.
@@ -216,11 +214,7 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
                                  [point_x[1], point_y[1]])
         projections.append((weights[t] * y_pair[0], weights[t] * y_pair[1]))
     sigma = _sigma_per_coefficient(spectrum, max(degrees.values()))
-    if chunk is None:
-        chunk = max(1, _BLOCK_BYTES // (sigma.size * sigma.itemsize))
-    chunk = int(chunk)
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1 replica")
+    chunk = max(1, _BLOCK_BYTES // (sigma.size * sigma.itemsize))
 
     bx = np.empty((len(queries), replicas))
     by = np.empty((len(queries), replicas))
@@ -287,9 +281,8 @@ def rotate_alm_about_pole(alm: AlmSet, dphi: float) -> AlmSet:
     l, m = np.tril_indices(alm.L)
     l += 1
     m += 1
-    center = l * l - 1 + l  # flat index of (l, 0)
-    ic = center + m
-    is_ = center - m
+    ic = sph_harm_flat_index(l, m)
+    is_ = sph_harm_flat_index(l, -m)
     c, s = np.cos(m * dphi), np.sin(m * dphi)
     ac, as_ = alm.coeffs[ic], alm.coeffs[is_]
     out = alm.coeffs.copy()

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# points in one grid at most, and in one block of each pairwise product below
+_POINT_CAP = 2_000_000
+_SEPARATION_BLOCK = 512
+_GRAM_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,6 @@ class SphereGrid:
     @property
     def n(self) -> int:
         return self.theta.size
-
-    @property
-    def points(self) -> np.ndarray:
-        """(n, 2) array of (theta, phi) rows."""
-        return np.column_stack([self.theta, self.phi])
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,7 @@ class FrameBoundsEstimate:
         return self.b_hat / self.a_hat if self.a_hat > 0 else math.inf
 
 
-def build_grid(a: float, j: int, oversample: float = 1.0,
-               point_cap: int = 2_000_000) -> SphereGrid:
+def build_grid(a: float, j: int, oversample: float = 1.0) -> SphereGrid:
     """Fibonacci lattice for scale index j with equal-area weights."""
     a = float(a)
     if a <= 1.0 + 1e-9:
@@ -82,8 +80,8 @@ def build_grid(a: float, j: int, oversample: float = 1.0,
     if oversample < 1.0:
         raise ValueError("oversample must be >= 1")
     n = int(math.ceil(oversample * DEFAULTS["grid_area_constant"] * a ** (-2 * j)))
-    if n > point_cap:
-        raise ValueError(f"grid at j={j} needs {n} points, above the cap {point_cap}")
+    if n > _POINT_CAP:
+        raise ValueError(f"grid at j={j} needs {n} points, above the cap {_POINT_CAP}")
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     theta = np.arccos(np.clip(z, -1.0, 1.0))
@@ -92,7 +90,7 @@ def build_grid(a: float, j: int, oversample: float = 1.0,
     return SphereGrid(j=j, a=a, theta=theta, phi=phi, weights=weights)
 
 
-def grid_min_separation(grid: SphereGrid, chunk: int = 512) -> float:
+def grid_min_separation(grid: SphereGrid) -> float:
     """Smallest pairwise geodesic distance on the grid (exhaustive)."""
     xyz = np.column_stack([
         np.sin(grid.theta) * np.cos(grid.phi),
@@ -100,8 +98,8 @@ def grid_min_separation(grid: SphereGrid, chunk: int = 512) -> float:
         np.cos(grid.theta),
     ])
     best = -1.0
-    for start in range(0, grid.n, chunk):
-        block = xyz[start:start + chunk]
+    for start in range(0, grid.n, _SEPARATION_BLOCK):
+        block = xyz[start:start + _SEPARATION_BLOCK]
         dots = block @ xyz.T
         for r in range(block.shape[0]):
             dots[r, start + r] = -1.0  # mask self-pairs
@@ -141,8 +139,7 @@ def frame_coefficients(f_hat: np.ndarray, profile: NeedletProfile,
 
 
 def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
-                          oversample: float = 1.0,
-                          chunk: int = 8192) -> FrameBoundsEstimate:
+                          oversample: float = 1.0) -> FrameBoundsEstimate:
     """Extremal squared singular values of the analysis matrix on degrees 1..L.
 
     Assembled as a Gram matrix accumulated grid by grid, so memory stays
@@ -174,8 +171,8 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
         grid = build_grid(a, j, oversample)
         factors = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * j), L))
         mu_sq = 4.0 * math.pi / grid.n
-        for start in range(0, grid.n, chunk):
-            stop = min(start + chunk, grid.n)
+        for start in range(0, grid.n, _GRAM_BLOCK):
+            stop = min(start + _GRAM_BLOCK, grid.n)
             y = sph_harm_matrix(L, grid.theta[start:stop], grid.phi[start:stop])
             y *= factors
             gram += mu_sq * (y.T @ y)

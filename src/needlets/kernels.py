@@ -176,8 +176,7 @@ def kernel_eval(spec: KernelSpec, cos_gamma):
 
 
 def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
-                       eps_tail: float | None = None,
-                       grid_points: int = 1536) -> LocalizationReport:
+                       eps_tail: float | None = None) -> LocalizationReport:
     """Probe spatial decay: sup over theta in [t, pi] of t^2 |K_t| (theta/t)^N.
 
     A localized kernel family keeps these sups comparable across scales; the
@@ -190,8 +189,8 @@ def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
     for t in t_list:
         spec = make_kernel(profile, t, eps_tail)
         thetas = np.unique(np.concatenate([
-            np.linspace(t, math.pi, grid_points),
-            np.geomspace(t, math.pi, grid_points // 3),
+            np.linspace(t, math.pi, 1536),
+            np.geomspace(t, math.pi, 512),
         ]))
         vals = kernel_eval(spec, np.cos(thetas))
         weighted = (t * t) * np.abs(vals) * (thetas / t) ** n_exponent
@@ -238,10 +237,8 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
     return float(out[0]) if scalar else out
 
 
-def calderon_bounds(profile: NeedletProfile, a: float,
-                    grid_points: int | None = None) -> tuple[float, float]:
+def calderon_bounds(profile: NeedletProfile, a: float) -> tuple[float, float]:
     """(A_a, B_a) = extremes of the dilation sum g over one period [1, a^2]."""
-    n = DEFAULTS["calderon_grid_points"] if grid_points is None else int(grid_points)
-    lam = np.geomspace(1.0, float(a) ** 2, n, endpoint=False)
+    lam = np.geomspace(1.0, float(a) ** 2, DEFAULTS["calderon_grid_points"], endpoint=False)
     g = calderon_g(profile, a, lam)
     return float(np.min(g)), float(np.max(g))

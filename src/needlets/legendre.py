@@ -170,9 +170,9 @@ def generating_function_check(xi: float, eta: float, terms: int) -> float:
 _SQRT_INV_4PI = math.sqrt(1.0 / (4.0 * math.pi))
 
 
-def sph_harm_flat_index(l: int, m: int) -> int:
-    """Position of (l, m) in the flat degree-major layout over l >= 1."""
-    if l < 1 or abs(m) > l:
+def sph_harm_flat_index(l, m):
+    """Position of (l, m) in the flat degree-major layout over l >= 1; elementwise on arrays."""
+    if np.any((l < 1) | (abs(m) > l)):
         raise ValueError(f"invalid (l, m) = ({l}, {m}) for the flat layout")
     return l * l - 1 + (m + l)
 

@@ -176,34 +176,33 @@ def spectrum_eval(ps: PowerSpectrum, l):
     return float(out[0]) if scalar else out
 
 
-def verify_envelope(ps: PowerSpectrum, l_max: int, ratio_cap: float | None = None) -> EnvelopeEstimate:
+def verify_envelope(ps: PowerSpectrum, l_max: int) -> EnvelopeEstimate:
     """Extremes of u(l) l^alpha over [1, l_max].
 
-    The estimate fails when the spread k1/k0 exceeds `ratio_cap`, which is
-    the signature of a declared alpha that does not match the true decay.
+    The estimate fails when the spread k1/k0 exceeds the configured
+    `envelope_ratio_cap`, which is the signature of a declared alpha that
+    does not match the true decay.
     """
     l_max = int(l_max)
     if l_max < 10:
         raise ValueError("need l_max >= 10 for a meaningful envelope")
-    cap = DEFAULTS["envelope_ratio_cap"] if ratio_cap is None else float(ratio_cap)
     ls = np.arange(1, l_max + 1, dtype=float)
     scaled = spectrum_eval(ps, ls) * ls ** ps.alpha
     k0 = float(np.min(scaled))
     k1 = float(np.max(scaled))
     ratio = k1 / k0 if k0 > 0 else math.inf
-    passed = k0 > 0 and math.isfinite(k1) and ratio <= cap
+    passed = k0 > 0 and math.isfinite(k1) and ratio <= DEFAULTS["envelope_ratio_cap"]
     return EnvelopeEstimate(k0_hat=k0, k1_hat=k1, ratio=ratio, l_max=l_max, passed=passed)
 
 
-def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window,
-                            growth_tol: float | None = None) -> DerivativeDecayReport:
+def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window) -> DerivativeDecayReport:
     """Check |Delta^k u(l)| l^(alpha+k) stays bounded over the window, k <= k_max.
 
     Repeated forward differences of the sampled sequence stand in for
     derivatives.  The window is split into four logarithmic segments; an
-    order fails when the sup in the last segment exceeds `growth_tol` times
-    the sup in the first, i.e. when the weighted differences grow instead of
-    staying level.
+    order fails when the sup in the last segment exceeds the configured
+    `difference_growth_tol` times the sup in the first, i.e. when the
+    weighted differences grow instead of staying level.
     """
     k_max = int(k_max)
     if not 0 <= k_max <= 4:
@@ -211,7 +210,6 @@ def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window,
     l_min, l_max = int(window[0]), int(window[1])
     if not 1 <= l_min < l_max:
         raise ValueError("window must satisfy 1 <= l_min < l_max")
-    tol = DEFAULTS["difference_growth_tol"] if growth_tol is None else float(growth_tol)
 
     ls = np.arange(l_min, l_max + k_max + 1, dtype=float)
     u = spectrum_eval(ps, ls)
@@ -232,7 +230,7 @@ def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window,
         first, last = sups[0], sups[-1]
         ratio = last / first if first > 0 else (math.inf if last > 0 else 1.0)
         ratios.append(ratio)
-        order_ok.append(math.isfinite(ratio) and ratio <= tol)
+        order_ok.append(math.isfinite(ratio) and ratio <= DEFAULTS["difference_growth_tol"])
 
     return DerivativeDecayReport(window=(l_min, l_max),
                                  c_estimates=tuple(c_estimates),

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -13,10 +14,13 @@ import pytest
 
 import needlets.correlation as correlation_module
 from needlets import (
+    CorrelationQuery,
     DecayHypothesisError,
     NeedletProfile,
+    analytic_correlation,
     cli,
     correlation_decay_check,
+    points_cos_angle,
     power_spectrum,
 )
 from needlets.defaults import DEGREE_CAP_ENV
@@ -188,6 +192,32 @@ class TestSimulateCommand:
         rows = rows_of(res.stdout)
         assert res.returncode == 0
         assert abs(float(rows[0]["z"])) <= 5.0
+
+    def test_one_squared_scan_and_one_series_per_scale(self, count_calls, capsys):
+        # every truncation scan of the correlation module is of the squared profile
+        scans = count_calls(correlation_module, "choose_lmax")
+        series = count_calls(correlation_module, "legendre_series")
+        code = cli.main(["simulate", "--r", "1", "--alpha", "3", "--t", "0.2,0.1",
+                         "--d", "0.3,0.785,1.571", "--replicas", "100"])
+        assert code == 0
+        assert len(rows_of(capsys.readouterr().out)) == 6
+        assert (len(scans), len(series)) == (2, 2)
+
+    def test_analytic_column_is_the_one_point_correlation(self, count_calls, capsys):
+        # a repeated scale is evaluated once; coincident rows read exactly 1
+        scans = count_calls(correlation_module, "choose_lmax")
+        code = cli.main(["simulate", "--r", "1", "--alpha", "3", "--t", "0.2,0.1,0.2",
+                         "--d", "0,0.3,1.571", "--replicas", "100"])
+        assert code == 0
+        rows = rows_of(capsys.readouterr().out)
+        assert len(rows) == 9
+        assert len(scans) == 2
+        profile, spectrum = NeedletProfile(1), power_spectrum(3.0)
+        for row in rows:
+            cg = points_cos_angle((math.pi / 2, 0.0), (math.pi / 2, float(row["d"])))
+            q = CorrelationQuery(profile, spectrum, float(row["t"]), cg)
+            assert float.hex(float(row["analytic"])) == float.hex(analytic_correlation(q))
+        assert [float(r["analytic"]) for r in rows if r["d"] == "0.0"] == [1.0] * 3
 
     @pytest.mark.parametrize("d", ["nan", "inf", "0.3,nan"])
     def test_non_finite_distance_is_config_error(self, d):

@@ -17,6 +17,7 @@ from needlets import (
     analytic_covariance,
     choose_lmax,
     correlation_decay_check,
+    correlation_series,
     covariance_coefficients,
     covariance_series,
     fit_correlation_decay,
@@ -161,6 +162,41 @@ class TestCorrelation:
     def test_degenerate_variance_raises(self):
         with pytest.raises(NumericFailure):
             analytic_correlation(CorrelationQuery(PROFILE, SPECTRUM, 50.0, 0.3))
+
+
+class TestCorrelationSeries:
+    XS = [-1.0, -0.3, 0.0, 0.42, 0.995, 1.0, 0.7]
+
+    @pytest.mark.parametrize("r,alpha,t", [(1, 3.0, 0.2), (1, 3.0, 0.0125), (2, 4.0, 0.05)])
+    def test_matches_analytic_correlation_bit_for_bit(self, r, alpha, t):
+        profile, spectrum = NeedletProfile(r), power_spectrum(alpha)
+        covs, cors = correlation_series(profile, spectrum, t, self.XS)
+        for x, cov, cor in zip(self.XS, covs, cors):
+            q = CorrelationQuery(profile, spectrum, t, x)
+            assert float.hex(float(cov)) == float.hex(analytic_covariance(q))
+            assert float.hex(float(cor)) == float.hex(analytic_correlation(q))
+
+    def test_exactly_one_at_coincidence(self):
+        _, cors = correlation_series(PROFILE, SPECTRUM, 0.17, [1.0, 0.3, 1.0])
+        assert cors[0] == 1.0 and cors[2] == 1.0
+        assert cors[1] < 1.0
+
+    def test_one_scan_and_one_series(self, count_calls):
+        scans = count_calls(correlation_module, "choose_lmax")
+        series = count_calls(correlation_module, "legendre_series")
+        correlation_series(PROFILE, SPECTRUM, 0.1, self.XS)
+        assert (len(scans), len(series)) == (1, 1)
+
+    def test_degenerate_variance_only_when_a_point_is_apart(self):
+        # at t = 50 every retained coefficient underflows, so Cov(t, 1) = 0
+        covs, cors = correlation_series(PROFILE, SPECTRUM, 50.0, [1.0, 1.0])
+        assert covs.tolist() == [0.0, 0.0]
+        assert cors.tolist() == [1.0, 1.0]
+        message = ("variance degenerate at t=50.0: 0.0; "
+                   "the scale is too large for every retained coefficient")
+        with pytest.raises(NumericFailure) as exc:
+            correlation_series(PROFILE, SPECTRUM, 50.0, [1.0, 0.3])
+        assert str(exc.value) == message
 
 
 class TestCovarianceCoefficients:

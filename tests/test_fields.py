@@ -51,6 +51,12 @@ def loop_rotate_alm_about_pole(alm, dphi):
     return out
 
 
+def set_block_rows(monkeypatch, rows, ts):
+    """Size the Monte-Carlo block to `rows` replicas at the largest degree of scales ts."""
+    L = max(choose_lmax(PROFILE, t) for t in ts)
+    monkeypatch.setattr(fields_module, "_BLOCK_BYTES", rows * ((L + 1) ** 2 - 1) * 8)
+
+
 def old_counter_normals(seed, stream, count):
     """The one-stream draw that _counter_normals replaced, kept as an oracle."""
     raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(count)
@@ -221,13 +227,13 @@ class TestMonteCarloCorrelation:
             CorrelationQuery(PROFILE, SPECTRUM, 0.2, points_cos_angle(x, y)))
         assert abs(est - true) <= 3 * se
 
-    def test_deterministic_and_chunk_independent(self):
+    def test_deterministic_and_chunk_independent(self, monkeypatch):
         x, y = (math.pi / 2, 0.0), (math.pi / 2, 1.0)
         a = monte_carlo_correlation(PROFILE, SPECTRUM, 0.25, x, y, 300, seed=3)
         b = monte_carlo_correlation(PROFILE, SPECTRUM, 0.25, x, y, 300, seed=3)
         assert a == b
-        c = monte_carlo_correlation(PROFILE, SPECTRUM, 0.25, x, y, 300, seed=3,
-                                    chunk=37)
+        set_block_rows(monkeypatch, 37, [0.25])
+        c = monte_carlo_correlation(PROFILE, SPECTRUM, 0.25, x, y, 300, seed=3)
         assert a == c
 
     def test_isotropy_between_equivalent_pairs(self):
@@ -288,8 +294,9 @@ def hexes(results):
 
 EQUATOR_X = (math.pi / 2, 0.0)
 # the t x d grid of the `simulate` benchmark's first command
+GRID_SCALES = (0.2, 0.1)
 GRID_QUERIES = [(t, EQUATOR_X, (math.pi / 2, d))
-                for t in (0.2, 0.1) for d in (0.3, 0.785, 1.571)]
+                for t in GRID_SCALES for d in (0.3, 0.785, 1.571)]
 
 
 @pytest.fixture(scope="module")
@@ -314,9 +321,10 @@ class TestBatchedMonteCarlo:
                   for t, x, y in GRID_QUERIES]
         assert hexes(batched) == hexes(oracle)
 
-    def test_chunk_independent(self):
+    def test_chunk_independent(self, monkeypatch):
         a = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=3)
-        b = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=3, chunk=37)
+        set_block_rows(monkeypatch, 37, GRID_SCALES)
+        b = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=3)
         assert hexes(a) == hexes(b)
 
     def test_one_truncation_scan_per_scale(self, count_calls):
@@ -346,24 +354,28 @@ class TestBatchedMonteCarlo:
 
     @pytest.mark.parametrize("chunk", [None, 37, 1])
     def test_worker_count_does_not_move_a_bit(self, monkeypatch, grid_oracle, chunk):
-        # chunk=1 leaves one of the two halves of every block empty
-        two = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7,
-                                       chunk=chunk)
+        # blocks of one row leave one of the two halves of every block empty
+        if chunk is not None:
+            set_block_rows(monkeypatch, chunk, GRID_SCALES)
+        two = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
         monkeypatch.setattr(fields_module, "_WORKERS", 1)
-        one = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7,
-                                       chunk=chunk)
+        one = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
         assert hexes(one) == hexes(two) == grid_oracle
 
     def test_draws_run_on_at_most_two_worker_threads(self, monkeypatch):
         threads = set()
+        halves = []
         draw = fields_module._counter_normals
 
         def recorded(seed, streams, out):
             threads.add(threading.get_ident())
+            halves.append(len(streams))
             draw(seed, streams, out)
 
         monkeypatch.setattr(fields_module, "_counter_normals", recorded)
-        monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7, chunk=37)
+        set_block_rows(monkeypatch, 37, GRID_SCALES)
+        monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
+        assert max(halves) == 19  # a 37-row block splits into 18 and 19 rows
         assert 1 <= len(threads) <= 2
         assert threading.get_ident() not in threads
 
@@ -379,21 +391,17 @@ class TestBatchedMonteCarlo:
         # a row drawn twice, a slot written by the wrong worker or a lost
         # write would move a bit of some estimate
         monkeypatch.setattr(fields_module, "_WORKERS", 5)
+        set_block_rows(monkeypatch, 37, GRID_SCALES)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7,
-                                           chunk=37)
+            got = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
         finally:
             sys.setswitchinterval(interval)
         assert hexes(got) == grid_oracle
 
     def test_empty_query_list(self):
         assert monte_carlo_correlations(PROFILE, SPECTRUM, [], 100, seed=0) == []
-
-    def test_bad_chunk_rejected(self):
-        with pytest.raises(ValueError, match="chunk"):
-            monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 100, seed=0, chunk=0)
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, math.inf)])
     def test_non_finite_point_rejected(self, bad):

@@ -339,6 +339,15 @@ class TestSphHarmMatrix:
         idx = [sph_harm_flat_index(l, m) for l in range(1, 5) for m in range(-l, l + 1)]
         assert idx == list(range(24))
 
+    def test_flat_index_on_arrays_equals_scalar_form(self):
+        ls = np.array([l for l in range(1, 9) for m in range(-l, l + 1)])
+        ms = np.array([m for l in range(1, 9) for m in range(-l, l + 1)])
+        mine = sph_harm_flat_index(ls, ms)
+        assert mine.tolist() == [sph_harm_flat_index(int(l), int(m)) for l, m in zip(ls, ms)]
+        for bad_l, bad_m in (([1, 0], [0, 0]), ([2, 3], [1, -4])):
+            with pytest.raises(ValueError, match="flat layout"):
+                sph_harm_flat_index(np.array(bad_l), np.array(bad_m))
+
 
 class TestHighDegree:
     """Harmonics near `degree_cap`, where sectoral seeds leave the double range."""
