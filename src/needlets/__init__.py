@@ -23,6 +23,7 @@ from .correlation import (
     least_integer_above,
     variance_scaling_check,
     zonal_decay_bound,
+    zonal_decay_bounds,
 )
 from .defaults import DEFAULTS, degree_cap
 from .differences import (
@@ -69,6 +70,7 @@ from .legendre import (
     SphHarmPoint,
     generating_function_check,
     legendre_series,
+    legendre_series_rows,
     real_sph_harm,
     recursion_residual,
     sph_harm_flat_index,
@@ -76,6 +78,7 @@ from .legendre import (
     sph_harm_matrix,
     zonal_eval,
     zonal_series,
+    zonal_series_rows,
 )
 from .spectra import (
     EnvelopeEstimate,

@@ -25,7 +25,7 @@ from .correlation import (
     decay_exponents,
     fit_correlation_decay,
     variance_scaling_check,
-    zonal_decay_bound,
+    zonal_decay_bounds,
 )
 from .defaults import DEFAULTS, degree_cap
 from .errors import DecayHypothesisError, DegreeCapExceeded, NumericFailure
@@ -33,6 +33,7 @@ from .fields import monte_carlo_correlations, points_cos_angle
 from .frames import build_grid, estimate_frame_bounds
 from .kernels import (
     NeedletProfile,
+    check_scale_grid,
     choose_lmax,
     kernel_eval,
     localization_check,
@@ -77,6 +78,11 @@ def _grid_spec(text: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"grid spec {text!r} has a non-finite value")
     return values
+
+
+def _scales(text: str) -> tuple[float, ...]:
+    """A comma list of scales; an empty list is a config error."""
+    return check_scale_grid(_floats(text))
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -146,7 +152,7 @@ def cmd_kernel(args) -> int:
     thetas = [max(th, theta_min) for th in _grid_spec(args.theta)]
     xs = [math.cos(th) for th in thetas]
     rows = []
-    for t in _floats(args.t):
+    for t in _scales(args.t):
         values = kernel_eval(make_kernel(profile, t, args.eps_tail), xs)
         rows.extend((t, th, float(v)) for th, v in zip(thetas, values))
     _emit(_table(["t", "theta", "value"], rows), args.output)
@@ -156,7 +162,7 @@ def cmd_kernel(args) -> int:
 def cmd_correlation(args) -> int:
     profile = _profile(args)
     spectrum = _resolve_spectrum(args)
-    ts = _floats(args.t)
+    ts = _scales(args.t)
     if args.d is not None:
         cos_gammas = [math.cos(d) for d in _floats(args.d)]
     else:
@@ -196,7 +202,7 @@ def cmd_simulate(args) -> int:
     profile = _profile(args)
     spectrum = _resolve_spectrum(args)
     point_x = (math.pi / 2.0, 0.0)
-    grid = [(t, d, (math.pi / 2.0, d)) for t in _floats(args.t) for d in _floats(args.d)]
+    grid = [(t, d, (math.pi / 2.0, d)) for t in _scales(args.t) for d in _floats(args.d)]
     # every query is validated before anything is drawn
     qs = [CorrelationQuery(profile, spectrum, t, points_cos_angle(point_x, point_y))
           for t, _, point_y in grid]
@@ -229,18 +235,17 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     profile = _profile(args)
     spectrum = _resolve_spectrum(args)
-    t_grid = _floats(args.t_grid)
-    var_grid = _floats(args.variance_t_grid)
+    t_grid = _scales(args.t_grid)
+    var_grid = _scales(args.variance_t_grid)
     window = _int_pair(args.window)
 
     mu = 4.0 * profile.r - spectrum.alpha
-    sups = []
-    n_exp = None
-    for t in t_grid:
-        lmax = choose_lmax(profile, t, args.eps_tail, squared=True)
-        coeffs = covariance_coefficients(profile, spectrum, t, lmax)
-        n_exp, sup = zonal_decay_bound(coeffs, mu)
-        sups.append(sup)
+    bounds = zonal_decay_bounds(
+        [covariance_coefficients(profile, spectrum, t,
+                                 choose_lmax(profile, t, args.eps_tail, squared=True))
+         for t in t_grid], mu)
+    n_exp = bounds[-1].n_exponent
+    sups = [b.sup_value for b in bounds]
     ratio = max(sups) / min(sups) if min(sups) > 0 else math.inf
     series_bound = {
         "mu": mu,

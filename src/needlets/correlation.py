@@ -31,8 +31,14 @@ import numpy as np
 from .defaults import DEFAULTS
 from .differences import CoeffSequence, multiply_cos_minus_one_power
 from .errors import DecayHypothesisError, NumericFailure
-from .kernels import NeedletProfile, check_scale, choose_lmax, spectral_weights
-from .legendre import X_DOMAIN_TOL, legendre_series, zonal_series
+from .kernels import (
+    NeedletProfile,
+    check_scale,
+    check_scale_grid,
+    choose_lmax,
+    spectral_weights,
+)
+from .legendre import X_DOMAIN_TOL, legendre_series, legendre_series_rows, zonal_series_rows
 from .spectra import PowerSpectrum, spectrum_eval
 
 __all__ = [
@@ -49,6 +55,7 @@ __all__ = [
     "analytic_correlation",
     "covariance_coefficients",
     "zonal_decay_bound",
+    "zonal_decay_bounds",
     "variance_scaling_check",
     "fit_correlation_decay",
     "correlation_decay_check",
@@ -140,6 +147,14 @@ def covariance_coefficients(profile: NeedletProfile, spectrum: PowerSpectrum,
     return CoeffSequence(1, f * f * c)
 
 
+def _covariance_zonal_coeffs(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
+                             eps_tail: float | None) -> np.ndarray:
+    """a_l (2l+1) for l = 1..lmax, lmax from one truncation scan of the squared profile."""
+    lmax = choose_lmax(profile, t, eps_tail, squared=True)
+    ls = np.arange(1, lmax + 1, dtype=float)
+    return covariance_coefficients(profile, spectrum, t, lmax).values * (2.0 * ls + 1.0)
+
+
 def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
                       xs, eps_tail: float | None = None) -> np.ndarray:
     """Cov(t, x) at every inner product x in `xs`, as an array.
@@ -148,9 +163,7 @@ def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float
     call serve all points; the series is elementwise in x, so each value has
     the bits of a one-point evaluation.
     """
-    lmax = choose_lmax(profile, t, eps_tail, squared=True)
-    ls = np.arange(1, lmax + 1, dtype=float)
-    coeffs = covariance_coefficients(profile, spectrum, t, lmax).values * (2.0 * ls + 1.0)
+    coeffs = _covariance_zonal_coeffs(profile, spectrum, t, eps_tail)
     return legendre_series(coeffs, np.asarray(xs, dtype=float), offset=1)
 
 
@@ -204,43 +217,55 @@ def zonal_decay_bound(a: CoeffSequence, mu: float) -> ZonalDecayBound:
     faster and therefore sum without cancellation; near 0 the original
     series is evaluated directly (it is bounded there).
     """
+    return zonal_decay_bounds([a], mu)[0]
+
+
+def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
+    """`zonal_decay_bound` of every sequence, at one growth exponent mu.
+
+    The direct series of all sequences share one recurrence over the near
+    angles, and the transformed series one over the far angles; each bound
+    has the bits of its one-sequence call.
+    """
     mu = float(mu)
     if mu + 2.0 <= 0.0:
         raise ValueError("need mu + 2 > 0; the series bound does not apply otherwise")
     n_exp = least_integer_above(mu / 2.0 + 1.0)
 
-    ls = np.arange(a.offset, a.top + 1, dtype=float)
-    pos = ls >= 1
-    if not np.any(pos) or not np.any(a.values[pos] != 0.0):
-        return ZonalDecayBound(n_exp, 0.0)
-    scale = float(np.max(np.abs(a.values[pos]) * ls[pos] ** -mu))
-    scaled = CoeffSequence(a.offset, a.values / scale)
+    scaled = []  # (index, rescaled sequence) of the sequences with a nonzero term
+    for i, a in enumerate(seqs):
+        ls = np.arange(a.offset, a.top + 1, dtype=float)
+        pos = ls >= 1
+        if np.any(pos) and np.any(a.values[pos] != 0.0):
+            scale = float(np.max(np.abs(a.values[pos]) * ls[pos] ** -mu))
+            scaled.append((i, CoeffSequence(a.offset, a.values / scale)))
+    transformed = [multiply_cos_minus_one_power(s, n_exp) for _, s in scaled]
 
     split = DEFAULTS["series_bound_theta_split"]
-
-    sup = 0.0
     near = np.geomspace(DEFAULTS["theta_min"], split, 256, endpoint=False)
-    direct = zonal_series(scaled.values, np.cos(near), offset=scaled.offset)
-    sup = max(sup, float(np.max(np.abs(direct) * near ** (2 * n_exp))))
-
-    transformed = multiply_cos_minus_one_power(scaled, n_exp)
+    direct = zonal_series_rows([s.values for _, s in scaled], np.cos(near),
+                               [s.offset for _, s in scaled])
     far = np.linspace(split, math.pi, 1024)
-    numer = zonal_series(transformed.values, np.cos(far), offset=transformed.offset)
-    vals = np.abs(numer) * far ** (2 * n_exp) / np.abs(np.cos(far) - 1.0) ** n_exp
-    sup = max(sup, float(np.max(vals)))
-    return ZonalDecayBound(n_exp, sup)
+    numer = zonal_series_rows([s.values for s in transformed], np.cos(far),
+                              [s.offset for s in transformed])
+    sups = [0.0] * len(seqs)
+    for (i, _), d, u in zip(scaled, direct, numer):
+        vals = np.abs(u) * far ** (2 * n_exp) / np.abs(np.cos(far) - 1.0) ** n_exp
+        sups[i] = max(0.0, float(np.max(np.abs(d) * near ** (2 * n_exp))), float(np.max(vals)))
+    return [ZonalDecayBound(n_exp, sup) for sup in sups]
 
 
 def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
                            t_grid, eps_tail: float | None = None) -> VarianceScalingReport:
-    """Verify the variance floor: Cov(t, 1) * t^(2 - alpha) stable and positive."""
-    t_grid = tuple(float(t) for t in t_grid)
-    if not t_grid:
-        raise ValueError("empty scale grid")
-    scaled = []
-    for t in t_grid:
-        var = analytic_covariance(CorrelationQuery(profile, spectrum, t, 1.0), eps_tail)
-        scaled.append(var * t ** (2.0 - spectrum.alpha))
+    """Verify the variance floor: Cov(t, 1) * t^(2 - alpha) stable and positive.
+
+    The variances Cov(t, 1) of every scale come from one series call, all
+    rows at the one point x = 1.
+    """
+    t_grid = check_scale_grid(t_grid)
+    rows = [_covariance_zonal_coeffs(profile, spectrum, t, eps_tail) for t in t_grid]
+    variances = legendre_series_rows(rows, [1.0], [1] * len(rows))[:, 0].tolist()
+    scaled = [var * t ** (2.0 - spectrum.alpha) for t, var in zip(t_grid, variances)]
     lo, hi = min(scaled), max(scaled)
     ratio = hi / lo if lo > 0 else math.inf
     passed = lo > 0 and all(map(math.isfinite, scaled)) \

@@ -15,7 +15,6 @@ cos(m phi) for m > 0 and sin(|m| phi) for m < 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +26,10 @@ from .errors import DegreeCapExceeded
 __all__ = [
     "SphHarmPoint",
     "legendre_series",
+    "legendre_series_rows",
     "zonal_eval",
     "zonal_series",
+    "zonal_series_rows",
     "recursion_residual",
     "generating_function_check",
     "real_sph_harm",
@@ -80,11 +81,11 @@ class SphHarmPoint:
         return float(self.l * (self.l + 1))
 
 
-def _legendre_p(x, top: int):
+def _legendre_p(x: float, top: int):
     """Yield P_0(x) .. P_top(x) by (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}.
 
-    `x` is a checked float or array; each array element takes the float
-    operations of a lone float, so the two agree bit for bit.
+    `x` is a checked float.  `_series_rows` runs the same step on arrays,
+    with the same float operations, so the two agree bit for bit.
     """
     p_prev, p = 0.0, 1.0
     yield p
@@ -97,27 +98,101 @@ def legendre_series(coeffs: np.ndarray, x, offset: int = 0):
     """Sum of coeffs[l - offset] * P_l(x) over l = offset .. offset + len - 1.
 
     `x` may be a scalar or an array.  Terms are accumulated in ascending l
-    with Neumaier compensation, so the result is independent of how callers
-    batch or partition their evaluation points.
+    with compensation, so the result is independent of how callers batch or
+    partition their evaluation points.  This is the one-row case of
+    `legendre_series_rows`.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(_check_x(x))
+    out = _series_rows([np.asarray(coeffs, dtype=float)], [offset], xv.reshape(-1))[0]
+    return float(out[0]) if scalar else out.reshape(xv.shape)
 
-    total = np.zeros_like(xv)
-    carry = np.zeros_like(xv)
-    ps = itertools.islice(_legendre_p(xv, offset + coeffs.size - 1), offset, None)
-    for c, p in zip(coeffs, ps):
-        term = c * p
-        new = total + term
-        carry += np.where(np.abs(total) >= np.abs(term),
-                          (total - new) + term,
-                          (term - new) + total)
-        total = new
-    out = total + carry
-    return float(out[0]) if scalar else out
+
+def legendre_series_rows(rows, x, offsets) -> np.ndarray:
+    """Sums of rows[i][l - offsets[i]] * P_l(x), every row in one recurrence.
+
+    `x` is a scalar or a 1-d array of points shared by every row, or a 2-d
+    array with one row of points per coefficient row.  Returns an array of
+    shape (len(rows), points).  Rows may differ in length and offset; each
+    value has the bits of the one-row `legendre_series` call.
+    """
+    rows = [np.asarray(c, dtype=float) for c in rows]
+    offsets = list(offsets)
+    xv = np.atleast_1d(_check_x(x))
+    if len(offsets) != len(rows):
+        raise ValueError("need one offset per coefficient row")
+    if xv.ndim > 2 or (xv.ndim == 2 and xv.shape[0] != len(rows)):
+        raise ValueError("points must be shared (1-d) or one row per coefficient row (2-d)")
+    return _series_rows(rows, offsets, xv)
+
+
+def _series_rows(rows: list, offsets: list, x: np.ndarray) -> np.ndarray:
+    """The series loop: one degree recurrence for every coefficient row.
+
+    `x` is a checked 1-d array shared by all rows, or 2-d with a row of
+    points per coefficient row.  Rows are ordered by descending top degree,
+    so the rows still inside their window form a prefix and each step works
+    on that prefix only, in preallocated buffers.  A row reads zero below its
+    offset; those zero terms leave its sum and carry at +0.0, so each row
+    takes the float operations of a lone evaluation.  The compensation is
+    TwoSum (Ogita, Rump & Oishi 2005): it yields the exact rounding error
+    of each addition, the same value Neumaier's branch gives.
+    """
+    for c, offset in zip(rows, offsets):
+        if c.ndim != 1:
+            raise ValueError("each coefficient row must be 1-d")
+        if offset < 0:
+            raise ValueError("offset must be >= 0")
+    n, npts = len(rows), x.shape[-1]
+    out = np.zeros((n, npts))
+    tops = np.array([int(o) + c.size - 1 for c, o in zip(rows, offsets)], dtype=int)
+    order = np.argsort(-tops, kind="stable")
+    if n == 0 or tops[order[0]] < 0:
+        return out
+    top = int(tops[order[0]])
+    table = np.zeros((top + 1, n, 1))  # coefficient of degree l for sorted row j
+    for j, i in enumerate(order):
+        table[offsets[i]:tops[i] + 1, j, 0] = rows[i]
+    # live[l]: how many sorted rows still hold a degree-l term
+    live = np.searchsorted(-tops[order], -np.arange(top + 2), side="right")
+
+    shared = x.ndim == 1
+    x = x if shared else x[order]
+    total, new, carry, term, err = (np.zeros((n, npts)) for _ in range(5))
+    p, p_prev = np.ones(x.shape), np.zeros(x.shape)
+    work = err[0] if shared else err  # free between one step's sum and the next
+    k = n
+    tv, sv, cv, bv, ev = total, new, carry, term, err
+    for l in range(top + 1):
+        if live[l] < k:  # these rows ended at degree l - 1
+            out[order[live[l]:k]] = total[live[l]:k] + carry[live[l]:k]
+            k = int(live[l])
+            tv, sv, cv, bv, ev = total[:k], new[:k], carry[:k], term[:k], err[:k]
+        np.multiply(table[l, :k], p if shared else p[:k], out=bv)
+        # TwoSum: sv = tv + bv and ev = its rounding error, exactly
+        np.add(tv, bv, out=sv)
+        np.subtract(sv, tv, out=ev)
+        np.subtract(bv, ev, out=bv)
+        np.subtract(sv, ev, out=ev)
+        np.subtract(tv, ev, out=ev)
+        np.add(ev, bv, out=ev)
+        np.add(cv, ev, out=cv)
+        total, new, tv, sv = new, total, sv, tv
+        if l == top:
+            break
+        # (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, for the rows that go on
+        xj, pj, qj, wj = x, p, p_prev, work
+        if not shared:
+            j = live[l + 1]
+            xj, pj, qj, wj = x[:j], p[:j], p_prev[:j], work[:j]
+        np.multiply(xj, 2 * l + 1, out=wj)
+        np.multiply(wj, pj, out=wj)
+        np.multiply(qj, l, out=qj)
+        np.subtract(wj, qj, out=wj)
+        np.divide(wj, l + 1, out=qj)
+        p, p_prev = p_prev, p
+    out[order[:k]] = total[:k] + carry[:k]
+    return out
 
 
 def zonal_eval(l: int, x: float) -> float:
@@ -127,11 +202,24 @@ def zonal_eval(l: int, x: float) -> float:
     return (2 * l + 1) * p_l
 
 
-def zonal_series(values: np.ndarray, x, offset: int = 0):
-    """Sum of a_l * Z_l(x) = a_l (2l+1) P_l(x) for a coefficient window."""
+def _zonal_coeffs(values, offset: int) -> np.ndarray:
+    """a_l (2l+1) for the window a_offset .. a_top."""
     values = np.asarray(values, dtype=float)
     ls = np.arange(offset, offset + values.size)
-    return legendre_series(values * (2 * ls + 1), x, offset=offset)
+    return values * (2 * ls + 1)
+
+
+def zonal_series(values: np.ndarray, x, offset: int = 0):
+    """Sum of a_l * Z_l(x) = a_l (2l+1) P_l(x) for a coefficient window."""
+    return legendre_series(_zonal_coeffs(values, offset), x, offset=offset)
+
+
+def zonal_series_rows(rows, x, offsets) -> np.ndarray:
+    """`zonal_series` of every coefficient row in one recurrence; `x` as in
+    `legendre_series_rows`."""
+    offsets = list(offsets)
+    return legendre_series_rows([_zonal_coeffs(v, o) for v, o in zip(rows, offsets)],
+                                x, offsets)
 
 
 def recursion_residual(l: int, x: float) -> float:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import needlets.correlation as correlation_module
+import needlets.legendre as legendre_module
 from needlets import (
     CorrelationQuery,
     DecayHypothesisError,
@@ -157,6 +158,19 @@ class TestScaleAndCapDomain:
         assert res.stdout == ""
         assert res.stderr == "error: scale t must be finite and > 0\n"
 
+    @pytest.mark.parametrize("command", [
+        ("kernel", "--r", "1", "--theta", "0.1,0.5", "--t="),
+        ("correlation", "--r", "1", "--alpha", "3", "--cos-gamma", "0", "--t="),
+        ("simulate", "--r", "1", "--alpha", "3", "--d", "0.5", "--replicas", "100", "--t="),
+        ("verify", "--r", "1", "--alpha", "3", "--t-grid="),
+        ("verify", "--r", "1", "--alpha", "3", "--variance-t-grid="),
+    ], ids=["kernel", "correlation", "simulate", "verify", "verify-variance"])
+    def test_empty_scale_grid_is_config_error(self, command, capsys):
+        assert cli.main(list(command)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: empty scale grid\n"
+
     def test_junk_degree_cap_is_config_error(self):
         res = run("kernel", "--r", "1", "--t", "0.2", "--theta", "0.1",
                   env_extra={DEGREE_CAP_ENV: "abc"})
@@ -245,6 +259,14 @@ class TestVerifyCommand:
         assert res.returncode == 1
         report = json.loads(res.stdout)
         assert not report["checks"]["envelope"]["passed"]
+
+    def test_one_series_loop_per_check(self, count_calls, capsys):
+        # series bound: near and far angles; variance; localization
+        loops = count_calls(legendre_module, "_series_rows")
+        code = cli.main(["verify", "--r", "1", "--alpha", "3"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert len(loops) == 4
 
     def test_series_bound_hypothesis_is_config_error(self):
         res = run("verify", "--r", "1", "--alpha", "7")
