@@ -237,7 +237,11 @@ def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
         ls = np.arange(a.offset, a.top + 1, dtype=float)
         pos = ls >= 1
         if np.any(pos) and np.any(a.values[pos] != 0.0):
-            scale = float(np.max(np.abs(a.values[pos]) * ls[pos] ** -mu))
+            with np.errstate(over="ignore"):
+                scale = float(np.max(np.abs(a.values[pos]) * ls[pos] ** -mu))
+            if not math.isfinite(scale):
+                raise NumericFailure(f"growth constant of sequence {i} is {scale!r}; "
+                                     "cannot rescale it")
             scaled.append((i, CoeffSequence(a.offset, a.values / scale)))
     transformed = [multiply_cos_minus_one_power(s, n_exp) for _, s in scaled]
 
@@ -251,7 +255,12 @@ def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
     sups = [0.0] * len(seqs)
     for (i, _), d, u in zip(scaled, direct, numer):
         vals = np.abs(u) * far ** (2 * n_exp) / np.abs(np.cos(far) - 1.0) ** n_exp
-        sups[i] = max(0.0, float(np.max(np.abs(d) * near ** (2 * n_exp))), float(np.max(vals)))
+        near_sup = float(np.max(np.abs(d) * near ** (2 * n_exp)))
+        far_sup = float(np.max(vals))
+        if not (math.isfinite(near_sup) and math.isfinite(far_sup)):
+            raise NumericFailure(f"series bound of sequence {i} is not finite "
+                                 f"(near {near_sup!r}, far {far_sup!r})")
+        sups[i] = max(0.0, near_sup, far_sup)
     return [ZonalDecayBound(n_exp, sup) for sup in sups]
 
 

@@ -142,8 +142,9 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
                           oversample: float = 1.0) -> FrameBoundsEstimate:
     """Extremal squared singular values of the analysis matrix on degrees 1..L.
 
-    Assembled as a Gram matrix accumulated grid by grid, so memory stays
-    bounded for fine scales.  Degrees must have spectral coverage somewhere
+    Assembled as a Gram matrix accumulated grid by grid, from one hemisphere
+    of each grid and its mirror image, so memory stays bounded for fine
+    scales.  Degrees must have spectral coverage somewhere
     in j_range; the estimate is flagged ill-conditioned when the smallest
     squared singular value drops below 1e-12 of the largest.
     """
@@ -165,22 +166,64 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
         raise ValueError(
             f"degree {bad} has no spectral coverage in j_range {j_min}..{j_max}")
 
-    ncol = (L + 1) ** 2 - 1
-    gram = np.zeros((ncol, ncol))
-    for j in range(j_min, j_max + 1):
-        grid = build_grid(a, j, oversample)
-        factors = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * j), L))
-        mu_sq = 4.0 * math.pi / grid.n
-        for start in range(0, grid.n, _GRAM_BLOCK):
-            stop = min(start + _GRAM_BLOCK, grid.n)
-            y = sph_harm_matrix(L, grid.theta[start:stop], grid.phi[start:stop])
-            y *= factors
-            gram += mu_sq * (y.T @ y)
-
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(_frame_gram(profile, a, j_min, j_max, L, oversample))
     a_hat = float(eigs[0])
     b_hat = float(eigs[-1])
     ill = not (a_hat > 1e-12 * b_hat)
     return FrameBoundsEstimate(L=L, a_hat=a_hat, b_hat=b_hat,
                                j_range=(j_min, j_max), oversample=float(oversample),
                                ill_conditioned=ill)
+
+
+def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: int,
+                oversample: float) -> np.ndarray:
+    """The Gram matrix M^T M of the analysis matrix on degrees 1..L."""
+    ncol = (L + 1) ** 2 - 1
+    gram = np.zeros((ncol, ncol))
+    for j in range(j_min, j_max + 1):
+        grid = build_grid(a, j, oversample)
+        factors = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * j), L))
+        gram += (4.0 * math.pi / grid.n) * _grid_gram(L, grid, factors)
+    return gram
+
+
+def _grid_gram(L: int, grid: SphereGrid, factors: np.ndarray) -> np.ndarray:
+    """Sum of y^T y over the weighted harmonic rows y of one grid's points.
+
+    Point n-1-i of a Fibonacci grid is the mirror image of point i: z -> -z
+    and phi -> c - phi with c = (n-1) * golden angle.  So only the first
+    n // 2 points are summed, in blocks, as H; the other half enters as
+    R H R^T (see `_mirror_map`), and the middle point of an odd grid, its own
+    image, is added directly.
+    """
+    half = grid.n // 2
+    total = np.zeros((factors.size, factors.size))
+    for start in range(0, half, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, half)
+        y = sph_harm_matrix(L, grid.theta[start:stop], grid.phi[start:stop])
+        y *= factors
+        total += y.T @ y
+        del y  # free this block before the next one is built
+    pair, diag, off = _mirror_map(L, math.fmod((grid.n - 1) * _GOLDEN_ANGLE, 2.0 * math.pi))
+    mirrored = diag[:, None] * total + off[:, None] * total[pair]
+    total += mirrored * diag + mirrored[:, pair] * off
+    if grid.n % 2:
+        y = sph_harm_matrix(L, grid.theta[half:half + 1], grid.phi[half:half + 1]) * factors
+        total += y.T @ y
+    return total
+
+
+def _mirror_map(L: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The map R from Y(theta, phi) to Y(pi - theta, c - phi) on the flat layout.
+
+    P_{l,m}(-x) = (-1)^(l+m) P_{l,m}(x), and cos/sin(m (c - phi)) expand in
+    cos/sin(m c), so R pairs (l, m) with (l, -m) and has two nonzeros per
+    row: mirrored column k is diag[k] * y[:, k] + off[k] * y[:, pair[k]].
+    """
+    ls = sph_harm_flat_repeat(np.arange(1, L + 1))
+    ms = np.arange(ls.size) + 1 - ls * ls - ls
+    sign = 1.0 - 2.0 * ((ls + ms) % 2)
+    mc = np.abs(ms) * c
+    diag = np.where(ms < 0, -sign, sign) * np.cos(mc)
+    off = np.where(ms == 0, 0.0, sign * np.sin(mc))
+    return np.arange(ls.size) - 2 * ms, diag, off

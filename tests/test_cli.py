@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import needlets.correlation as correlation_module
@@ -250,6 +251,18 @@ class TestVerifyCommand:
         assert report["passed"]
         assert all(c["passed"] for c in report["checks"].values())
         assert report["defaults"]["stability_ratio"] == 10.0
+
+    def test_overflowing_series_bound_is_numeric_failure(self, tmp_path, capsys):
+        # c_l = 1e308 and mu = 4r - alpha = -1.9: the growth constant of the
+        # series bound overflows, which used to print sups of 0.0 and exit 1
+        path = tmp_path / "huge.csv"
+        path.write_text("l,c_l\n" + "".join(f"{l},1e308\n" for l in range(1, 4000)))
+        with np.errstate(all="ignore"):
+            code = cli.main(["verify", "--r", "1", "--spectrum", str(path), "--alpha", "5.9"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "growth constant of sequence 1 is inf" in err
 
     def test_broken_spectrum_fails_envelope(self, tmp_path):
         path = tmp_path / "bad.json"

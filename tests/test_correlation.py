@@ -265,6 +265,20 @@ class TestZonalDecayBound:
         n, sup = zonal_decay_bound(CoeffSequence(1, np.zeros(4)), 0.5)
         assert sup == 0.0
 
+    def test_overflowing_growth_constant_is_numeric_failure(self):
+        # 1e308 * 2^1 overflows: the rescaled sequence would be all zeros
+        with pytest.raises(NumericFailure, match="growth constant of sequence 0 is inf"):
+            zonal_decay_bound(CoeffSequence(1, np.array([1e300, 1e308])), -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_series_is_numeric_failure(self, bad):
+        # degree 0 stays out of the growth constant but enters the series
+        seq = CoeffSequence(0, np.array([bad, 1.0, 0.5]))
+        with pytest.raises(NumericFailure, match="series bound of sequence 1 is not finite"):
+            with np.errstate(invalid="ignore"):
+                correlation_module.zonal_decay_bounds(
+                    [CoeffSequence(1, np.array([1.0, 0.5])), seq], 1.0)
+
 
 class TestVarianceScaling:
     @pytest.mark.parametrize("alpha", [3.0, 4.0])

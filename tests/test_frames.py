@@ -1,6 +1,11 @@
 """Sphere grids, analysis coefficients, and frame-bound estimates."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +20,11 @@ from needlets import (
     grid_min_separation,
     profile_eval,
     real_sph_harm,
+    sph_harm_flat_repeat,
+    sph_harm_matrix,
+    spectral_weights,
 )
+from needlets import frames
 
 RNG = np.random.default_rng(20240817)
 PROFILE = NeedletProfile(1)
@@ -148,3 +157,103 @@ class TestFrameBounds:
         # 4 points cannot carry an 8-dimensional subspace
         est = estimate_frame_bounds(PROFILE, 2.0, (0, 0), 2, oversample=1.0)
         assert est.ill_conditioned
+
+
+def full_grid_gram(profile, a, j_min, j_max, L, oversample):
+    """The Gram matrix summed over every point of every grid, block by block."""
+    ncol = (L + 1) ** 2 - 1
+    gram = np.zeros((ncol, ncol))
+    for j in range(j_min, j_max + 1):
+        grid = build_grid(a, j, oversample)
+        factors = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * j), L))
+        mu_sq = 4.0 * math.pi / grid.n
+        for start in range(0, grid.n, frames._GRAM_BLOCK):
+            stop = min(start + frames._GRAM_BLOCK, grid.n)
+            y = sph_harm_matrix(L, grid.theta[start:stop], grid.phi[start:stop])
+            y *= factors
+            gram += mu_sq * (y.T @ y)
+    return gram
+
+
+def _mirror_sweep():
+    """(r, f0, a, oversample, L, j_min): every profile, dilation and
+    oversample, with L cycling through 1..24, plus two cases at L = 40 and one
+    whose finest grid is odd and spans several blocks per half.  j_min is
+    where the search for the coarsest accepted range starts."""
+    cases = []
+    for k, (r, f0, a) in enumerate(itertools.product(
+            (1, 2), ("exponential", "gaussian"), (1.5, 2.0, 3.0))):
+        for i, ov in enumerate((1.0, 1.3, 1.5, 2.0, 4.0)):
+            cases.append((r, f0, a, ov, (1, 7, 16, 24)[(k + i) % 4], 0))
+    cases += [(1, "exponential", 2.0, 1.3, 40, 0), (2, "gaussian", 3.0, 2.0, 40, 0),
+              (1, "exponential", 2.0, 1.3, 8, -7)]
+    return cases
+
+
+class TestMirrorGram:
+    """The Gram matrix from one hemisphere of each grid plus its mirror image."""
+
+    @pytest.mark.parametrize("L", [1, 2, 16, 64])
+    def test_mirror_map_gives_mirrored_harmonics(self, L):
+        rng = np.random.default_rng(L)
+        theta = np.concatenate([rng.uniform(0.0, math.pi, 40), [0.0, math.pi]])
+        phi = rng.uniform(0.0, 2.0 * math.pi, theta.size)
+        y = sph_harm_matrix(L, theta, phi)
+        for c in (*rng.uniform(0.0, 2.0 * math.pi, 3), 0.0):
+            pair, diag, off = frames._mirror_map(L, c)
+            mirrored = sph_harm_matrix(L, math.pi - theta, c - phi)
+            np.testing.assert_allclose(y * diag + y[:, pair] * off, mirrored,
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("oversample", [1.0, 1.3])
+    def test_grid_points_are_mirror_pairs(self, oversample):
+        grid = build_grid(2.0, -3, oversample)
+        c = math.fmod((grid.n - 1) * frames._GOLDEN_ANGLE, 2.0 * math.pi)
+        np.testing.assert_allclose(grid.theta[::-1], math.pi - grid.theta, rtol=0, atol=1e-12)
+        dphi = np.mod(grid.phi[::-1] - (c - grid.phi) + math.pi, 2.0 * math.pi) - math.pi
+        assert np.max(np.abs(dphi)) < 1e-9
+
+    @pytest.mark.parametrize("r, f0, a, oversample, L, j_min", _mirror_sweep(),
+                             ids=lambda v: str(v))
+    def test_bounds_match_full_grid_oracle(self, r, f0, a, oversample, L, j_min):
+        profile = NeedletProfile(r, f0)
+        while True:  # extend j_min down until the range resolves and covers 1..L
+            try:
+                est = estimate_frame_bounds(profile, a, (j_min, 0), L, oversample)
+                break
+            except ValueError as exc:
+                assert "spectral" in str(exc)
+                j_min -= 1
+        eigs = np.linalg.eigvalsh(full_grid_gram(profile, a, j_min, 0, L, oversample))
+        assert abs(est.a_hat - eigs[0]) <= 1e-13 * eigs[-1]
+        assert abs(est.b_hat - eigs[-1]) <= 1e-13 * eigs[-1]
+        assert est.ill_conditioned == (not eigs[0] > 1e-12 * eigs[-1])
+
+    def test_peak_memory_below_two_blocks(self):
+        L = 24
+        block_bytes = frames._GRAM_BLOCK * ((L + 1) ** 2 - 1) * 8
+        tracemalloc.start()
+        try:
+            estimate_frame_bounds(PROFILE, 2.0, (-7, -6), L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * block_bytes
+
+    def test_gram_bits_do_not_depend_on_blas_threads(self):
+        # the frame-L24 benchmark configuration; only eigvalsh may move bits
+        code = ("import hashlib\n"
+                "from needlets import NeedletProfile\n"
+                "from needlets.frames import _frame_gram\n"
+                "for ov in (1.0, 2.0):\n"
+                "    gram = _frame_gram(NeedletProfile(1), 2.0, -7, 0, 24, ov)\n"
+                "    print(hashlib.md5(gram.tobytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, env=env, timeout=300)
+            assert res.returncode == 0, res.stderr
+            digests.append(res.stdout)
+        assert len(digests[0].split()) == 2
+        assert digests[0] == digests[1]
