@@ -326,7 +326,9 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f0", default="exponential",
                    help="profile family (exponential|gaussian)")
     p.add_argument("--eps-tail", type=float, default=None,
-                   help=f"relative tail for truncation (default {DEFAULTS['eps_tail']})")
+                   help=f"relative tail for truncation, in (0, 1) (default "
+                        f"{DEFAULTS['eps_tail']}); a value below the rounding floor "
+                        "of the tail sum, about 1e-15, is a config error (exit 2)")
 
 
 def _add_spectrum_args(p: argparse.ArgumentParser) -> None:

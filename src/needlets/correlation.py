@@ -269,16 +269,19 @@ def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
     """Verify the variance floor: Cov(t, 1) * t^(2 - alpha) stable and positive.
 
     The variances Cov(t, 1) of every scale come from one series call, all
-    rows at the one point x = 1.
+    rows at the one point x = 1.  A scaled variance that is not finite raises
+    NumericFailure.
     """
     t_grid = check_scale_grid(t_grid)
     rows = [_covariance_zonal_coeffs(profile, spectrum, t, eps_tail) for t in t_grid]
     variances = legendre_series_rows(rows, [1.0], [1] * len(rows))[:, 0].tolist()
     scaled = [var * t ** (2.0 - spectrum.alpha) for t, var in zip(t_grid, variances)]
+    for t, value in zip(t_grid, scaled):
+        if not math.isfinite(value):
+            raise NumericFailure(f"scaled variance at t={t} is {value!r}")
     lo, hi = min(scaled), max(scaled)
     ratio = hi / lo if lo > 0 else math.inf
-    passed = lo > 0 and all(map(math.isfinite, scaled)) \
-        and ratio <= DEFAULTS["stability_ratio"]
+    passed = lo > 0 and ratio <= DEFAULTS["stability_ratio"]
     return VarianceScalingReport(t_grid=t_grid, scaled_variances=tuple(scaled),
                                  infimum=lo, ratio=ratio, passed=passed)
 

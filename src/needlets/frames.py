@@ -12,14 +12,18 @@ extremes of the ideal dilation sum computed by `calderon_bounds`.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .defaults import DEFAULTS
 from .kernels import NeedletProfile, choose_lmax, spectral_weights
-from .legendre import sph_harm_flat_repeat, sph_harm_matrix
+from .legendre import _paired_layout, _sph_harm_rows, sph_harm_flat_repeat, sph_harm_matrix
 
 __all__ = [
     "SphereGrid",
@@ -166,7 +170,7 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
         raise ValueError(
             f"degree {bad} has no spectral coverage in j_range {j_min}..{j_max}")
 
-    eigs = np.linalg.eigvalsh(_frame_gram(profile, a, j_min, j_max, L, oversample))
+    eigs = _eigvalsh_one_thread(_frame_gram(profile, a, j_min, j_max, L, oversample))
     a_hat = float(eigs[0])
     b_hat = float(eigs[-1])
     ill = not (a_hat > 1e-12 * b_hat)
@@ -175,55 +179,101 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
                                ill_conditioned=ill)
 
 
+def _eigvalsh_one_thread(gram: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh on one BLAS thread, so its bits do not depend on the
+    thread count; the previous count is restored afterwards."""
+    threads = _openblas_threads()
+    if threads is None:
+        return np.linalg.eigvalsh(gram)
+    get_threads, set_threads = threads
+    previous = get_threads()
+    set_threads(1)
+    try:
+        return np.linalg.eigvalsh(gram)
+    finally:
+        set_threads(previous)
+
+
+@functools.cache
+def _openblas_threads():
+    """The get and set thread-count functions of the OpenBLAS bundled with
+    numpy, or None for a numpy without one.  Loaded on first use."""
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                         "numpy.libs", "libscipy_openblas64_*.so*")))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    get_threads = lib.scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads = lib.scipy_openblas_set_num_threads64_
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
 def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: int,
                 oversample: float) -> np.ndarray:
-    """The Gram matrix M^T M of the analysis matrix on degrees 1..L."""
-    ncol = (L + 1) ** 2 - 1
-    gram = np.zeros((ncol, ncol))
+    """The Gram matrix M^T M of the analysis matrix on degrees 1..L.
+
+    Each grid adds its blocks in the paired layout of `legendre._paired_layout`
+    (the + by - block only above the diagonal); the matrix is completed and put
+    in the flat layout once, at the end.
+    """
+    flat, n_plus = _paired_layout(L)
+    ls = sph_harm_flat_repeat(np.arange(1, L + 1))[flat]
+    ms = flat + 1 - ls * ls - ls
+    gram = np.zeros((flat.size, flat.size))
     for j in range(j_min, j_max + 1):
         grid = build_grid(a, j, oversample)
-        factors = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * j), L))
-        gram += (4.0 * math.pi / grid.n) * _grid_gram(L, grid, factors)
-    return gram
+        weights = spectral_weights(profile, a ** (2 * j), L)[ls - 1]
+        _add_grid_gram(gram, n_plus, L, grid, weights, ms)
+    gram[n_plus:, :n_plus] = gram[:n_plus, n_plus:].T
+    order = np.argsort(flat)
+    return gram[np.ix_(order, order)]
 
 
-def _grid_gram(L: int, grid: SphereGrid, factors: np.ndarray) -> np.ndarray:
-    """Sum of y^T y over the weighted harmonic rows y of one grid's points.
+def _add_grid_gram(gram: np.ndarray, n_plus: int, L: int, grid: SphereGrid,
+                   weights: np.ndarray, ms: np.ndarray) -> None:
+    """Add (4 pi / n) times the sum of y y^T over one grid's points to `gram`.
 
+    y holds the harmonics at a point in the paired layout, row i scaled by
+    weights[i], the spectral weight f_l of its degree; ms[i] is its order m.
     Point n-1-i of a Fibonacci grid is the mirror image of point i: z -> -z
-    and phi -> c - phi with c = (n-1) * golden angle.  So only the first
-    n // 2 points are summed, in blocks, as H; the other half enters as
-    R H R^T (see `_mirror_map`), and the middle point of an odd grid, its own
-    image, is added directly.
+    and phi -> c - phi with c = (n-1) * golden angle.  At azimuth
+    psi = phi - c/2 the mirror is psi -> -psi, which keeps the + rows and
+    negates the - rows, so a point and its image add twice the + by + and
+    - by - blocks of y y^T and cancel the rest.  Only the first n // 2 points
+    are evaluated, into the half-width products A+ and A-; the middle point of
+    an odd grid, its own image, enters at half weight.  Going back from psi to
+    phi turns pair k, + row k = (l, m) and - row k = (l, -m), by m c / 2:
+    + row k becomes cos(m c/2) (+ row k) - sin(m c/2) (- row k) and - row k
+    becomes sin(m c/2) (+ row k) + cos(m c/2) (- row k).  With the weights and
+    sqrt(8 pi / n) folded into the cos and sin, that is a few elementwise
+    products of quarter-size blocks.
     """
-    half = grid.n // 2
-    total = np.zeros((factors.size, factors.size))
-    for start in range(0, half, _GRAM_BLOCK):
-        stop = min(start + _GRAM_BLOCK, half)
-        y = sph_harm_matrix(L, grid.theta[start:stop], grid.phi[start:stop])
-        y *= factors
-        total += y.T @ y
-        del y  # free this block before the next one is built
-    pair, diag, off = _mirror_map(L, math.fmod((grid.n - 1) * _GOLDEN_ANGLE, 2.0 * math.pi))
-    mirrored = diag[:, None] * total + off[:, None] * total[pair]
-    total += mirrored * diag + mirrored[:, pair] * off
-    if grid.n % 2:
-        y = sph_harm_matrix(L, grid.theta[half:half + 1], grid.phi[half:half + 1]) * factors
-        total += y.T @ y
-    return total
+    npair = L * (L + 1) // 2
+    c = math.fmod((grid.n - 1) * _GOLDEN_ANGLE, 2.0 * math.pi)
+    count = (grid.n + 1) // 2
+    psi = grid.phi[:count] - 0.5 * c
+    plus = np.zeros((n_plus, n_plus))
+    minus = np.zeros((gram.shape[0] - n_plus,) * 2)
+    for start in range(0, count, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, count)
+        rows = _sph_harm_rows(1, L, grid.theta[start:stop], psi[start:stop], paired=True)
+        if grid.n % 2 and stop == count:
+            rows[:, -1] *= math.sqrt(0.5)
+        plus += rows[:n_plus] @ rows[:n_plus].T
+        minus += rows[n_plus:] @ rows[n_plus:].T
+        del rows  # free this block before the next one is built
 
-
-def _mirror_map(L: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The map R from Y(theta, phi) to Y(pi - theta, c - phi) on the flat layout.
-
-    P_{l,m}(-x) = (-1)^(l+m) P_{l,m}(x), and cos/sin(m (c - phi)) expand in
-    cos/sin(m c), so R pairs (l, m) with (l, -m) and has two nonzeros per
-    row: mirrored column k is diag[k] * y[:, k] + off[k] * y[:, pair[k]].
-    """
-    ls = sph_harm_flat_repeat(np.arange(1, L + 1))
-    ms = np.arange(ls.size) + 1 - ls * ls - ls
-    sign = 1.0 - 2.0 * ((ls + ms) % 2)
-    mc = np.abs(ms) * c
-    diag = np.where(ms < 0, -sign, sign) * np.cos(mc)
-    off = np.where(ms == 0, 0.0, sign * np.sin(mc))
-    return np.arange(ls.size) - 2 * ms, diag, off
+    g = math.sqrt(8.0 * math.pi / grid.n) * weights
+    turn = ms * (0.5 * c)
+    cos, sin = g * np.cos(turn), (g * np.sin(turn))[:npair]
+    d_plus, d_minus = cos[:n_plus], cos[n_plus:]
+    top, side, cross = gram[:n_plus, :n_plus], gram[n_plus:, n_plus:], gram[:n_plus, n_plus:]
+    sin_sin = np.outer(sin, sin)
+    top += plus * np.outer(d_plus, d_plus)
+    top[:npair, :npair] += minus[:npair, :npair] * sin_sin
+    side += minus * np.outer(d_minus, d_minus)
+    side[:npair, :npair] += plus[:npair, :npair] * sin_sin
+    cross[:, :npair] += plus[:, :npair] * np.outer(d_plus, sin)
+    cross[:npair] -= minus[:npair] * np.outer(sin, d_minus)

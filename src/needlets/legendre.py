@@ -312,10 +312,13 @@ _MIN_NORMAL_EXP = -1021  # frexp exponent of the smallest normal double
 _REJOIN_EXP = -960
 
 
-def _sph_harm_rows(lmin: int, lmax: int, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+def _sph_harm_rows(lmin: int, lmax: int, th: np.ndarray, ph: np.ndarray,
+                   paired: bool = False) -> np.ndarray:
     """Real harmonics of degrees lmin..lmax (lmin >= 1), one row per (l, m).
 
-    Row l*l - lmin*lmin + (m + l) holds Y_{l,m} at every point.  The degree
+    Row l*l - lmin*lmin + (m + l) holds Y_{l,m} at every point; with
+    `paired` (and lmin = 1) the rows come in the order of `_paired_layout`
+    instead, with the same bits.  The degree
     is stepped once; each step advances all orders m <= l together with
     points on the contiguous axis, using the normalized recurrence
 
@@ -366,12 +369,48 @@ def _sph_harm_rows(lmin: int, lmax: int, th: np.ndarray, ph: np.ndarray) -> np.n
         if lost.any():
             ext.add(l, np.flatnonzero(lost), seed[lost], seed_exp[lost])
 
-        if l >= lmin:
+        if paired:
+            _write_paired(out, l, lmax, p_cur, ccol, scol)
+        elif l >= lmin:
             base = l * l - lmin * lmin
             out[base + l] = p_cur[0]
             np.multiply(ccol[1:l + 1], p_cur[1:l + 1], out=out[base + l + 1:base + 2 * l + 1])
             np.multiply(scol[l:0:-1], p_cur[l:0:-1], out=out[base:base + l])
     return out
+
+
+def _paired_layout(lmax: int) -> tuple[np.ndarray, int]:
+    """Flat-layout column of each row of the paired layout, and its count of + rows.
+
+    The mirror z -> -z, phi -> -phi keeps the + harmonics (cos-type and zonal
+    with l + m even, sin-type with l + |m| odd) and negates the - ones, which
+    come after them.  In each part, row k < lmax (lmax + 1) / 2 belongs to the
+    pair k = l (l - 1) / 2 + m - 1 of (l, m) and (l, -m), one of which is +
+    and the other -; the zonal rows of even degrees follow in the + part, those
+    of odd degrees in the - part.
+    """
+    ls = np.repeat(np.arange(1, lmax + 1), np.arange(1, lmax + 1))
+    ms = np.arange(ls.size) - ls * (ls - 1) // 2 + 1
+    cos_kept = (ls + ms) % 2 == 0
+    cos_col, sin_col = sph_harm_flat_index(ls, ms), sph_harm_flat_index(ls, -ms)
+    zonal = sph_harm_flat_index(np.arange(1, lmax + 1), 0)
+    plus = np.concatenate([np.where(cos_kept, cos_col, sin_col), zonal[1::2]])
+    minus = np.concatenate([np.where(cos_kept, sin_col, cos_col), zonal[::2]])
+    return np.concatenate([plus, minus]), plus.size
+
+
+def _write_paired(out, l: int, lmax: int, p, ccol, scol) -> None:
+    """Write degree l's harmonics into `out` in the order of `_paired_layout`."""
+    npair = lmax * (lmax + 1) // 2
+    n_plus = npair + lmax // 2
+    lo = l * (l - 1) // 2
+    plus, minus = out[lo:lo + l], out[n_plus + lo:n_plus + lo + l]
+    # orders with l + m even have cos kept and sin negated, odd ones the reverse
+    even = 2 - l % 2
+    for m0, kept, negated in ((even, ccol, scol), (3 - even, scol, ccol)):
+        np.multiply(kept[m0:l + 1:2], p[m0:l + 1:2], out=plus[m0 - 1::2])
+        np.multiply(negated[m0:l + 1:2], p[m0:l + 1:2], out=minus[m0 - 1::2])
+    out[npair + (l - 1) // 2 + (n_plus if l % 2 else 0)] = p[0]
 
 
 def _recurrence_coeffs(l: int, m: np.ndarray):

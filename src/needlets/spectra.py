@@ -28,6 +28,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .defaults import DEFAULTS
+from .errors import NumericFailure
 
 __all__ = [
     "PowerSpectrum",
@@ -181,7 +182,8 @@ def verify_envelope(ps: PowerSpectrum, l_max: int) -> EnvelopeEstimate:
 
     The estimate fails when the spread k1/k0 exceeds the configured
     `envelope_ratio_cap`, which is the signature of a declared alpha that
-    does not match the true decay.
+    does not match the true decay.  Extremes that are not finite raise
+    NumericFailure.
     """
     l_max = int(l_max)
     if l_max < 10:
@@ -190,8 +192,10 @@ def verify_envelope(ps: PowerSpectrum, l_max: int) -> EnvelopeEstimate:
     scaled = spectrum_eval(ps, ls) * ls ** ps.alpha
     k0 = float(np.min(scaled))
     k1 = float(np.max(scaled))
+    if not (math.isfinite(k0) and math.isfinite(k1)):
+        raise NumericFailure(f"envelope extremes of u(l) l^alpha are not finite: {k0!r}, {k1!r}")
     ratio = k1 / k0 if k0 > 0 else math.inf
-    passed = k0 > 0 and math.isfinite(k1) and ratio <= DEFAULTS["envelope_ratio_cap"]
+    passed = k0 > 0 and ratio <= DEFAULTS["envelope_ratio_cap"]
     return EnvelopeEstimate(k0_hat=k0, k1_hat=k1, ratio=ratio, l_max=l_max, passed=passed)
 
 
@@ -202,7 +206,8 @@ def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window) -> Derivative
     derivatives.  The window is split into four logarithmic segments; an
     order fails when the sup in the last segment exceeds the configured
     `difference_growth_tol` times the sup in the first, i.e. when the
-    weighted differences grow instead of staying level.
+    weighted differences grow instead of staying level.  Weighted differences
+    that are not finite raise NumericFailure.
     """
     k_max = int(k_max)
     if not 0 <= k_max <= 4:
@@ -221,6 +226,8 @@ def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window) -> Derivative
         base = ls[:dk.size]
         keep = base <= l_max
         weighted = np.abs(dk[keep]) * base[keep] ** (ps.alpha + k)
+        if not np.all(np.isfinite(weighted)):
+            raise NumericFailure(f"weighted differences of order {k} are not finite")
         sups = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             seg = weighted[(base[keep] >= lo) & (base[keep] <= hi)]

@@ -133,6 +133,16 @@ class TestCorrelationCommand:
         assert len(rows_of(capsys.readouterr().out.split("\n\n")[0])) == 12
         assert (len(scans), len(series)) == (3, 3)
 
+    def test_eps_tail_below_rounding_floor_is_config_error(self):
+        # this used to crash with an IndexError, exit 1 ("verification FAIL")
+        res = run("correlation", "--r", "1", "--alpha", "3", "--t", "0.05",
+                  "--cos-gamma", "0", "--eps-tail", "1e-16")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: eps_tail=1e-16 is below the rounding floor")
+        assert "exit 2" in run("correlation", "--help").stdout
+
     def test_nan_distance_is_config_error(self):
         res = run("correlation", "--r", "1", "--alpha", "3", "--t", "0.2", "--d", "nan")
         assert res.returncode == 2
@@ -264,6 +274,17 @@ class TestVerifyCommand:
         assert out == ""
         assert "growth constant of sequence 1 is inf" in err
 
+    @pytest.mark.parametrize("alpha", ["3", "4"])
+    def test_overflowing_variance_is_numeric_failure(self, tmp_path, alpha):
+        # mu = 4r - alpha >= 0 keeps the series bound finite; the variances
+        # and envelope overflow, which used to print NaN and Infinity
+        path = tmp_path / "huge.csv"
+        path.write_text("l,c_l\n" + "".join(f"{l},1e308\n" for l in range(1, 4000)))
+        res = run("verify", "--r", "1", "--spectrum", str(path), "--alpha", alpha)
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "error: scaled variance at t=0.2 is nan" in res.stderr
+
     def test_broken_spectrum_fails_envelope(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"family": "rational_log", "alpha": 3.0, "beta": 2.0,'
@@ -339,6 +360,17 @@ class TestDeterminism:
                                     "OMP_NUM_THREADS": "1"})
         four = run(*case, env_extra={"OPENBLAS_NUM_THREADS": "4",
                                      "OMP_NUM_THREADS": "4"})
+        assert one.stdout == four.stdout
+
+    def test_frame_thread_count_does_not_change_bytes(self):
+        # the frame-L16 benchmark line, whose last digits used to differ
+        case = ("frame", "--r", "1", "--a", "2", "--L", "16", "--j-range=-6:0",
+                "--oversample", "1,2,4")
+        one = run(*case, env_extra={"OPENBLAS_NUM_THREADS": "1",
+                                    "OMP_NUM_THREADS": "1"})
+        four = run(*case, env_extra={"OPENBLAS_NUM_THREADS": "4",
+                                     "OMP_NUM_THREADS": "4"})
+        assert one.returncode == four.returncode == 0
         assert one.stdout == four.stdout
 
     def test_output_files_byte_identical(self, tmp_path):

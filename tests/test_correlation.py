@@ -27,6 +27,7 @@ from needlets import (
     power_spectrum,
     profile_eval,
     spectrum_eval,
+    tabulated_spectrum,
     variance_scaling_check,
     zonal_decay_bound,
     zonal_series,
@@ -292,6 +293,13 @@ class TestVarianceScaling:
     def test_single_scale_trivially_passes(self):
         rep = variance_scaling_check(PROFILE, SPECTRUM, [0.1])
         assert rep.passed and rep.ratio == 1.0
+
+    def test_overflowing_variance_is_numeric_failure(self):
+        # the coefficients c_l f^2 (2l+1) overflow and the series sums to NaN,
+        # which used to be reported as the scaled variances
+        huge = tabulated_spectrum(range(1, 4000), [1e308] * 3999, 3.0)
+        with np.errstate(all="ignore"), pytest.raises(NumericFailure, match="scaled variance at t=0.2"):
+            variance_scaling_check(PROFILE, huge, [0.2, 0.1])
 
 
 class TestCorrelationDecay:

@@ -25,6 +25,11 @@ from needlets import (
     spectral_weights,
 )
 from needlets import frames
+from needlets.legendre import _paired_layout, _sph_harm_rows
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 RNG = np.random.default_rng(20240817)
 PROFILE = NeedletProfile(1)
@@ -190,20 +195,77 @@ def _mirror_sweep():
     return cases
 
 
+def _points(L, count=40):
+    rng = np.random.default_rng(1000 + L)
+    theta = np.concatenate([rng.uniform(0.0, math.pi, count), [0.0, math.pi]])
+    return theta, rng.uniform(0.0, 2.0 * math.pi, theta.size)
+
+
+class TestPairedLayout:
+    """Harmonic rows ordered by mirror parity, each + row beside its pair."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 16, 64])
+    def test_layout_is_a_parity_split_permutation(self, L):
+        flat, n_plus = _paired_layout(L)
+        assert np.array_equal(np.sort(flat), np.arange((L + 1) ** 2 - 1))
+        ls = np.floor(np.sqrt(flat + 1)).astype(int)
+        ms = flat + 1 - ls * ls - ls
+        # + : cos-type or zonal with l + m even, sin-type with l + |m| odd
+        plus = np.where(ms >= 0, (ls + ms) % 2 == 0, (ls + ms) % 2 == 1)
+        assert np.all(plus[:n_plus]) and not np.any(plus[n_plus:])
+        npair = L * (L + 1) // 2
+        # + row k and - row k of the first npair rows are (l, m) and (l, -m)
+        assert np.array_equal(ls[:npair], ls[n_plus:n_plus + npair])
+        assert np.array_equal(np.abs(ms[:npair]), np.abs(ms[n_plus:n_plus + npair]))
+        assert np.all(ms[:npair] != 0) and np.all(ms[:npair] == -ms[n_plus:n_plus + npair])
+        assert np.all(ms[npair:n_plus] == 0) and np.all(ms[n_plus + npair:] == 0)
+
+    @pytest.mark.parametrize("L", [1, 2, 16, 64])
+    def test_paired_rows_are_permuted_columns_bit_for_bit(self, L):
+        theta, phi = _points(L)
+        c = 2.5
+        psi = phi - c / 2
+        flat = _paired_layout(L)[0]
+        rows = _sph_harm_rows(1, L, theta, psi, paired=True)
+        assert np.array_equal(rows, sph_harm_matrix(L, theta, psi)[:, flat].T)
+
+    @pytest.mark.parametrize("L", [1, 2, 16, 64])
+    def test_turning_by_half_c_gives_the_harmonics_at_phi(self, L):
+        # Y_{l,m}(phi) = cos(m c/2) Y_{l,m}(psi) - sin(m c/2) Y_{l,-m}(psi) and
+        # Y_{l,-m}(phi) = sin(m c/2) Y_{l,m}(psi) + cos(m c/2) Y_{l,-m}(psi)
+        theta, phi = _points(L)
+        flat = _paired_layout(L)[0]
+        for c in (0.3, 4.0, 2.0 * math.pi - 0.1):
+            rows = _sph_harm_rows(1, L, theta, phi - c / 2, paired=True)
+            at_psi = np.empty_like(rows)
+            at_psi[flat] = rows
+            turned = at_psi.copy()
+            for l in range(1, L + 1):
+                for m in range(1, l + 1):
+                    pos, neg = l * l - 1 + l + m, l * l - 1 + l - m
+                    cm, sm = math.cos(m * c / 2), math.sin(m * c / 2)
+                    turned[pos] = cm * at_psi[pos] - sm * at_psi[neg]
+                    turned[neg] = sm * at_psi[pos] + cm * at_psi[neg]
+            np.testing.assert_allclose(turned.T, sph_harm_matrix(L, theta, phi),
+                                       rtol=0.0, atol=1e-12)
+
+
 class TestMirrorGram:
     """The Gram matrix from one hemisphere of each grid plus its mirror image."""
 
     @pytest.mark.parametrize("L", [1, 2, 16, 64])
     def test_mirror_map_gives_mirrored_harmonics(self, L):
+        # at azimuth phi - c/2 the mirror (pi - theta, c - phi) keeps the +
+        # rows of the paired layout and negates the - rows
         rng = np.random.default_rng(L)
         theta = np.concatenate([rng.uniform(0.0, math.pi, 40), [0.0, math.pi]])
         phi = rng.uniform(0.0, 2.0 * math.pi, theta.size)
-        y = sph_harm_matrix(L, theta, phi)
+        n_plus = _paired_layout(L)[1]
         for c in (*rng.uniform(0.0, 2.0 * math.pi, 3), 0.0):
-            pair, diag, off = frames._mirror_map(L, c)
-            mirrored = sph_harm_matrix(L, math.pi - theta, c - phi)
-            np.testing.assert_allclose(y * diag + y[:, pair] * off, mirrored,
-                                       rtol=0.0, atol=1e-12)
+            y = _sph_harm_rows(1, L, theta, phi - c / 2, paired=True)
+            mirrored = _sph_harm_rows(1, L, math.pi - theta, (c - phi) - c / 2, paired=True)
+            np.testing.assert_allclose(mirrored[:n_plus], y[:n_plus], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(mirrored[n_plus:], -y[n_plus:], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("oversample", [1.0, 1.3])
     def test_grid_points_are_mirror_pairs(self, oversample):
@@ -228,6 +290,16 @@ class TestMirrorGram:
         assert abs(est.a_hat - eigs[0]) <= 1e-13 * eigs[-1]
         assert abs(est.b_hat - eigs[-1]) <= 1e-13 * eigs[-1]
         assert est.ill_conditioned == (not eigs[0] > 1e-12 * eigs[-1])
+
+    @pytest.mark.parametrize("r, f0, a, oversample, L, j_min",
+                             [(1, "exponential", 2.0, 1.3, 8, -7), (2, "gaussian", 3.0, 1.5, 7, -3),
+                              (1, "gaussian", 1.5, 2.0, 3, -4)], ids=lambda v: str(v))
+    def test_gram_matches_full_grid_oracle(self, r, f0, a, oversample, L, j_min):
+        # entrywise: a sign flip of every - column leaves the bounds alone
+        profile = NeedletProfile(r, f0)
+        gram = frames._frame_gram(profile, a, j_min, 0, L, oversample)
+        oracle = full_grid_gram(profile, a, j_min, 0, L, oversample)
+        assert np.max(np.abs(gram - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_peak_memory_below_two_blocks(self):
         L = 24
@@ -257,3 +329,48 @@ class TestMirrorGram:
             digests.append(res.stdout)
         assert len(digests[0].split()) == 2
         assert digests[0] == digests[1]
+
+
+_PROFILES = st.sampled_from([(1, "exponential"), (2, "exponential"),
+                             (1, "gaussian"), (2, "gaussian")])
+
+
+class TestGramProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(_PROFILES, st.sampled_from([1.5, 2.0, 3.0]),
+           st.sampled_from([1.0, 1.3, 1.5, 2.0, 2.7]), st.integers(1, 12))
+    def test_symmetric_psd_and_ordered_bounds(self, rf, a, oversample, L):
+        profile = NeedletProfile(*rf)
+        j_min = 0
+        while True:  # the coarsest range that resolves and covers 1..L
+            try:
+                est = estimate_frame_bounds(profile, a, (j_min, 0), L, oversample)
+                break
+            except ValueError as exc:
+                assert "spectral" in str(exc)
+                j_min -= 1
+        gram = frames._frame_gram(profile, a, j_min, 0, L, oversample)
+        assert np.array_equal(gram, gram.T)
+        eigs = np.linalg.eigvalsh(gram)
+        assert eigs[0] >= -1e-13 * eigs[-1]
+        assert est.a_hat <= est.b_hat
+
+
+class TestOneThreadEigensolver:
+    def test_bundled_openblas_thread_functions_found(self):
+        threads = frames._openblas_threads()
+        assert threads is not None, "numpy's bundled OpenBLAS was not found"
+        get_threads, set_threads = threads  # an AttributeError names a missing symbol
+        before = get_threads()
+        try:
+            set_threads(1)
+            assert get_threads() == 1
+        finally:
+            set_threads(before)
+        assert get_threads() == before
+
+    def test_thread_count_restored(self):
+        get_threads = frames._openblas_threads()[0]
+        before = get_threads()
+        estimate_frame_bounds(PROFILE, 2.0, (-3, 0), 8)
+        assert get_threads() == before

@@ -164,6 +164,12 @@ class TestChooseLmax:
         with pytest.raises(DegreeCapExceeded):
             choose_lmax(NeedletProfile(1), 0.01, 1e-12)
 
+    @pytest.mark.parametrize("r, t, eps", [(1, 0.05, 1e-16), (2, 0.0125, 1e-15)])
+    def test_eps_below_rounding_floor_is_value_error(self, r, t, eps):
+        # no prefix of the tail sums reaches eps; this used to be an IndexError
+        with pytest.raises(ValueError, match="below the rounding floor"):
+            choose_lmax(NeedletProfile(r), t, eps, squared=True)
+
     def test_floor_of_eight(self):
         assert choose_lmax(NeedletProfile(1), 5.0, 1e-6) >= 8
 

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from needlets import (
+    NumericFailure,
     load_spectrum_csv,
     load_spectrum_json,
     power_spectrum,
@@ -82,8 +83,19 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             verify_envelope(power_spectrum(3.0), 5)
 
+    def test_overflowing_envelope_is_numeric_failure(self):
+        # c_l l^alpha overflows to inf, which used to be reported as k1_hat
+        huge = tabulated_spectrum(range(1, 101), [1e308] * 100, 3.0)
+        with np.errstate(over="ignore"), pytest.raises(NumericFailure, match="not finite"):
+            verify_envelope(huge, 100)
+
 
 class TestDerivativeDecay:
+    def test_overflowing_differences_are_numeric_failure(self):
+        huge = tabulated_spectrum(range(1, 101), [1e308] * 100, 3.0)
+        with np.errstate(over="ignore"), pytest.raises(NumericFailure, match="order 0"):
+            verify_derivative_decay(huge, 1, (10, 90))
+
     def test_power_law_zeroth_order(self):
         rep = verify_derivative_decay(power_spectrum(3.0), 0, (10, 2000))
         assert rep.c_estimates[0] == pytest.approx(1.0, abs=1e-12)
