@@ -17,6 +17,7 @@ from .correlation import (
     correlation_decay_check,
     correlation_series,
     covariance_coefficients,
+    covariance_sequence,
     covariance_series,
     decay_exponents,
     fit_correlation_decay,

@@ -10,10 +10,11 @@ and the correlation is Cov(t, cos gamma) / Cov(t, 1).  For spectra with
 power-law envelope l^(-alpha) and profiles f(s) = s^r f0(s) with
 4r + 2 > alpha, the correlation at fixed geodesic distance d = arccos(cos
 gamma) is bounded by C t^(4r - alpha + 2) / d^(2N), N the least positive
-integer above 2r - alpha/2 + 1.  `covariance_series` is the engine: one
-truncation scan and one series call per scale, over all of that scale's
-evaluation points, and `correlation_series` is the one place that divides
-by the variance.  `correlation_decay_check` verifies the rate empirically
+integer above 2r - alpha/2 + 1.  `covariance_sequence` is the one place
+that truncates the series: one scan of the squared profile per scale.
+`covariance_series` sums it in one series call per scale, over all of that
+scale's evaluation points, and `correlation_series` is the one place that
+divides by the variance.  `correlation_decay_check` verifies the rate empirically
 on a scale grid (`fit_correlation_decay` fits correlations already at hand);
 `zonal_decay_bound` estimates the constant of the underlying series bound;
 `variance_scaling_check` confirms the variance floor Cov(t, 1) ~ t^(alpha - 2)
@@ -37,9 +38,10 @@ from .kernels import (
     check_scale_grid,
     choose_lmax,
     spectral_weights,
+    spread,
 )
-from .legendre import X_DOMAIN_TOL, legendre_series, legendre_series_rows, zonal_series_rows
-from .spectra import PowerSpectrum, spectrum_eval
+from .legendre import X_DOMAIN_TOL, legendre_series, zonal_series_rows
+from .spectra import PowerSpectrum, positive_spectrum
 
 __all__ = [
     "CorrelationQuery",
@@ -54,6 +56,7 @@ __all__ = [
     "analytic_covariance",
     "analytic_correlation",
     "covariance_coefficients",
+    "covariance_sequence",
     "zonal_decay_bound",
     "zonal_decay_bounds",
     "variance_scaling_check",
@@ -115,9 +118,9 @@ class ZonalDecayBound(NamedTuple):
     sup_value: float
 
 
-def least_integer_above(x: float, floor: int = 1) -> int:
-    """Least integer strictly greater than x, clamped below by `floor`."""
-    return max(floor, math.floor(x) + 1)
+def least_integer_above(x: float) -> int:
+    """Least positive integer strictly greater than x."""
+    return max(1, math.floor(x) + 1)
 
 
 def check_decay_hypothesis(profile: NeedletProfile, spectrum: PowerSpectrum) -> None:
@@ -139,20 +142,20 @@ def covariance_coefficients(profile: NeedletProfile, spectrum: PowerSpectrum,
                             t: float, lmax: int) -> CoeffSequence:
     """Coefficients a_l = f(t^2 l(l+1))^2 c_l of the covariance zonal series.
 
-    Stored for l = 1..lmax; a_0 reads as 0 by the window convention.
+    Stored for l = 1..lmax; a_0 reads as 0 by the window convention.  A
+    spectrum with some c_l <= 0 below lmax is refused (ValueError).
     """
     check_scale(t)
     f = spectral_weights(profile, t * t, lmax)
-    c = spectrum_eval(spectrum, np.arange(1, int(lmax) + 1))
-    return CoeffSequence(1, f * f * c)
+    return CoeffSequence(1, f * f * positive_spectrum(spectrum, lmax))
 
 
-def _covariance_zonal_coeffs(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
-                             eps_tail: float | None) -> np.ndarray:
-    """a_l (2l+1) for l = 1..lmax, lmax from one truncation scan of the squared profile."""
-    lmax = choose_lmax(profile, t, eps_tail, squared=True)
-    ls = np.arange(1, lmax + 1, dtype=float)
-    return covariance_coefficients(profile, spectrum, t, lmax).values * (2.0 * ls + 1.0)
+def covariance_sequence(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
+                        eps_tail: float | None = None) -> CoeffSequence:
+    """`covariance_coefficients` at the degree of one truncation scan of the
+    squared profile: the covariance series of scale t as every check sums it."""
+    return covariance_coefficients(profile, spectrum, t,
+                                   choose_lmax(profile, t, eps_tail, squared=True))
 
 
 def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
@@ -163,8 +166,9 @@ def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float
     call serve all points; the series is elementwise in x, so each value has
     the bits of a one-point evaluation.
     """
-    coeffs = _covariance_zonal_coeffs(profile, spectrum, t, eps_tail)
-    return legendre_series(coeffs, np.asarray(xs, dtype=float), offset=1)
+    seq = covariance_sequence(profile, spectrum, t, eps_tail)
+    ls = np.arange(1, seq.top + 1, dtype=float)
+    return legendre_series(seq.values * (2.0 * ls + 1.0), np.asarray(xs, dtype=float), offset=1)
 
 
 def correlation_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float, cos_gammas,
@@ -273,15 +277,13 @@ def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
     NumericFailure.
     """
     t_grid = check_scale_grid(t_grid)
-    rows = [_covariance_zonal_coeffs(profile, spectrum, t, eps_tail) for t in t_grid]
-    variances = legendre_series_rows(rows, [1.0], [1] * len(rows))[:, 0].tolist()
+    rows = [covariance_sequence(profile, spectrum, t, eps_tail).values for t in t_grid]
+    variances = zonal_series_rows(rows, [1.0], [1] * len(rows))[:, 0].tolist()
     scaled = [var * t ** (2.0 - spectrum.alpha) for t, var in zip(t_grid, variances)]
     for t, value in zip(t_grid, scaled):
         if not math.isfinite(value):
             raise NumericFailure(f"scaled variance at t={t} is {value!r}")
-    lo, hi = min(scaled), max(scaled)
-    ratio = hi / lo if lo > 0 else math.inf
-    passed = lo > 0 and ratio <= DEFAULTS["stability_ratio"]
+    lo, _, ratio, passed = spread(scaled, DEFAULTS["stability_ratio"])
     return VarianceScalingReport(t_grid=t_grid, scaled_variances=tuple(scaled),
                                  infimum=lo, ratio=ratio, passed=passed)
 
@@ -338,10 +340,8 @@ def fit_correlation_decay(profile: NeedletProfile, spectrum: PowerSpectrum,
     slope = float(np.polyfit(np.log(ts_fit), np.log(abs_cors[-n_fit:]), 1)[0])
 
     bounds = abs_cors * d ** (2 * n_exp) * np.array(t_grid) ** -exponent
-    b_lo, b_hi = float(np.min(bounds)), float(np.max(bounds))
-    bound_ratio = b_hi / b_lo if b_lo > 0 else math.inf
+    _, b_hi, bound_ratio, bound_passed = spread(bounds, DEFAULTS["stability_ratio"])
     slope_passed = slope >= exponent - DEFAULTS["slope_tol"]
-    bound_passed = math.isfinite(b_hi) and bound_ratio <= DEFAULTS["stability_ratio"]
     return DecayReport(t_grid=t_grid, correlations=cors, fitted_slope=slope,
                        predicted_exponent=exponent, n_exponent=n_exp,
                        bound_values=tuple(float(b) for b in bounds),

@@ -51,10 +51,8 @@ class CoeffSequence:
             return float(self.values[l - self.offset])
         return 0.0
 
-    def dense(self, top: int | None = None) -> np.ndarray:
+    def dense(self, top: int) -> np.ndarray:
         """Values a_0 .. a_top as a contiguous array."""
-        if top is None:
-            top = self.top
         out = np.zeros(top + 1)
         hi = min(top, self.top)
         if hi >= self.offset:

@@ -37,7 +37,7 @@ from .legendre import (
     sph_harm_matrix,
     zonal_eval,
 )
-from .spectra import PowerSpectrum, spectrum_eval
+from .spectra import PowerSpectrum, positive_spectrum
 
 __all__ = [
     "AlmSet",
@@ -125,13 +125,7 @@ def _counter_normals(seed: int, streams, out: np.ndarray) -> None:
 
 
 def _sigma_per_coefficient(spectrum: PowerSpectrum, L: int) -> np.ndarray:
-    ls = np.arange(1, L + 1)
-    c = np.atleast_1d(spectrum_eval(spectrum, ls))
-    if np.any(c <= 0.0):
-        bad = int(ls[np.argmin(c)])
-        raise ValueError(f"spectrum gives non-positive variance c_{bad}; "
-                         "every sampled degree needs c_l > 0")
-    return sph_harm_flat_repeat(np.sqrt(c))
+    return sph_harm_flat_repeat(np.sqrt(positive_spectrum(spectrum, L)))
 
 
 def sample_alm(spectrum: PowerSpectrum, L: int, seed: int, stream: int = 0) -> AlmSet:

@@ -26,6 +26,7 @@ __all__ = [
     "NeedletProfile",
     "KernelSpec",
     "LocalizationReport",
+    "spread",
     "profile_eval",
     "spectral_weights",
     "check_scale_grid",
@@ -80,6 +81,15 @@ class LocalizationReport:
     passed: bool
 
 
+def spread(values, cap: float) -> tuple[float, float, float, bool]:
+    """(min, max, max/min, passed) of a sweep, the pass rule of every stability
+    check: max/min is inf unless min > 0 (a NaN makes min NaN), and the sweep
+    passes when every value is finite and max/min <= cap."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    ratio = hi / lo if lo > 0 else math.inf
+    return lo, hi, ratio, math.isfinite(ratio) and ratio <= cap
+
+
 def profile_eval(profile: NeedletProfile, s):
     """f(s) = s^r f0(s), computed as exp(r log s + log f0(s)) to dodge overflow."""
     sv = np.asarray(s, dtype=float)
@@ -109,10 +119,12 @@ def check_scale(t: float) -> None:
 
 
 def check_scale_grid(t_grid) -> tuple[float, ...]:
-    """The scales of a grid as floats; a grid with no scale is an error."""
+    """The scales of a grid as floats, each one checked; an empty grid is an error."""
     t_grid = tuple(float(t) for t in t_grid)
     if not t_grid:
         raise ValueError("empty scale grid")
+    for t in t_grid:
+        check_scale(t)
     return t_grid
 
 
@@ -163,18 +175,9 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
     return lmax
 
 
-def make_kernel(profile: NeedletProfile, t: float, eps_tail: float | None = None,
-                lmax: int | None = None) -> KernelSpec:
+def make_kernel(profile: NeedletProfile, t: float, eps_tail: float | None = None) -> KernelSpec:
     """Build the truncated kernel coefficient vector for scale t."""
-    check_scale(t)
-    if lmax is None:
-        lmax = choose_lmax(profile, t, eps_tail)
-    else:
-        lmax = int(lmax)
-        if lmax < 1:
-            raise ValueError("lmax must be >= 1")
-        if lmax > degree_cap():
-            raise DegreeCapExceeded(f"lmax={lmax} above the configured cap")
+    lmax = choose_lmax(profile, t, eps_tail)
     f = spectral_weights(profile, t * t, lmax)
     return KernelSpec(profile=profile, t=float(t), lmax=lmax,
                       coeffs=f * (2.0 * np.arange(1, lmax + 1) + 1.0))
@@ -213,9 +216,7 @@ def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
     vals = legendre_series_rows([spec.coeffs for spec in specs], xs, [1] * len(specs))
     sups = [float(np.max((t * t) * np.abs(v[:th.size]) * (th / t) ** n_exponent))
             for t, th, v in zip(t_list, thetas, vals)]
-    lo, hi = min(sups), max(sups)
-    ratio = hi / lo if lo > 0 else math.inf
-    passed = all(map(math.isfinite, sups)) and ratio <= DEFAULTS["stability_ratio"]
+    _, _, ratio, passed = spread(sups, DEFAULTS["stability_ratio"])
     return LocalizationReport(t_list=t_list, n_exponent=int(n_exponent),
                               sups=tuple(sups), ratio=ratio, passed=passed)
 

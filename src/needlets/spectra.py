@@ -8,8 +8,12 @@ Three families are supported:
                     positive functions with bounded derivatives; consistency
                     requires beta + deg Q - deg P = alpha
 * ``tabulated``     u(l) read from a table of integer degrees; degrees not in
-                    the table read as 0 (callers that need positive variance
-                    must check)
+                    the table read as 0
+
+`positive_spectrum` is the one check that c_l > 0 for l = 1..L: the
+covariance series and the field draws both go through it, so a table that
+stops short of the truncation degree, or has a gap below it, is refused
+rather than read as a series that silently ends there.
 
 `verify_envelope` and `verify_derivative_decay` probe the two regularity
 conditions a spectrum must satisfy for the correlation-decay machinery:
@@ -29,6 +33,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .defaults import DEFAULTS
 from .errors import NumericFailure
+from .kernels import spread
 
 __all__ = [
     "PowerSpectrum",
@@ -39,6 +44,7 @@ __all__ = [
     "rational_log_spectrum",
     "tabulated_spectrum",
     "spectrum_eval",
+    "positive_spectrum",
     "verify_envelope",
     "verify_derivative_decay",
     "load_spectrum_json",
@@ -177,6 +183,17 @@ def spectrum_eval(ps: PowerSpectrum, l):
     return float(out[0]) if scalar else out
 
 
+def positive_spectrum(ps: PowerSpectrum, lmax: int) -> np.ndarray:
+    """c_l for l = 1..lmax, every one of them > 0; otherwise a ValueError
+    naming the first degree that is not."""
+    c = spectrum_eval(ps, np.arange(1, int(lmax) + 1))
+    bad = np.flatnonzero(~(c > 0.0))
+    if bad.size:
+        raise ValueError(f"spectrum gives non-positive variance c_{int(bad[0]) + 1}; "
+                         f"every degree up to {int(lmax)} needs c_l > 0")
+    return c
+
+
 def verify_envelope(ps: PowerSpectrum, l_max: int) -> EnvelopeEstimate:
     """Extremes of u(l) l^alpha over [1, l_max].
 
@@ -190,12 +207,9 @@ def verify_envelope(ps: PowerSpectrum, l_max: int) -> EnvelopeEstimate:
         raise ValueError("need l_max >= 10 for a meaningful envelope")
     ls = np.arange(1, l_max + 1, dtype=float)
     scaled = spectrum_eval(ps, ls) * ls ** ps.alpha
-    k0 = float(np.min(scaled))
-    k1 = float(np.max(scaled))
+    k0, k1, ratio, passed = spread(scaled, DEFAULTS["envelope_ratio_cap"])
     if not (math.isfinite(k0) and math.isfinite(k1)):
         raise NumericFailure(f"envelope extremes of u(l) l^alpha are not finite: {k0!r}, {k1!r}")
-    ratio = k1 / k0 if k0 > 0 else math.inf
-    passed = k0 > 0 and ratio <= DEFAULTS["envelope_ratio_cap"]
     return EnvelopeEstimate(k0_hat=k0, k1_hat=k1, ratio=ratio, l_max=l_max, passed=passed)
 
 

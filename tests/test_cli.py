@@ -1,6 +1,7 @@
 """CLI contracts: columns, exit codes, byte-for-byte determinism."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -42,6 +43,21 @@ def rows_of(text):
     return list(csv.DictReader(text.splitlines()))
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
+def power_table(path, top):
+    """Write c_l = l^-3 for l = 1..top as a CSV spectrum table."""
+    path.write_text("l,c_l\n" + "".join(f"{l},{l ** -3.0!r}\n" for l in range(1, top + 1)))
+    return str(path)
+
+
 class TestKernelCommand:
     def test_shape_and_positivity(self):
         res = run("kernel", "--r", "1", "--t", "0.2", "--theta", "0:3.14159:256")
@@ -67,6 +83,14 @@ class TestKernelCommand:
         res = run("kernel", "--r", "1", "--t", "0.0001", "--theta", "0.1,0.2")
         assert res.returncode == 3
 
+    def test_bad_scale_is_config_error_before_degree_cap(self):
+        # every scale of the grid is checked before the first kernel is built,
+        # so the NaN is a config error although t = 0.0001 alone exceeds the cap
+        res = run("kernel", "--r", "1", "--t", "0.0001,nan", "--theta", "0.1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: scale t must be finite and > 0\n"
+
     @pytest.mark.parametrize("theta", ["nan", "0.1,nan", "0:nan:5", "0.1,inf"])
     def test_non_finite_theta_is_config_error(self, theta):
         res = run("kernel", "--r", "1", "--t", "0.2", "--theta", theta)
@@ -88,7 +112,7 @@ class TestCorrelationCommand:
                   "--t", "0.4,0.2,0.1,0.05", "--d", "1.5707963267948966", "--fit")
         assert res.returncode == 0
         table, blob = res.stdout.split("\n\n", 1)
-        report = json.loads(blob)
+        report = strict_json(blob)
         assert report["defaults"]["eps_tail"] == 1e-12
         slope = report["reports"][0]["fitted_slope"]
         assert 2.0 <= slope <= 3.0
@@ -197,7 +221,7 @@ class TestScaleAndCapDomain:
     def test_report_echoes_the_cap_in_effect(self, command):
         res = run(*command, env_extra={DEGREE_CAP_ENV: "3000"})
         assert res.returncode == 0
-        report = json.loads(res.stdout.split("\n\n")[-1])
+        report = strict_json(res.stdout.split("\n\n")[-1])
         assert report["defaults"]["degree_cap"] == 3000
 
 
@@ -253,11 +277,62 @@ class TestSimulateCommand:
         assert res.stderr == "error: point coordinates (theta, phi) must be finite\n"
 
 
+class TestShortTable:
+    # a table of l^-3 for l <= 10 stops below every truncation degree; its
+    # correlation used to print -0.0282 and exit 0, the power law gives -0.00123
+    @pytest.mark.parametrize("command", [
+        ("correlation", "--t", "0.05", "--d", "1.5708"),
+        ("simulate", "--t", "0.05", "--d", "1.5708", "--replicas", "100"),
+        ("verify",),
+    ], ids=lambda c: c[0])
+    def test_table_shorter_than_truncation_is_config_error(self, tmp_path, command):
+        path = power_table(tmp_path / "short.csv", 10)
+        res = run(command[0], "--r", "1", "--spectrum", path, "--alpha", "3", *command[1:])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: spectrum gives non-positive variance c_11;")
+
+
+class TestStrictJson:
+    def test_infinite_ratio_is_null(self):
+        doc = cli._json_doc({"ratio": math.inf, "growth_ratios": [1.0, math.inf]})
+        assert strict_json(doc) == {"ratio": None, "growth_ratios": [1.0, None]}
+
+    @pytest.mark.parametrize("obj", [{"ratio": math.nan}, {"ratio": -math.inf},
+                                     {"k1_hat": math.inf}, {"checks": {"sups": [1.0, math.nan]}}],
+                             ids=["nan-ratio", "minus-inf-ratio", "inf-value", "nested-nan"])
+    def test_other_non_finite_value_is_numeric_failure(self, obj):
+        with pytest.raises(cli.NumericFailure):
+            cli._json_doc(obj)
+
+    def test_non_finite_report_value_exits_3(self, monkeypatch, capsys):
+        real = cli.verify_envelope
+
+        def overflowing(ps, l_max):
+            return dataclasses.replace(real(ps, l_max), k1_hat=math.inf)
+
+        monkeypatch.setattr(cli, "verify_envelope", overflowing)
+        assert cli.main(["verify", "--r", "1", "--alpha", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: report value 'k1_hat' is inf\n"
+
+
 class TestVerifyCommand:
+    def test_vanished_envelope_minimum_is_strict_json(self, tmp_path):
+        # the table covers every truncation degree but stops inside the
+        # envelope window: k0 = 0, and the ratio used to print as Infinity
+        path = power_table(tmp_path / "t.csv", 1000)
+        res = run("verify", "--r", "1", "--spectrum", path, "--alpha", "3")
+        assert res.returncode == 1
+        envelope = strict_json(res.stdout)["checks"]["envelope"]
+        assert envelope == {"k0_hat": 0.0, "k1_hat": envelope["k1_hat"], "ratio": None,
+                            "l_max": 2000, "passed": False}
+
     def test_default_suite_passes(self):
         res = run("verify", "--r", "1", "--alpha", "3")
         assert res.returncode == 0
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["passed"]
         assert all(c["passed"] for c in report["checks"].values())
         assert report["defaults"]["stability_ratio"] == 10.0
@@ -291,7 +366,7 @@ class TestVerifyCommand:
                         ' "P": [1.0], "Q": [1.0], "F": "one"}')
         res = run("verify", "--r", "1", "--spectrum", str(path))
         assert res.returncode == 1
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert not report["checks"]["envelope"]["passed"]
 
     def test_one_series_loop_per_check(self, count_calls, capsys):
@@ -299,7 +374,7 @@ class TestVerifyCommand:
         loops = count_calls(legendre_module, "_series_rows")
         code = cli.main(["verify", "--r", "1", "--alpha", "3"])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["passed"]
+        assert strict_json(capsys.readouterr().out)["passed"]
         assert len(loops) == 4
 
     def test_series_bound_hypothesis_is_config_error(self):

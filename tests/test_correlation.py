@@ -19,6 +19,7 @@ from needlets import (
     correlation_decay_check,
     correlation_series,
     covariance_coefficients,
+    covariance_sequence,
     covariance_series,
     fit_correlation_decay,
     least_integer_above,
@@ -198,6 +199,47 @@ class TestCorrelationSeries:
         with pytest.raises(NumericFailure) as exc:
             correlation_series(PROFILE, SPECTRUM, 50.0, [1.0, 0.3])
         assert str(exc.value) == message
+
+
+class TestCovarianceSequence:
+    @pytest.mark.parametrize("t", [0.4, 0.1, 0.0125])
+    def test_is_the_coefficients_at_the_squared_truncation(self, t):
+        seq = covariance_sequence(PROFILE, SPECTRUM, t, 1e-10)
+        lmax = choose_lmax(PROFILE, t, 1e-10, squared=True)
+        ref = covariance_coefficients(PROFILE, SPECTRUM, t, lmax)
+        assert (seq.offset, seq.top) == (1, lmax)
+        assert seq.values.tobytes() == ref.values.tobytes()
+
+    def test_one_scan_per_call(self, count_calls):
+        scans = count_calls(correlation_module, "choose_lmax")
+        covariance_sequence(PROFILE, SPECTRUM, 0.1)
+        assert scans == [(PROFILE, 0.1, None)]
+
+
+class TestShortTable:
+    """A tabulated spectrum that stops below the truncation degree used to
+    read as zero past its end, and its correlations came out silently wrong."""
+
+    def short(self, top):
+        return tabulated_spectrum(range(1, top + 1), [l ** -3.0 for l in range(1, top + 1)], 3.0)
+
+    def test_covariance_refuses_a_table_below_the_truncation(self):
+        with pytest.raises(ValueError, match="c_11;"):
+            covariance_sequence(PROFILE, self.short(10), 0.05)
+        with pytest.raises(ValueError, match="c_11;"):
+            correlation_series(PROFILE, self.short(10), 0.05, [0.0])
+
+    def test_table_covering_the_truncation_matches_the_power_law(self):
+        t = 0.05
+        top = choose_lmax(PROFILE, t, squared=True)
+        _, cors = correlation_series(PROFILE, self.short(top), t, [0.0])
+        _, ref = correlation_series(PROFILE, SPECTRUM, t, [0.0])
+        assert cors.tobytes() == ref.tobytes()
+
+    def test_nan_value_is_refused(self):
+        nan_table = tabulated_spectrum([1, 2, 3], [1.0, math.nan, 0.037], 3.0)
+        with pytest.raises(ValueError, match="c_2;"):
+            covariance_coefficients(PROFILE, nan_table, 0.2, 3)
 
 
 class TestCovarianceCoefficients:

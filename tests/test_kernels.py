@@ -22,6 +22,7 @@ from needlets import (
     spectral_weights,
     sph_harm_flat_repeat,
 )
+from needlets.kernels import check_scale_grid, spread
 from needlets.correlation import covariance_coefficients
 from needlets.spectra import spectrum_eval
 from needlets.defaults import DEFAULTS, DEGREE_CAP_ENV, degree_cap
@@ -108,16 +109,24 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def kernel_at(profile, t, lmax):
+    """The kernel of scale t truncated at an explicit degree lmax."""
+    ls = np.arange(1, lmax + 1, dtype=float)
+    return KernelSpec(profile=profile, t=t, lmax=lmax,
+                      coeffs=spectral_weights(profile, t * t, lmax) * (2.0 * ls + 1.0))
+
+
 class TestSpectralWeights:
     @pytest.mark.parametrize("profile", PROFILES, ids=str)
     def test_bits_match_old_site_expressions(self, profile):
         for t in (0.7, 0.3, 0.1, 0.033, 0.00625):
-            for L in (1, 17, choose_lmax(profile, t)):
+            lmax = choose_lmax(profile, t)
+            for L in (1, 17, lmax):
                 old = old_scale_weights(profile, t, L)
                 assert same_bits(spectral_weights(profile, t * t, L), old)
                 ls = np.arange(1, L + 1, dtype=float)
-                assert same_bits(make_kernel(profile, t, lmax=L).coeffs,
-                                 old * (2.0 * ls + 1.0))
+                if L == lmax:
+                    assert same_bits(make_kernel(profile, t).coeffs, old * (2.0 * ls + 1.0))
                 cov = covariance_coefficients(profile, power_spectrum(3.0), t, L).values
                 assert same_bits(cov, old * old * ls ** -3.0)
         for a in (2.0, 1.5):
@@ -177,9 +186,8 @@ class TestChooseLmax:
     def test_rejects_bad_scale(self, t):
         with pytest.raises(ValueError, match="scale t must be finite and > 0"):
             choose_lmax(NeedletProfile(1), t)
-        # an explicit lmax skips the scan but not the check
         with pytest.raises(ValueError, match="scale t must be finite and > 0"):
-            make_kernel(NeedletProfile(1), t, lmax=16)
+            make_kernel(NeedletProfile(1), t)
 
 
 class TestDegreeCapOverride:
@@ -215,7 +223,7 @@ class TestKernelEval:
     def test_truncation_contract(self, r, t):
         p = NeedletProfile(r)
         base = make_kernel(p, t)
-        doubled = make_kernel(p, t, lmax=2 * base.lmax)
+        doubled = kernel_at(p, t, 2 * base.lmax)
         for cg in RNG.uniform(-1, 1, 20):
             v1, v2 = kernel_eval(base, cg), kernel_eval(doubled, cg)
             assert abs(v1 - v2) <= 1e-10 * abs(kernel_eval(base, 1.0))
@@ -249,6 +257,79 @@ class TestKernelEval:
         xs = [-1.0, 1.0, math.cos(DEFAULTS["theta_min"]), -math.cos(DEFAULTS["theta_min"]), 0.3]
         batched = kernel_eval(spec, xs)
         assert [float(v) for v in batched] == [kernel_eval(spec, x) for x in xs]
+
+
+# The pass rules the five stability checks wrote out before `spread` existed.
+# Three of them only ever saw finite values, because their callers raise first.
+def old_localization(values, cap):
+    lo, hi = min(values), max(values)
+    ratio = hi / lo if lo > 0 else math.inf
+    return all(map(math.isfinite, values)) and ratio <= cap
+
+
+def old_variance_or_envelope(values, cap):
+    lo, hi = float(np.min(values)), float(np.max(values))
+    ratio = hi / lo if lo > 0 else math.inf
+    return lo > 0 and ratio <= cap
+
+
+def old_decay_fit(values, cap):
+    lo, hi = float(np.min(values)), float(np.max(values))
+    ratio = hi / lo if lo > 0 else math.inf
+    return math.isfinite(hi) and ratio <= cap
+
+
+def old_series_bound(values, cap):
+    ratio = max(values) / min(values) if min(values) > 0 else math.inf
+    return math.isfinite(ratio) and ratio <= cap
+
+
+FINITE_EDGES = [[1.0, 10.0], [10.0, 1.0], [1.0, 10.000000001], [0.0, 1.0], [1.0, 0.0],
+                [-1.0, 1.0], [-2.0, -1.0], [0.0, 0.0], [5.0], [1e-310, 1.0],
+                [1e-300, 1e300], [2.0, 3.0, 4.0]]
+NON_FINITE_EDGES = [[math.nan, 1.0], [1.0, math.nan], [1.0, math.inf], [math.inf, 1.0],
+                    [-math.inf, 1.0], [math.inf, math.inf], [math.nan]]
+
+
+class TestSpread:
+    def test_ratio_and_extremes(self):
+        assert spread([4.0, 2.0, 8.0], 10.0) == (2.0, 8.0, 4.0, True)
+        assert spread([1.0, 10.0], 10.0)[3]  # the cap itself passes
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0], [-1.0, 2.0], [-3.0, -1.0], [0.0]])
+    def test_vanished_minimum_is_infinite_and_fails(self, values):
+        _, _, ratio, passed = spread(values, 10.0)
+        assert ratio == math.inf
+        assert not passed
+
+    @pytest.mark.parametrize("values", NON_FINITE_EDGES)
+    def test_non_finite_value_fails(self, values):
+        lo, _, ratio, passed = spread(values, 10.0)
+        assert not passed
+        assert math.isnan(lo) or not math.isfinite(ratio)
+
+    def test_nan_reaches_the_minimum(self):
+        assert math.isnan(spread([1.0, math.nan, 2.0], 10.0)[0])
+
+    @pytest.mark.parametrize("values", FINITE_EDGES + NON_FINITE_EDGES)
+    def test_agrees_with_every_old_rule(self, values):
+        passed = spread(values, 10.0)[3]
+        assert passed == old_localization(values, 10.0)
+        assert passed == old_decay_fit(values, 10.0)
+        if all(map(math.isfinite, values)):
+            assert passed == old_series_bound(values, 10.0)
+            assert passed == old_variance_or_envelope(values, 10.0)
+
+
+class TestScaleGrid:
+    @pytest.mark.parametrize("grid", [[0.1, math.nan], [math.inf, 0.1], [0.2, 0.0, 0.1]])
+    def test_every_scale_is_checked(self, grid):
+        with pytest.raises(ValueError, match="scale t must be finite and > 0"):
+            check_scale_grid(grid)
+
+    def test_bad_scale_after_a_good_one_is_caught_before_any_kernel(self):
+        with pytest.raises(ValueError, match="scale t must be finite"):
+            localization_check(NeedletProfile(1), [0.0001, math.nan], 3)
 
 
 class TestLocalization:

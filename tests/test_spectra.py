@@ -17,6 +17,7 @@ from needlets import (
     verify_derivative_decay,
     verify_envelope,
 )
+from needlets.spectra import positive_spectrum
 
 RNG = np.random.default_rng(20240813)
 
@@ -83,6 +84,17 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             verify_envelope(power_spectrum(3.0), 5)
 
+    def test_vanished_minimum_fails_with_an_infinite_ratio(self):
+        # a table that stops inside the window reads 0 past its end
+        short = tabulated_spectrum(range(1, 51), [l ** -3.0 for l in range(1, 51)], 3.0)
+        est = verify_envelope(short, 100)
+        assert (est.k0_hat, est.ratio, est.passed) == (0.0, math.inf, False)
+
+    def test_nan_value_is_numeric_failure(self):
+        nan_table = tabulated_spectrum(range(1, 101), [1.0] * 49 + [math.nan] + [1.0] * 50, 3.0)
+        with pytest.raises(NumericFailure, match="not finite: nan, nan"):
+            verify_envelope(nan_table, 100)
+
     def test_overflowing_envelope_is_numeric_failure(self):
         # c_l l^alpha overflows to inf, which used to be reported as k1_hat
         huge = tabulated_spectrum(range(1, 101), [1e308] * 100, 3.0)
@@ -136,6 +148,19 @@ class TestDerivativeDecay:
         ls = np.arange(50, 500, dtype=float)
         diffs = np.diff(spectrum_eval(ps, np.arange(50, 501, dtype=float)))
         np.testing.assert_allclose(diffs, du(ls + 0.5), rtol=2e-3)
+
+
+class TestPositiveSpectrum:
+    def test_values_of_a_power_law(self):
+        assert positive_spectrum(power_spectrum(3.0), 4).tolist() == [1.0, 1 / 8, 1 / 27, 1 / 64]
+
+    @pytest.mark.parametrize("cs,bad", [([1.0, 0.5, 0.25], 4), ([1.0, 0.0, 0.25], 2),
+                                        ([1.0, -0.5, 0.0], 2), ([math.nan, 1.0, 1.0], 1)])
+    def test_names_the_first_degree_not_positive(self, cs, bad):
+        ps = tabulated_spectrum([1, 2, 3], cs, 3.0)
+        with pytest.raises(ValueError, match=f"non-positive variance c_{bad}; "
+                                             "every degree up to 4 needs c_l > 0"):
+            positive_spectrum(ps, 4)
 
 
 class TestTabulatedAndFiles:
