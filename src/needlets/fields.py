@@ -109,9 +109,11 @@ def _counter_normals(seed: int, streams, out: np.ndarray) -> None:
 
     `out` is a C-contiguous float64 array with one row per stream.  Draw j
     of a row is the inverse normal CDF of the uniform (w + 1/2) 2^-53, w the
-    top 53 bits of Philox word j.  The raw words are written into `out`
-    itself and the whole block is converted in place, so no temporary of
-    the block's size is made.
+    top 53 bits of Philox word j.  For w = 2^53 - 1 that uniform rounds to
+    1.0, whose inverse CDF is inf, so uniforms are clamped to 1 - 2^-53; no
+    other word moves.  The raw words are written into `out` itself and the
+    whole block is converted in place, so no temporary of the block's size
+    is made.
     """
     flat = out.reshape(-1, copy=False)
     words = flat.view(np.uint64)
@@ -121,6 +123,7 @@ def _counter_normals(seed: int, streams, out: np.ndarray) -> None:
     np.copyto(flat, words, casting="unsafe")
     flat += 0.5
     flat *= 2.0 ** -53
+    np.minimum(flat, 1.0 - 2.0 ** -53, out=flat)
     ndtri(flat, out=flat)
 
 

@@ -38,7 +38,7 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # points in one grid at most, and in one block of each pairwise product below
 _POINT_CAP = 2_000_000
 _SEPARATION_BLOCK = 512
-_GRAM_BLOCK = 8192
+_GRAM_BLOCK = 4096
 
 
 @dataclass(frozen=True)

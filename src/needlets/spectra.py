@@ -8,7 +8,8 @@ Three families are supported:
                     positive functions with bounded derivatives; consistency
                     requires beta + deg Q - deg P = alpha
 * ``tabulated``     u(l) read from a table of integer degrees; degrees not in
-                    the table read as 0
+                    the table read as 0, and a degree listed twice takes its
+                    last value
 
 `positive_spectrum` is the one check that c_l > 0 for l = 1..L: the
 covariance series and the field draws both go through it, so a table that
@@ -174,8 +175,16 @@ def spectrum_eval(ps: PowerSpectrum, l):
         out = (f(np.log(lv)) * npoly.polyval(lv, ps.p_coeffs)
                / (lv ** ps.beta * npoly.polyval(lv, ps.q_coeffs)))
     elif ps.family == "tabulated":
-        lookup = dict(zip(ps.table_l, ps.table_c))
-        out = np.array([lookup.get(int(round(v)), 0.0) for v in lv])
+        if not np.all(np.isfinite(lv)):
+            raise ValueError("tabulated spectra are defined for finite degrees only")
+        # sorted distinct degrees, each with its last value, and a final
+        # degree inf reading 0 so that every finite degree has a place
+        degrees, last = np.unique(np.array(ps.table_l[::-1], dtype=float), return_index=True)
+        degrees = np.append(degrees, math.inf)
+        values = np.append(np.array(ps.table_c[::-1], dtype=float)[last], 0.0)
+        nearest = np.rint(lv)
+        pos = np.searchsorted(degrees, nearest)
+        out = np.where(degrees[pos] == nearest, values[pos], 0.0)
     else:
         raise ValueError(f"unknown spectrum family {ps.family!r}")
     if ps.family != "tabulated" and np.any(out <= 0):

@@ -102,6 +102,23 @@ class TestCounterDraw:
         for row, stream in zip(out, streams):
             assert row.tobytes() == old_counter_normals(seed, stream, 3135).tobytes()
 
+    def test_every_word_gives_a_finite_normal(self, monkeypatch):
+        # w = 2^53 - 1 makes the uniform round to 1.0; it is clamped to the
+        # largest double below 1, and every other word keeps its old bits
+        words = np.array([[2 ** 64 - 1, 2 ** 64 - 2 ** 11 - 1, 2 ** 63, 2 ** 11 - 1, 0]],
+                         dtype=np.uint64)
+
+        def fixed_words(seed, streams, out):
+            out[:] = words
+
+        monkeypatch.setattr(fields_module, "_philox_words", fixed_words)
+        out = np.empty(words.shape)
+        fields_module._counter_normals(0, [0], out)
+        assert np.all(np.isfinite(out))
+        assert out[0, 0] == ndtri(1.0 - 2.0 ** -53) > out[0, 1]
+        old = ndtri(((words[0, 1:] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+        assert out[0, 1:].tobytes() == old.tobytes()
+
     @pytest.mark.parametrize("L", [1, 27, 55])
     def test_sample_alm_matches_old_one_stream_draw(self, L):
         ls = np.arange(1, L + 1)

@@ -201,6 +201,23 @@ def _points(L, count=40):
     return theta, rng.uniform(0.0, 2.0 * math.pi, theta.size)
 
 
+def peak_blocks(oversample, L=24):
+    """Peak traced memory of a frame estimate at j = -7, -6, in units of one
+    Gram block of harmonic rows.  The finest grid's first half spans several
+    blocks; at oversample 1.3 the grid is odd and the half ends in a partial
+    block."""
+    count = (build_grid(2.0, -7, oversample).n + 1) // 2
+    assert count > frames._GRAM_BLOCK
+    assert (count % frames._GRAM_BLOCK == 0) == (oversample == 1.0)
+    tracemalloc.start()
+    try:
+        estimate_frame_bounds(PROFILE, 2.0, (-7, -6), L, oversample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (frames._GRAM_BLOCK * ((L + 1) ** 2 - 1) * 8)
+
+
 class TestPairedLayout:
     """Harmonic rows ordered by mirror parity, each + row beside its pair."""
 
@@ -302,15 +319,11 @@ class TestMirrorGram:
         assert np.max(np.abs(gram - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_peak_memory_below_two_blocks(self):
-        L = 24
-        block_bytes = frames._GRAM_BLOCK * ((L + 1) ** 2 - 1) * 8
-        tracemalloc.start()
-        try:
-            estimate_frame_bounds(PROFILE, 2.0, (-7, -6), L)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.6 * block_bytes
+        assert peak_blocks(1.0) < 1.6
+
+    def test_peak_memory_below_two_blocks_on_an_odd_grid_with_a_partial_block(self):
+        # the short last block is freed like every other
+        assert peak_blocks(1.3) < 1.6
 
     def test_gram_bits_do_not_depend_on_blas_threads(self):
         # the frame-L24 benchmark configuration; only eigvalsh may move bits

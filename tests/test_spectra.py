@@ -169,6 +169,34 @@ class TestTabulatedAndFiles:
         assert spectrum_eval(ps, 2) == 0.125
         assert spectrum_eval(ps, 9) == 0.0  # outside the table
 
+    def test_repeated_degree_last_entry_wins(self):
+        ps = tabulated_spectrum([2, 1, 2, 3, 2], [0.5, 1.0, 0.25, 0.037, 0.125], 3.0)
+        assert spectrum_eval(ps, 2) == 0.125
+        assert spectrum_eval(ps, np.array([1.0, 2.0, 3.0])).tolist() == [1.0, 0.125, 0.037]
+
+    def test_missing_degrees_read_zero(self):
+        ps = tabulated_spectrum([1, 3, 7], [1.0, 0.037, 0.003], 3.0)
+        assert spectrum_eval(ps, np.arange(1, 10)).tolist() == [
+            1.0, 0.0, 0.037, 0.0, 0.0, 0.0, 0.003, 0.0, 0.0]
+        assert spectrum_eval(tabulated_spectrum([], [], 3.0), np.arange(1, 4)).tolist() == [0.0] * 3
+
+    def test_lookup_equals_dict_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        ls = rng.integers(1, 300, size=400)  # repeats and gaps
+        cs = rng.uniform(0.0, 1.0, size=ls.size)
+        ps = tabulated_spectrum(ls, cs, 3.0)
+        lv = np.concatenate([np.arange(1.0, 320.0), rng.uniform(1.0, 320.0, 200),
+                             np.arange(1.0, 40.0) + 0.5])  # half-integers round to even
+        lookup = dict(zip(ps.table_l, ps.table_c))
+        oracle = np.array([lookup.get(int(round(v)), 0.0) for v in lv])
+        assert spectrum_eval(ps, lv).tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_degree_rejected(self, bad):
+        ps = tabulated_spectrum([1, 2, 3], [1.0, 0.125, 0.037], 3.0)
+        with pytest.raises(ValueError, match="finite degrees"):
+            spectrum_eval(ps, np.array([2.0, bad]))
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "spec.csv"
         path.write_text("l,c_l\n1,1.0\n2,0.125\n3,0.037\n")
