@@ -55,11 +55,15 @@ EXIT_NUMERIC = 3
 EXIT_HYPOTHESIS = 4
 
 
-def _floats(text: str) -> list[float]:
+def _floats(text: str, what: str) -> list[float]:
+    """A comma list of numbers; an empty one is a config error, "empty <what>"."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad numeric list {text!r}") from exc
+    if not values:
+        raise ValueError(f"empty {what}")
+    return values
 
 
 def _grid_spec(text: str) -> list[float]:
@@ -74,15 +78,15 @@ def _grid_spec(text: str) -> list[float]:
         step = (stop - start) / (count - 1)
         values = [start + step * i for i in range(count)]
     else:
-        values = _floats(text)
+        values = _floats(text, "theta grid")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"grid spec {text!r} has a non-finite value")
     return values
 
 
 def _scales(text: str) -> tuple[float, ...]:
-    """A comma list of scales; an empty list is a config error."""
-    return check_scale_grid(_floats(text))
+    """A comma list of scales, each one checked; an empty list is a config error."""
+    return check_scale_grid(_floats(text, "scale grid"))
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -178,9 +182,9 @@ def cmd_correlation(args) -> int:
     spectrum = _resolve_spectrum(args)
     ts = _scales(args.t)
     if args.d is not None:
-        cos_gammas = [math.cos(d) for d in _floats(args.d)]
+        cos_gammas = [math.cos(d) for d in _floats(args.d, "distance list")]
     else:
-        cos_gammas = _floats(args.cos_gamma)
+        cos_gammas = _floats(args.cos_gamma, "cos_gamma list")
 
     exponent, n_exp = decay_exponents(profile, spectrum)
     if args.fit:
@@ -189,8 +193,6 @@ def cmd_correlation(args) -> int:
     rows, cors_by_t = [], []
     for t in ts:
         qs = [CorrelationQuery(profile, spectrum, t, cg) for cg in cos_gammas]
-        if not qs:
-            continue
         covs, cors = correlation_series(profile, spectrum, t, [q.cos_gamma for q in qs],
                                         args.eps_tail)
         cors_by_t.append(cors)
@@ -216,7 +218,8 @@ def cmd_simulate(args) -> int:
     profile = _profile(args)
     spectrum = _resolve_spectrum(args)
     point_x = (math.pi / 2.0, 0.0)
-    grid = [(t, d, (math.pi / 2.0, d)) for t in _scales(args.t) for d in _floats(args.d)]
+    grid = [(t, d, (math.pi / 2.0, d)) for t in _scales(args.t)
+            for d in _floats(args.d, "distance list")]
     # every point is checked before anything is drawn
     cos_gammas = {}
     for t, _, point_y in grid:
@@ -303,7 +306,7 @@ def cmd_verify(args) -> int:
 def cmd_frame(args) -> int:
     profile = _profile(args)
     j_range = _int_pair(args.j_range)
-    oversamples = _floats(args.oversample)
+    oversamples = _floats(args.oversample, "oversample list")
     rows = []
     any_ill = False
     for ov in oversamples:

@@ -40,7 +40,7 @@ from .kernels import (
     spectral_weights,
     spread,
 )
-from .legendre import X_DOMAIN_TOL, legendre_series, zonal_series_rows
+from .legendre import _check_x, zonal_series, zonal_series_rows
 from .spectra import PowerSpectrum, positive_spectrum
 
 __all__ = [
@@ -76,9 +76,7 @@ class CorrelationQuery:
 
     def __post_init__(self):
         check_scale(self.t)
-        if not math.isfinite(self.cos_gamma) or abs(self.cos_gamma) > 1.0 + X_DOMAIN_TOL:
-            raise ValueError("cos_gamma must lie in [-1, 1]")
-        object.__setattr__(self, "cos_gamma", min(1.0, max(-1.0, float(self.cos_gamma))))
+        object.__setattr__(self, "cos_gamma", _check_x(self.cos_gamma, "cos_gamma"))
 
     @property
     def geodesic_distance(self) -> float:
@@ -167,8 +165,7 @@ def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float
     the bits of a one-point evaluation.
     """
     seq = covariance_sequence(profile, spectrum, t, eps_tail)
-    ls = np.arange(1, seq.top + 1, dtype=float)
-    return legendre_series(seq.values * (2.0 * ls + 1.0), np.asarray(xs, dtype=float), offset=1)
+    return zonal_series(seq.values, np.asarray(xs, dtype=float), offset=seq.offset)
 
 
 def correlation_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float, cos_gammas,
@@ -293,7 +290,7 @@ def _decay_setup(profile: NeedletProfile, spectrum: PowerSpectrum, cos_gamma: fl
     """Validate a decay measurement; return (exponent, N, geodesic distance)."""
     check_decay_hypothesis(profile, spectrum)
     exponent, n_exp = decay_exponents(profile, spectrum)
-    d = math.acos(min(1.0, max(-1.0, float(cos_gamma))))
+    d = math.acos(_check_x(cos_gamma, "cos_gamma"))
     if d < 0.1:
         raise ValueError("geometry too close to coincidence; need distance >= 0.1")
     if n_scales < 2:

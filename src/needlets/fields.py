@@ -31,6 +31,8 @@ from scipy.special import ndtri
 
 from .kernels import NeedletProfile, choose_lmax, spectral_weights
 from .legendre import (
+    _check_degree,
+    _check_x,
     _sph_harm_rows,
     sph_harm_flat_index,
     sph_harm_flat_repeat,
@@ -137,9 +139,7 @@ def sample_alm(spectrum: PowerSpectrum, L: int, seed: int, stream: int = 0) -> A
     Deterministic in (seed, stream): coefficient j is the inverse-CDF image
     of Philox word j, so partial or parallel evaluation cannot reorder draws.
     """
-    L = int(L)
-    if L < 1:
-        raise ValueError("need maximum degree L >= 1")
+    L = _check_degree(L, 1)
     seed = _check_u64("seed", seed)
     stream = _check_u64("stream", stream)
     sigma = _sigma_per_coefficient(spectrum, L)
@@ -302,4 +302,4 @@ def points_cos_angle(point_x, point_y) -> float:
     ty, py = _point(point_y)
     c = (math.cos(tx) * math.cos(ty)
          + math.sin(tx) * math.sin(ty) * math.cos(px - py))
-    return min(1.0, max(-1.0, c))
+    return _check_x(c)

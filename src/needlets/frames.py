@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULTS
-from .kernels import NeedletProfile, choose_lmax, spectral_weights
-from .legendre import _paired_layout, _sph_harm_rows, sph_harm_flat_repeat, sph_harm_matrix
+from .kernels import NeedletProfile, check_dilation, choose_lmax, spectral_weights
+from .legendre import (_check_degree, _check_x, _paired_layout, _sph_harm_rows,
+                       sph_harm_flat_repeat, sph_harm_matrix)
 
 __all__ = [
     "SphereGrid",
@@ -74,21 +75,20 @@ class FrameBoundsEstimate:
 
 def build_grid(a: float, j: int, oversample: float = 1.0) -> SphereGrid:
     """Fibonacci lattice for scale index j with equal-area weights."""
-    a = float(a)
-    if a <= 1.0 + 1e-9:
-        raise ValueError("dilation a must exceed 1")
+    a = check_dilation(a)
     j = int(j)
     if j > 0:
         raise ValueError("scale index j must be <= 0 (scales a^j <= 1)")
     oversample = float(oversample)
-    if oversample < 1.0:
-        raise ValueError("oversample must be >= 1")
-    n = int(math.ceil(oversample * DEFAULTS["grid_area_constant"] * a ** (-2 * j)))
+    if not (math.isfinite(oversample) and oversample >= 1.0):
+        raise ValueError("oversample must be finite and >= 1")
+    n = oversample * DEFAULTS["grid_area_constant"] * a ** (-2 * j)
     if n > _POINT_CAP:
-        raise ValueError(f"grid at j={j} needs {n} points, above the cap {_POINT_CAP}")
+        raise ValueError(f"grid at j={j} needs {n:.6g} points, above the cap {_POINT_CAP}")
+    n = int(math.ceil(n))
     i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    z = 1.0 - (2.0 * i + 1.0) / n  # inside (-1, 1) for every i
+    theta = np.arccos(z)
     phi = np.mod(i * _GOLDEN_ANGLE, 2.0 * math.pi)
     weights = np.full(n, math.sqrt(4.0 * math.pi / n))
     return SphereGrid(j=j, a=a, theta=theta, phi=phi, weights=weights)
@@ -108,7 +108,7 @@ def grid_min_separation(grid: SphereGrid) -> float:
         for r in range(block.shape[0]):
             dots[r, start + r] = -1.0  # mask self-pairs
         best = max(best, float(np.max(dots)))
-    return math.acos(min(1.0, best))
+    return math.acos(_check_x(best))
 
 
 def _check_resolution(profile: NeedletProfile, a: float, j_min: int, L: int) -> None:
@@ -152,15 +152,13 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
     in j_range; the estimate is flagged ill-conditioned when the smallest
     squared singular value drops below 1e-12 of the largest.
     """
+    a = check_dilation(a)
     j_min, j_max = int(j_range[0]), int(j_range[1])
     if j_min > j_max or j_max > 0:
         raise ValueError("j_range must satisfy j_min <= j_max <= 0")
-    L = int(L)
-    if L < 1:
-        raise ValueError("band limit L must be >= 1")
+    L = _check_degree(L, 1)
     _check_resolution(profile, a, j_min, L)
 
-    a = float(a)
     coverage = np.zeros(L)
     for j in range(j_min, j_max + 1):
         f = spectral_weights(profile, a ** (2 * j), L)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .defaults import DEFAULTS, degree_cap
 from .errors import DegreeCapExceeded
-from .legendre import legendre_series, legendre_series_rows
+from .legendre import _zonal_coeffs, legendre_series, legendre_series_rows
 
 __all__ = [
     "NeedletProfile",
@@ -128,6 +128,14 @@ def check_scale_grid(t_grid) -> tuple[float, ...]:
     return t_grid
 
 
+def check_dilation(a) -> float:
+    """The dilation a as a float; it must be finite and exceed 1."""
+    a = float(a)
+    if not (math.isfinite(a) and a > 1.0 + 1e-9):
+        raise ValueError("dilation a must be finite and > 1")
+    return a
+
+
 def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None,
                 squared: bool = False) -> int:
     """Smallest truncation degree whose dropped tail is below eps_tail (relative).
@@ -137,29 +145,31 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
     geometric sequence, so extending the scan until the last term is far
     below eps_tail times the running total makes the remainder negligible.
     An eps_tail that no degree reaches, because it is below the rounding of
-    those sums, is a ValueError.
+    those sums, is a ValueError.  No scan runs past 64 times the degree cap.
     """
     check_scale(t)
     eps = DEFAULTS["eps_tail"] if eps_tail is None else float(eps_tail)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps_tail must lie in (0, 1)")
     cap = degree_cap()
+    hard_stop = 64 * cap
 
-    l_peak = max(8, int(math.sqrt(max(profile.r, 1)) / t) + 1)
+    # the scan starts past the spectral peak near sqrt(r) / t; a peak past
+    # hard_stop raises below before any array is built
+    l_peak = max(8, int(min(math.sqrt(max(profile.r, 1)) / t, hard_stop)) + 1)
     hi = max(64, 6 * l_peak)
-    hard_stop = 64 * max(cap, hi)
     while True:
+        if hi > hard_stop:
+            raise DegreeCapExceeded(
+                f"series for t={t} does not settle below degree {hard_stop}")
         f = spectral_weights(profile, t * t, hi)
-        g = (f * f if squared else np.abs(f)) * (2.0 * np.arange(1, hi + 1) + 1.0)
+        g = _zonal_coeffs(f * f if squared else np.abs(f), 1)
         total = float(np.sum(g))
         if total == 0.0:
             return 8  # everything underflowed; any truncation is exact
         if g[-1] < 1e-6 * eps * total and (g[-1] == 0.0 or g[-1] < g[-2]):
             break
         hi *= 2
-        if hi > hard_stop:
-            raise DegreeCapExceeded(
-                f"series for t={t} does not settle below degree {hard_stop}")
 
     retained = np.cumsum(g)
     dropped = total - retained
@@ -178,9 +188,8 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
 def make_kernel(profile: NeedletProfile, t: float, eps_tail: float | None = None) -> KernelSpec:
     """Build the truncated kernel coefficient vector for scale t."""
     lmax = choose_lmax(profile, t, eps_tail)
-    f = spectral_weights(profile, t * t, lmax)
     return KernelSpec(profile=profile, t=float(t), lmax=lmax,
-                      coeffs=f * (2.0 * np.arange(1, lmax + 1) + 1.0))
+                      coeffs=_zonal_coeffs(spectral_weights(profile, t * t, lmax), 1))
 
 
 def kernel_eval(spec: KernelSpec, cos_gamma):
@@ -228,9 +237,7 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
     spectral peak until terms fall below the configured floor relative to
     the largest term seen.
     """
-    a = float(a)
-    if a <= 1.0 + 1e-9:
-        raise ValueError("dilation a must exceed 1")
+    a = check_dilation(a)
     lv = np.asarray(lam, dtype=float)
     scalar = lv.ndim == 0
     lv = np.atleast_1d(lv)
@@ -258,6 +265,7 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
 
 def calderon_bounds(profile: NeedletProfile, a: float) -> tuple[float, float]:
     """(A_a, B_a) = extremes of the dilation sum g over one period [1, a^2]."""
-    lam = np.geomspace(1.0, float(a) ** 2, DEFAULTS["calderon_grid_points"], endpoint=False)
+    a = check_dilation(a)
+    lam = np.geomspace(1.0, a ** 2, DEFAULTS["calderon_grid_points"], endpoint=False)
     g = calderon_g(profile, a, lam)
     return float(np.min(g)), float(np.max(g))

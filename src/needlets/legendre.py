@@ -42,18 +42,18 @@ __all__ = [
 X_DOMAIN_TOL = 1e-12
 
 
-def _check_x(x):
+def _check_x(x, name: str = "arguments"):
     """A float or an array clipped to [-1, 1]; NaN or a value past the tolerance is an error."""
     xs = np.asarray(x, dtype=float)
     if xs.size and not np.max(np.abs(xs)) <= 1.0 + X_DOMAIN_TOL:
-        raise ValueError("arguments must lie in [-1, 1]")
+        raise ValueError(f"{name} must lie in [-1, 1]")
     return np.clip(xs, -1.0, 1.0) if xs.ndim else min(1.0, max(-1.0, float(xs)))
 
 
-def _check_degree(l: int) -> int:
+def _check_degree(l: int, lowest: int = 0) -> int:
     l = int(l)
-    if l < 0:
-        raise ValueError("degree must be >= 0")
+    if l < lowest:
+        raise ValueError(f"degree must be >= {lowest}")
     cap = degree_cap()
     if l > cap:
         raise DegreeCapExceeded(f"degree {l} exceeds the configured cap {cap}")
@@ -199,7 +199,7 @@ def zonal_eval(l: int, x: float) -> float:
     """Zonal harmonic Z_l(x) = (2l+1) P_l(x)."""
     l = _check_degree(l)
     *_, p_l = _legendre_p(_check_x(x), l)
-    return (2 * l + 1) * p_l
+    return float(_zonal_coeffs(p_l, l)[0])
 
 
 def _zonal_coeffs(values, offset: int) -> np.ndarray:
@@ -292,9 +292,7 @@ def sph_harm_matrix(lmax: int, theta, phi) -> np.ndarray:
     a fresh C-ordered (column, point) buffer that the caller owns and may
     scale in place.
     """
-    lmax = _check_degree(int(lmax))
-    if lmax < 1:
-        raise ValueError("need lmax >= 1")
+    lmax = _check_degree(lmax, 1)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     ph = np.atleast_1d(np.asarray(phi, dtype=float))
     if th.shape != ph.shape or th.ndim != 1:

@@ -106,8 +106,8 @@ def _poly_degree(coeffs) -> int:
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not alpha > 2.0:
-        raise ValueError(f"decay exponent alpha must exceed 2, got {alpha!r}")
+    if not (math.isfinite(alpha) and alpha > 2.0):
+        raise ValueError(f"decay exponent alpha must be finite and exceed 2, got {alpha!r}")
     return alpha
 
 

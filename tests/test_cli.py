@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import needlets.correlation as correlation_module
 import needlets.legendre as legendre_module
@@ -98,6 +100,15 @@ class TestKernelCommand:
         assert res.stdout == ""
         assert "non-finite" in res.stderr
 
+    @pytest.mark.parametrize("t", ["1e-6", "1e-12", "1e-300", "5e-324"])
+    def test_tiny_scale_stops_at_the_degree_cap(self, t, capsys):
+        # these used to scan 6e6 degrees, ask for 43.7 TiB, exceed numpy's
+        # size limit, and overflow int(), in that order
+        assert cli.main(["kernel", "--r", "1", "--t", t, "--theta", "0.1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: series for t={float(t)!r} does not settle")
+
 
 class TestCorrelationCommand:
     def test_coincidence_row_is_one(self):
@@ -150,7 +161,7 @@ class TestCorrelationCommand:
 
     def test_one_scan_and_one_series_per_scale(self, count_calls, capsys):
         scans = count_calls(correlation_module, "choose_lmax")
-        series = count_calls(correlation_module, "legendre_series")
+        series = count_calls(correlation_module, "zonal_series")
         code = cli.main(["correlation", "--r", "1", "--alpha", "3", "--t", "0.2,0.1,0.05",
                          "--cos-gamma=-0.5,0,0.5,1", "--fit"])
         assert code == 0
@@ -206,6 +217,28 @@ class TestScaleAndCapDomain:
         assert out == ""
         assert err == "error: empty scale grid\n"
 
+    @pytest.mark.parametrize("command, message", [
+        (("kernel", "--r", "1", "--t", "0.2", "--theta", ","), "empty theta grid"),
+        (("correlation", "--r", "1", "--alpha", "3", "--t", "0.2", "--cos-gamma", ","),
+         "empty cos_gamma list"),
+        (("correlation", "--r", "1", "--alpha", "3", "--t", "0.2", "--d", ","),
+         "empty distance list"),
+        (("simulate", "--r", "1", "--alpha", "3", "--t", "0.2", "--d", ",",
+          "--replicas", "100"), "empty distance list"),
+        (("frame", "--r", "1", "--oversample", ","), "empty oversample list"),
+        (("frame", "--r", "1", "--oversample", ",", "--export-grid", "GRID"),
+         "empty oversample list"),
+    ], ids=["kernel-theta", "correlation-cos-gamma", "correlation-d", "simulate-d",
+            "frame-oversample", "frame-export-grid"])
+    def test_empty_list_is_config_error(self, command, message, tmp_path, capsys):
+        # each used to print a bare header and exit 0; the grid export crashed
+        grid = tmp_path / "grid.csv"
+        assert cli.main([str(grid) if a == "GRID" else a for a in command]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not grid.exists()
+
     def test_junk_degree_cap_is_config_error(self):
         res = run("kernel", "--r", "1", "--t", "0.2", "--theta", "0.1",
                   env_extra={DEGREE_CAP_ENV: "abc"})
@@ -245,7 +278,7 @@ class TestSimulateCommand:
     def test_one_squared_scan_and_one_series_per_scale(self, count_calls, capsys):
         # every truncation scan of the correlation module is of the squared profile
         scans = count_calls(correlation_module, "choose_lmax")
-        series = count_calls(correlation_module, "legendre_series")
+        series = count_calls(correlation_module, "zonal_series")
         code = cli.main(["simulate", "--r", "1", "--alpha", "3", "--t", "0.2,0.1",
                          "--d", "0.3,0.785,1.571", "--replicas", "100"])
         assert code == 0
@@ -410,6 +443,27 @@ class TestFrameCommand:
         rows = rows_of(res.stdout)
         assert rows[0]["ill_conditioned"] == "true"
 
+    @pytest.mark.parametrize("a", ["nan", "inf", "0", "5e-324"])
+    @pytest.mark.parametrize("j_range", ["0:0", "-2:0"])
+    def test_bad_dilation_is_config_error(self, a, j_range, capsys):
+        # a = nan used to print a row with j_range 0:0, and blame the scale
+        # with -2:0; a = 0 and 5e-324 crashed
+        argv = ["frame", "--r", "1", "--a", a, f"--j-range={j_range}", "--L", "2",
+                "--oversample", "1"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: dilation a must be finite and > 1\n"
+
+    @pytest.mark.parametrize("oversample", ["inf", "nan", "1,inf"])
+    def test_non_finite_oversample_is_config_error(self, oversample, capsys):
+        # inf used to crash with an OverflowError, nan failed converting to int
+        argv = ["frame", "--r", "1", "--L", "2", "--j-range=-1:0", "--oversample", oversample]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: oversample must be finite and >= 1\n"
+
 
 class TestDeterminism:
     CASES = [
@@ -485,3 +539,58 @@ class TestBenchmarkReplay:
         for mod_name, fn_name, _ in layers:
             module = importlib.import_module(f"needlets.{mod_name}")
             assert callable(getattr(module, fn_name, None)), f"needlets.{mod_name}.{fn_name}"
+
+
+
+# one cheap valid command line per subcommand: (command, options, flags)
+ARGV_BASES = [
+    ("kernel", [("--r", "1"), ("--t", "0.2"), ("--theta", "0.1,0.5"),
+                ("--eps-tail", "1e-10")], []),
+    ("correlation", [("--r", "1"), ("--alpha", "3"), ("--t", "0.2,0.1"),
+                     ("--d", "1.5")], ["--fit"]),
+    ("correlation", [("--r", "1"), ("--alpha", "3"), ("--t", "0.2"),
+                     ("--cos-gamma", "0,0.5")], []),
+    ("simulate", [("--r", "1"), ("--alpha", "3"), ("--t", "0.2"), ("--d", "0.5"),
+                  ("--replicas", "100"), ("--seed", "1")], []),
+    ("verify", [("--r", "1"), ("--alpha", "3"), ("--t-grid", "0.4,0.2"),
+                ("--variance-t-grid", "0.2,0.1"), ("--loc-exponent", "3"),
+                ("--envelope-lmax", "200"), ("--window", "10:200"), ("--k-max", "2")], []),
+    ("frame", [("--r", "1"), ("--a", "2"), ("--L", "2"), ("--j-range", "-1:0"),
+               ("--oversample", "1")], []),
+]
+HOSTILE_TOKENS = ["nan", "inf", "-inf", "-1", "0", ",", "1e-12", "5e-324", "1e308"]
+# (base, option index, token): every single-token mutation of every base
+MUTATIONS = [(b, k, token) for b, (_, options, _) in enumerate(ARGV_BASES)
+             for k in range(len(options)) for token in HOSTILE_TOKENS]
+
+
+def mutated_argv(base, k=None, token=None):
+    """Base command line `base` with the value of its option k replaced by `token`."""
+    command, options, flags = ARGV_BASES[base]
+    return [command, *(f"{name}={token if i == k else value}"
+                       for i, (name, value) in enumerate(options)), *flags]
+
+
+class TestArgvProperty:
+    """One option value of a cheap valid command line is replaced by a hostile
+    token.  Every outcome must be a documented exit code, with empty stdout on
+    a config error and no traceback."""
+
+    @pytest.mark.parametrize("base", range(len(ARGV_BASES)))
+    def test_every_base_is_valid(self, base, capsys):
+        assert cli.main(mutated_argv(base)) == 0
+        assert capsys.readouterr().out
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(MUTATIONS))
+    @example((0, 1, "1e-12"))  # kernel --t: a 43.7 TiB scan
+    @example((5, 4, "inf"))  # frame --oversample: OverflowError in build_grid
+    @example((1, 1, "inf"))  # correlation --alpha: OverflowError in decay_exponents
+    def test_mutated_argv_exits_cleanly(self, capsys, mutation):
+        code = cli.main(mutated_argv(*mutation))
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4)
+        if code == 2:
+            assert out == ""
+        assert "Traceback" not in err

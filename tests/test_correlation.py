@@ -98,7 +98,7 @@ class TestCovarianceSeries:
 
     def test_one_scan_and_one_series_per_call(self, count_calls):
         scans = count_calls(correlation_module, "choose_lmax")
-        series = count_calls(correlation_module, "legendre_series")
+        series = count_calls(correlation_module, "zonal_series")
         covariance_series(PROFILE, SPECTRUM, 0.1, self.XS)
         assert (len(scans), len(series)) == (1, 1)
         analytic_correlation(CorrelationQuery(PROFILE, SPECTRUM, 0.1, 0.3))
@@ -133,6 +133,20 @@ class TestCosGammaDomain:
             CorrelationQuery(PROFILE, SPECTRUM, 0.2, x)
         with pytest.raises(ValueError):
             _check_x(x)
+
+    @pytest.mark.parametrize("cos_gamma", [math.nan, math.inf, -5.0, 1.0 + 2.0 * X_DOMAIN_TOL])
+    def test_decay_fit_refuses_what_a_query_refuses(self, cos_gamma):
+        # the fit used to clip NaN and -5 to -1, fit at d = pi and pass
+        with pytest.raises(ValueError, match=r"^cos_gamma must lie in \[-1, 1\]$"):
+            fit_correlation_decay(PROFILE, SPECTRUM, cos_gamma, [0.2, 0.1], [0.01, 0.001])
+        with pytest.raises(ValueError, match=r"^cos_gamma must lie in \[-1, 1\]$"):
+            correlation_decay_check(PROFILE, SPECTRUM, cos_gamma, [0.2, 0.1])
+
+    def test_decay_fit_clips_within_tolerance(self):
+        x = -1.0 - 0.5 * X_DOMAIN_TOL
+        cors = [0.01, 0.001]
+        assert (fit_correlation_decay(PROFILE, SPECTRUM, x, [0.2, 0.1], cors)
+                == fit_correlation_decay(PROFILE, SPECTRUM, -1.0, [0.2, 0.1], cors))
 
     @pytest.mark.parametrize("edge", [1.0, -1.0])
     @pytest.mark.parametrize("inside", [0.5, 2.0])
@@ -185,7 +199,7 @@ class TestCorrelationSeries:
 
     def test_one_scan_and_one_series(self, count_calls):
         scans = count_calls(correlation_module, "choose_lmax")
-        series = count_calls(correlation_module, "legendre_series")
+        series = count_calls(correlation_module, "zonal_series")
         correlation_series(PROFILE, SPECTRUM, 0.1, self.XS)
         assert (len(scans), len(series)) == (1, 1)
 

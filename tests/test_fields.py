@@ -12,11 +12,13 @@ from scipy.special import ndtri
 from needlets import (
     AlmSet,
     CorrelationQuery,
+    DegreeCapExceeded,
     NeedletProfile,
     addition_theorem_check,
     analytic_correlation,
     analytic_covariance,
     choose_lmax,
+    estimate_frame_bounds,
     monte_carlo_correlation,
     monte_carlo_correlations,
     needlet_coefficient,
@@ -30,6 +32,7 @@ from needlets import (
 )
 from needlets import sph_harm_flat_index
 import needlets.fields as fields_module
+from needlets.defaults import DEGREE_CAP_ENV
 from needlets.fields import rotate_alm_about_pole
 
 RNG = np.random.default_rng(20240816)
@@ -174,6 +177,28 @@ class TestSampleAlm:
     def test_seed_range_checked(self):
         with pytest.raises(ValueError):
             sample_alm(SPECTRUM, 4, seed=-1)
+
+    def test_degree_cap_applies(self, monkeypatch):
+        # with the cap at 50, L = 60 used to draw 3720 coefficients although
+        # no harmonic of those degrees could be evaluated
+        monkeypatch.setenv(DEGREE_CAP_ENV, "50")
+        message = "^degree 60 exceeds the configured cap 50$"
+        with pytest.raises(DegreeCapExceeded, match=message):
+            sample_alm(SPECTRUM, 60, seed=0)
+        with pytest.raises(DegreeCapExceeded, match=message):
+            sph_harm_matrix(60, [0.5], [0.0])
+        assert sample_alm(SPECTRUM, 50, seed=0).coeffs.size == 50 * 52
+
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_one_band_limit_rule(self, L):
+        # the draws, the harmonics and the frame estimate each had their own
+        # check and message
+        calls = [lambda: sample_alm(SPECTRUM, L, seed=0),
+                 lambda: sph_harm_matrix(L, [0.5], [0.0]),
+                 lambda: estimate_frame_bounds(PROFILE, 2.0, (-2, 0), L)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^degree must be >= 1$"):
+                call()
 
 
 class TestNeedletCoefficient:

@@ -66,6 +66,23 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="above the cap"):
             build_grid(2.0, -12)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 1.0])
+    def test_dilation_must_be_finite_and_exceed_one(self, a):
+        # a NaN used to pass and build a grid
+        with pytest.raises(ValueError, match=r"^dilation a must be finite and > 1$"):
+            build_grid(a, 0)
+
+    @pytest.mark.parametrize("oversample", [math.nan, math.inf])
+    def test_oversample_must_be_finite(self, oversample):
+        # inf used to raise OverflowError, and NaN failed in int()
+        with pytest.raises(ValueError, match=r"^oversample must be finite and >= 1$"):
+            build_grid(2.0, 0, oversample)
+
+    def test_point_cap_holds_past_the_float_range(self):
+        # 4 * 1e308 points overflows to inf, which used to reach int()
+        with pytest.raises(ValueError, match="needs inf points, above the cap"):
+            build_grid(2.0, 0, 1e308)
+
 
 class TestFrameCoefficients:
     def test_single_harmonic(self):
@@ -157,6 +174,14 @@ class TestFrameBounds:
         # j = 0 alone cannot resolve degree 16
         with pytest.raises(ValueError):
             estimate_frame_bounds(PROFILE, 2.0, (0, 0), 16)
+
+    @pytest.mark.parametrize("j_range", [(0, 0), (-2, 0)])
+    @pytest.mark.parametrize("a", [math.nan, 0.0])
+    def test_dilation_is_checked_first(self, a, j_range):
+        # a NaN used to give an estimate on (0, 0) and blame the scale on (-2, 0);
+        # a = 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match=r"^dilation a must be finite and > 1$"):
+            estimate_frame_bounds(PROFILE, a, j_range, 2)
 
     def test_rank_deficiency_flagged(self):
         # 4 points cannot carry an 8-dimensional subspace

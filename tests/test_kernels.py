@@ -22,6 +22,7 @@ from needlets import (
     spectral_weights,
     sph_harm_flat_repeat,
 )
+import needlets.kernels as kernels_module
 from needlets.kernels import check_scale_grid, spread
 from needlets.correlation import covariance_coefficients
 from needlets.spectra import spectrum_eval
@@ -178,6 +179,23 @@ class TestChooseLmax:
         # no prefix of the tail sums reaches eps; this used to be an IndexError
         with pytest.raises(ValueError, match="below the rounding floor"):
             choose_lmax(NeedletProfile(r), t, eps, squared=True)
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("t", [1e-6, 1e-12, 1e-300, 5e-324])
+    def test_tiny_scale_stops_at_the_cap_before_allocating(self, count_calls, t, squared):
+        # the scan used to start at 6 sqrt(r) / t degrees, past any bound: a
+        # 6e6-degree scan at 1e-6, 43.7 TiB at 1e-12, OverflowError at 5e-324
+        widths = count_calls(kernels_module, "spectral_weights")
+        with pytest.raises(DegreeCapExceeded, match="does not settle below degree 262144"):
+            choose_lmax(NeedletProfile(1), t, squared=squared)
+        assert widths == []
+
+    def test_scan_bound_follows_the_cap(self, monkeypatch, count_calls):
+        monkeypatch.setenv(DEGREE_CAP_ENV, "64")
+        widths = count_calls(kernels_module, "spectral_weights")
+        with pytest.raises(DegreeCapExceeded):
+            choose_lmax(NeedletProfile(1), 1e-4)
+        assert all(lmax <= 64 * 64 for _, _, lmax in widths)
 
     def test_floor_of_eight(self):
         assert choose_lmax(NeedletProfile(1), 5.0, 1e-6) >= 8
@@ -374,3 +392,12 @@ class TestCalderon:
     def test_dilation_must_exceed_one(self):
         with pytest.raises(ValueError):
             calderon_bounds(NeedletProfile(1), 1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 1.0, 0.5])
+    def test_dilation_must_be_finite_and_exceed_one(self, a):
+        # a NaN used to reach int() in calderon_bounds, and pass calderon_g's check
+        p = NeedletProfile(1)
+        with pytest.raises(ValueError, match=r"^dilation a must be finite and > 1$"):
+            calderon_bounds(p, a)
+        with pytest.raises(ValueError, match=r"^dilation a must be finite and > 1$"):
+            calderon_g(p, a, 1.0)
