@@ -190,9 +190,10 @@ def cmd_correlation(args) -> int:
     if args.fit:
         check_decay_hypothesis(profile, spectrum)
 
+    # one checked inner product and one distance per cos gamma serve every scale
+    qs = [CorrelationQuery(profile, spectrum, ts[0], cg) for cg in cos_gammas]
     rows, cors_by_t = [], []
     for t in ts:
-        qs = [CorrelationQuery(profile, spectrum, t, cg) for cg in cos_gammas]
         covs, cors = correlation_series(profile, spectrum, t, [q.cos_gamma for q in qs],
                                         args.eps_tail)
         cors_by_t.append(cors)
@@ -217,25 +218,26 @@ def cmd_correlation(args) -> int:
 def cmd_simulate(args) -> int:
     profile = _profile(args)
     spectrum = _resolve_spectrum(args)
+    ts = _scales(args.t)
     point_x = (math.pi / 2.0, 0.0)
-    grid = [(t, d, (math.pi / 2.0, d)) for t in _scales(args.t)
-            for d in _floats(args.d, "distance list")]
-    # every point is checked before anything is drawn
-    cos_gammas = {}
-    for t, _, point_y in grid:
-        cos_gammas.setdefault(t, []).append(points_cos_angle(point_x, point_y))
+    points_y = [(math.pi / 2.0, d) for d in _floats(args.d, "distance list")]
+    # every point is checked before anything is drawn; cos gamma depends on d alone
+    cos_gammas = [points_cos_angle(point_x, point_y) for point_y in points_y]
     # one draw of each replica serves the whole t x d grid
     estimates = monte_carlo_correlations(
-        profile, spectrum, [(t, point_x, point_y) for t, _, point_y in grid],
+        profile, spectrum, [(t, point_x, point_y) for t in ts for point_y in points_y],
         args.replicas, args.seed, args.eps_tail)
-    # one analytic series per distinct scale, over all of its distances
-    truths = {t: iter(correlation_series(profile, spectrum, t, cgs, args.eps_tail)[1].tolist())
-              for t, cgs in cos_gammas.items()}
+    # one analytic series per distinct scale, over all distances
+    truths = {t: correlation_series(profile, spectrum, t, cos_gammas, args.eps_tail)[1].tolist()
+              for t in dict.fromkeys(ts)}
+    grid = [(t, d, true) for t in ts for (_, d), true in zip(points_y, truths[t])]
     rows = []
     worst = 0.0
-    for (t, d, _), (est, se) in zip(grid, estimates):
-        true = next(truths[t])
+    for (t, d, true), (est, se) in zip(grid, estimates):
         z = 0.0 if se == 0.0 and est == true else (est - true) / se
+        if math.isnan(z):  # also when the estimate or its stderr is NaN
+            raise NumericFailure(f"Monte-Carlo estimate at t={t}, d={d} is not a number "
+                                 f"(estimate {est!r}, stderr {se!r}, z {z!r})")
         worst = max(worst, abs(z))
         rows.append((t, d, args.replicas, args.seed, est, se, true, z))
     _emit(_table(["t", "d", "replicas", "seed", "estimate", "stderr",

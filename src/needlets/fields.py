@@ -15,8 +15,10 @@ no adjustment).
 Randomness is counter-based: draw j of stream (seed, stream) is a fixed
 function of the Philox output word at counter position j, so coefficients
 never depend on evaluation order and replicas can run on any schedule.  The
-Monte-Carlo loop uses that: each block of replicas is drawn and projected as
-two row halves on two threads.
+Monte-Carlo loop uses that: each block of replicas is drawn once and
+projected as two row halves on two threads, onto one weighted harmonic row
+per distinct coefficient beta_{t,x}, however many query pairs share it.
+Longitudes are reduced modulo 2 pi on entry, so any finite point is usable.
 """
 
 from __future__ import annotations
@@ -185,10 +187,12 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
     scale of degree L reads the first L(L+2) coefficients, which are the
     draws it would make alone, so every result is a pure function of
     (seed, replicas) and its query, whatever the other queries, the blocking
-    or the schedule.  A block holds about 8 MiB of coefficients, whatever
-    the replica count; two threads each draw and project one half of a
-    block's rows, each replica into its own slot of the sample, so neither
-    the split nor the block size moves a bit.
+    or the schedule.  Each distinct coefficient beta_{t,x} is projected once,
+    into its own row of the sample, and a query reads two rows.  A block
+    holds about 8 MiB of coefficients, whatever the replica count; two
+    threads each draw and project one half of a block's rows, each replica
+    into its own slot of the sample, so neither the split nor the block size
+    moves a bit.
     The estimate is the uncentered moment ratio matching the defining
     expectation formula for these zero-mean fields; the standard error is
     the leave-one-out jackknife of that ratio.
@@ -201,20 +205,20 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
                for t, point_x, point_y in queries]
     if not queries:
         return []
-    degrees = {t: choose_lmax(profile, t, eps_tail)
-               for t in dict.fromkeys(t for t, _, _ in queries)}
+    # one projection, and one row of the sample, per distinct (t, point)
+    keys = {}
+    for t, point_x, point_y in queries:
+        keys.setdefault((t, point_x), len(keys))
+        keys.setdefault((t, point_y), len(keys))
+    degrees = {t: choose_lmax(profile, t, eps_tail) for t in dict.fromkeys(t for t, _ in keys)}
     weights = {t: sph_harm_flat_repeat(spectral_weights(profile, t * t, L))
                for t, L in degrees.items()}
-    projections = []
-    for t, point_x, point_y in queries:
-        y_pair = sph_harm_matrix(degrees[t], [point_x[0], point_y[0]],
-                                 [point_x[1], point_y[1]])
-        projections.append((weights[t] * y_pair[0], weights[t] * y_pair[1]))
+    projections = [weights[t] * sph_harm_matrix(degrees[t], [theta], [phi])[0]
+                   for t, (theta, phi) in keys]
     sigma = _sigma_per_coefficient(spectrum, max(degrees.values()))
     chunk = max(1, _BLOCK_BYTES // (sigma.size * sigma.itemsize))
 
-    bx = np.empty((len(queries), replicas))
-    by = np.empty((len(queries), replicas))
+    samples = np.empty((len(keys), replicas))
     block = np.empty((min(chunk, replicas), sigma.size))
 
     def draw_and_project(lo: int, hi: int, rows: np.ndarray) -> None:
@@ -222,10 +226,8 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
         # so the result does not depend on which rows share a call
         _counter_normals(seed, range(lo, hi), rows)
         rows *= sigma
-        for q, (wx, wy) in enumerate(projections):
-            head = rows[:, :wx.size]
-            bx[q, lo:hi] = (head * wx).sum(axis=1)
-            by[q, lo:hi] = (head * wy).sum(axis=1)
+        for k, w in enumerate(projections):
+            samples[k, lo:hi] = (rows[:, :w.size] * w).sum(axis=1)
 
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         for start in range(0, replicas, chunk):
@@ -235,7 +237,8 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
                        for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
             for future in futures:
                 future.result()
-    return [_jackknife_correlation(x, y) for x, y in zip(bx, by)]
+    return [_jackknife_correlation(samples[keys[t, point_x]], samples[keys[t, point_y]])
+            for t, point_x, point_y in queries]
 
 
 def _jackknife_correlation(bx: np.ndarray, by: np.ndarray) -> MonteCarloCorrelation:
@@ -289,11 +292,13 @@ def rotate_alm_about_pole(alm: AlmSet, dphi: float) -> AlmSet:
 
 
 def _point(point) -> tuple[float, float]:
-    """A (theta, phi) pair as floats; both must be finite."""
+    """A (theta, phi) pair as floats; both must be finite.  phi is reduced to
+    fmod(phi, 2 pi), which leaves |phi| < 2 pi unchanged and keeps m phi
+    finite in the harmonics for any finite longitude."""
     theta, phi = float(point[0]), float(point[1])
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("point coordinates (theta, phi) must be finite")
-    return theta, phi
+    return theta, math.fmod(phi, 2.0 * math.pi)
 
 
 def points_cos_angle(point_x, point_y) -> float:

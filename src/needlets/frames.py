@@ -82,7 +82,10 @@ def build_grid(a: float, j: int, oversample: float = 1.0) -> SphereGrid:
     oversample = float(oversample)
     if not (math.isfinite(oversample) and oversample >= 1.0):
         raise ValueError("oversample must be finite and >= 1")
-    n = oversample * DEFAULTS["grid_area_constant"] * a ** (-2 * j)
+    try:
+        n = oversample * DEFAULTS["grid_area_constant"] * a ** (-2 * j)
+    except OverflowError:  # Python float power raises where numpy would give inf
+        n = math.inf
     if n > _POINT_CAP:
         raise ValueError(f"grid at j={j} needs {n:.6g} points, above the cap {_POINT_CAP}")
     n = int(math.ceil(n))
@@ -158,16 +161,6 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
         raise ValueError("j_range must satisfy j_min <= j_max <= 0")
     L = _check_degree(L, 1)
     _check_resolution(profile, a, j_min, L)
-
-    coverage = np.zeros(L)
-    for j in range(j_min, j_max + 1):
-        f = spectral_weights(profile, a ** (2 * j), L)
-        coverage += f * f
-    if float(np.min(coverage)) < 1e-8 * float(np.max(coverage)):
-        bad = int(np.argmin(coverage)) + 1
-        raise ValueError(
-            f"degree {bad} has no spectral coverage in j_range {j_min}..{j_max}")
-
     eigs = _eigvalsh_one_thread(_frame_gram(profile, a, j_min, j_max, L, oversample))
     a_hat = float(eigs[0])
     b_hat = float(eigs[-1])
@@ -212,18 +205,24 @@ def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: in
                 oversample: float) -> np.ndarray:
     """The Gram matrix M^T M of the analysis matrix on degrees 1..L.
 
-    Each grid adds its blocks in the paired layout of `legendre._paired_layout`
-    (the + by - block only above the diagonal); the matrix is completed and put
-    in the flat layout once, at the end.
+    The spectral weights of each scale are computed once, for the coverage
+    check (ValueError for a degree no scale in j_min..j_max covers) and the
+    Gram.  Each grid adds its blocks in the paired layout of
+    `legendre._paired_layout` (the + by - block only above the diagonal); the
+    matrix is completed and put in the flat layout once, at the end.
     """
+    weights = {j: spectral_weights(profile, a ** (2 * j), L) for j in range(j_min, j_max + 1)}
+    coverage = sum(f * f for f in weights.values())
+    if float(np.min(coverage)) < 1e-8 * float(np.max(coverage)):
+        bad = int(np.argmin(coverage)) + 1
+        raise ValueError(
+            f"degree {bad} has no spectral coverage in j_range {j_min}..{j_max}")
     flat, n_plus = _paired_layout(L)
     ls = sph_harm_flat_repeat(np.arange(1, L + 1))[flat]
     ms = flat + 1 - ls * ls - ls
     gram = np.zeros((flat.size, flat.size))
-    for j in range(j_min, j_max + 1):
-        grid = build_grid(a, j, oversample)
-        weights = spectral_weights(profile, a ** (2 * j), L)[ls - 1]
-        _add_grid_gram(gram, n_plus, L, grid, weights, ms)
+    for j, f in weights.items():
+        _add_grid_gram(gram, n_plus, L, build_grid(a, j, oversample), f[ls - 1], ms)
     gram[n_plus:, :n_plus] = gram[:n_plus, n_plus:].T
     order = np.argsort(flat)
     return gram[np.ix_(order, order)]

@@ -156,11 +156,12 @@ def _series_rows(rows: list, offsets: list, x: np.ndarray) -> np.ndarray:
     # live[l]: how many sorted rows still hold a degree-l term
     live = np.searchsorted(-tops[order], -np.arange(top + 2), side="right")
 
-    shared = x.ndim == 1
-    x = x if shared else x[order]
+    # shared points are one row that broadcasts against every coefficient row;
+    # a prefix [:k] of it is that row, so one loop serves both shapes
+    x = x[order] if x.ndim == 2 else x[None]
     total, new, carry, term, err = (np.zeros((n, npts)) for _ in range(5))
     p, p_prev = np.ones(x.shape), np.zeros(x.shape)
-    work = err[0] if shared else err  # free between one step's sum and the next
+    work = err[:len(x)]  # free between one step's sum and the next
     k = n
     tv, sv, cv, bv, ev = total, new, carry, term, err
     for l in range(top + 1):
@@ -168,7 +169,7 @@ def _series_rows(rows: list, offsets: list, x: np.ndarray) -> np.ndarray:
             out[order[live[l]:k]] = total[live[l]:k] + carry[live[l]:k]
             k = int(live[l])
             tv, sv, cv, bv, ev = total[:k], new[:k], carry[:k], term[:k], err[:k]
-        np.multiply(table[l, :k], p if shared else p[:k], out=bv)
+        np.multiply(table[l, :k], p[:k], out=bv)
         # TwoSum: sv = tv + bv and ev = its rounding error, exactly
         np.add(tv, bv, out=sv)
         np.subtract(sv, tv, out=ev)
@@ -181,10 +182,8 @@ def _series_rows(rows: list, offsets: list, x: np.ndarray) -> np.ndarray:
         if l == top:
             break
         # (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, for the rows that go on
-        xj, pj, qj, wj = x, p, p_prev, work
-        if not shared:
-            j = live[l + 1]
-            xj, pj, qj, wj = x[:j], p[:j], p_prev[:j], work[:j]
+        j = live[l + 1]
+        xj, pj, qj, wj = x[:j], p[:j], p_prev[:j], work[:j]
         np.multiply(xj, 2 * l + 1, out=wj)
         np.multiply(wj, pj, out=wj)
         np.multiply(qj, l, out=qj)

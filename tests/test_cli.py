@@ -21,6 +21,7 @@ import needlets.legendre as legendre_module
 from needlets import (
     CorrelationQuery,
     DecayHypothesisError,
+    MonteCarloCorrelation,
     NeedletProfile,
     analytic_correlation,
     cli,
@@ -168,6 +169,15 @@ class TestCorrelationCommand:
         assert len(rows_of(capsys.readouterr().out.split("\n\n")[0])) == 12
         assert (len(scans), len(series)) == (3, 3)
 
+    def test_one_query_per_cos_gamma(self, count_calls, capsys):
+        # the benchmark line: 7 scales x 24 inner products, 24 checked queries
+        workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
+        (command,) = [c for c in workloads["analytic"] if c.label == "correlation"]
+        queries = count_calls(cli, "CorrelationQuery")
+        assert cli.main(command.args(0)) == 0
+        assert len(rows_of(capsys.readouterr().out.split("\n\n")[0])) == 168
+        assert len(queries) == 24
+
     def test_eps_tail_below_rounding_floor_is_config_error(self):
         # this used to crash with an IndexError, exit 1 ("verification FAIL")
         res = run("correlation", "--r", "1", "--alpha", "3", "--t", "0.05",
@@ -300,6 +310,42 @@ class TestSimulateCommand:
             q = CorrelationQuery(profile, spectrum, float(row["t"]), cg)
             assert float.hex(float(row["analytic"])) == float.hex(analytic_correlation(q))
         assert [float(r["analytic"]) for r in rows if r["d"] == "0.0"] == [1.0] * 3
+
+    def test_one_cos_gamma_per_distance(self, count_calls, capsys):
+        # the simulate-r1 benchmark grid (fewer replicas): 2 scales x 3 distances
+        angles = count_calls(cli, "points_cos_angle")
+        code = cli.main(["simulate", "--r", "1", "--alpha", "3", "--t", "0.2,0.1",
+                         "--d", "0.3,0.785,1.571", "--replicas", "100"])
+        assert code == 0
+        assert len(rows_of(capsys.readouterr().out)) == 6
+        assert len(angles) == 3
+
+    def test_huge_distance_gives_finite_row(self, capsys):
+        # m phi used to overflow: the row read NaN and the command exited 0
+        argv = ["simulate", "--r", "1", "--alpha", "3", "--t", "0.2", "--replicas", "100"]
+        assert cli.main([*argv, "--d", "1e308"]) == 0
+        (row,) = rows_of(capsys.readouterr().out)
+        assert cli.main([*argv, "--d", repr(math.fmod(1e308, 2 * math.pi))]) == 0
+        (reduced,) = rows_of(capsys.readouterr().out)
+        assert row.pop("d") == "1e+308"
+        del reduced["d"]
+        assert row == reduced
+        assert all(math.isfinite(float(v)) for v in row.values())
+
+    @pytest.mark.parametrize("field", ["estimate", "stderr"])
+    def test_nan_estimate_is_numeric_failure(self, monkeypatch, capsys, field):
+        # a NaN z used to leave the |z| > 5 gate open: exit 0 with NaN rows
+        def nan_estimates(*args):
+            return [MonteCarloCorrelation(estimate=0.5, stderr=0.1)._replace(**{field: math.nan})
+                    for _ in args[2]]
+
+        monkeypatch.setattr(cli, "monte_carlo_correlations", nan_estimates)
+        code = cli.main(["simulate", "--r", "1", "--alpha", "3", "--t", "0.2", "--d", "0.3",
+                         "--replicas", "100"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("error: Monte-Carlo estimate at t=0.2, d=0.3 is not a number")
 
     @pytest.mark.parametrize("d", ["nan", "inf", "0.3,nan"])
     def test_non_finite_distance_is_config_error(self, d):

@@ -35,6 +35,10 @@ from needlets import (
 )
 from needlets.legendre import X_DOMAIN_TOL, _check_x
 
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
 RNG = np.random.default_rng(20240815)
 PROFILE = NeedletProfile(1)
 SPECTRUM = power_spectrum(3.0)
@@ -202,6 +206,17 @@ class TestCorrelationSeries:
         series = count_calls(correlation_module, "zonal_series")
         correlation_series(PROFILE, SPECTRUM, 0.1, self.XS)
         assert (len(scans), len(series)) == (1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from(["exponential", "gaussian"]),
+           st.floats(2.05, 8.0), st.floats(0.01, 2.0),
+           st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(0.999999, 1.0),
+                              st.sampled_from([-1.0, -1.0 + 2 ** -53, 0.0, 1.0 - 2 ** -53])),
+                    min_size=1, max_size=8))
+    def test_correlation_is_at_most_one_in_magnitude(self, r, f0, alpha, t, xs):
+        # |P_l| <= 1 and every coefficient is positive, so |Cov(t, x)| <= Cov(t, 1)
+        _, cors = correlation_series(NeedletProfile(r, f0), power_spectrum(alpha), t, xs)
+        assert np.all(np.abs(cors) <= 1.0)
 
     def test_degenerate_variance_only_when_a_point_is_apart(self):
         # at t = 50 every retained coefficient underflows, so Cov(t, 1) = 0

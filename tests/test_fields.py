@@ -35,6 +35,10 @@ import needlets.fields as fields_module
 from needlets.defaults import DEGREE_CAP_ENV
 from needlets.fields import rotate_alm_about_pole
 
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
 RNG = np.random.default_rng(20240816)
 PROFILE = NeedletProfile(1)
 SPECTRUM = power_spectrum(3.0)
@@ -294,6 +298,15 @@ class TestMonteCarloCorrelation:
             monte_carlo_correlation(PROFILE, SPECTRUM, 0.25,
                                     (0.5, 0.5), (0.6, 0.6), 50, seed=0)
 
+    def test_huge_longitude_is_reduced_modulo_two_pi(self):
+        # m phi used to overflow in the harmonics, and the estimate was NaN
+        x, huge = (math.pi / 2, 0.0), (math.pi / 2, 1e308)
+        reduced = (math.pi / 2, math.fmod(1e308, 2 * math.pi))
+        got = monte_carlo_correlation(PROFILE, SPECTRUM, 0.25, x, huge, 200, seed=0)
+        assert all(map(math.isfinite, got))
+        assert got == monte_carlo_correlation(PROFILE, SPECTRUM, 0.25, x, reduced, 200, seed=0)
+        assert points_cos_angle(x, huge) == points_cos_angle(x, reduced)
+
     def test_bounded_memory(self):
         # L = 116: 300 replicas of 13 688 coefficients are 33 MB, so the loop
         # has to work in blocks and must not hold a whole-sample temporary
@@ -339,6 +352,12 @@ EQUATOR_X = (math.pi / 2, 0.0)
 GRID_SCALES = (0.2, 0.1)
 GRID_QUERIES = [(t, EQUATOR_X, (math.pi / 2, d))
                 for t in GRID_SCALES for d in (0.3, 0.785, 1.571)]
+# points that equal dict keys cannot tell apart (signed zeros), a pole, a
+# longitude past 2 pi, and random points
+MC_POINT = st.one_of(
+    st.sampled_from([EQUATOR_X, (math.pi / 2, -0.0), (0.0, 0.0), (-0.0, -0.0),
+                     (1.0, 0.3), (1.0, 0.3 + 2 * math.pi)]),
+    st.tuples(st.floats(0.0, math.pi), st.floats(-7.0, 7.0)))
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +392,29 @@ class TestBatchedMonteCarlo:
         scans = count_calls(fields_module, "choose_lmax")
         monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 100, seed=0)
         assert sorted(args[1] for args in scans) == [0.1, 0.2]
+
+    def test_one_projection_per_coefficient(self, count_calls):
+        # 6 queries on 2 scales share point_x: 8 distinct beta_{t,x}, not 12
+        harmonics = count_calls(fields_module, "sph_harm_matrix")
+        monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 100, seed=0)
+        assert sum(len(args[1]) for args in harmonics) == 8
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.3, 0.2]), MC_POINT, MC_POINT),
+                    min_size=1, max_size=5),
+           st.integers(0, 2 ** 64 - 1))
+    # repeated points and scales, a duplicate query, and phi = -0.0 beside 0.0,
+    # which a dict key does not tell apart
+    @example(queries=[(0.2, EQUATOR_X, (math.pi / 2, -0.0)),
+                      (0.2, (math.pi / 2, -0.0), (math.pi / 2, 0.3)),
+                      (0.2, EQUATOR_X, (math.pi / 2, 0.3)),
+                      (0.2, EQUATOR_X, (math.pi / 2, 0.3)),
+                      (0.3, EQUATOR_X, (math.pi / 2, 0.3))], seed=7)
+    def test_batched_equals_one_query_on_random_query_sets(self, queries, seed):
+        batched = monte_carlo_correlations(PROFILE, SPECTRUM, queries, 100, seed)
+        single = [monte_carlo_correlation(PROFILE, SPECTRUM, t, x, y, 100, seed)
+                  for t, x, y in queries]
+        assert hexes(batched) == hexes(single)
 
     def test_each_stream_drawn_once(self, monkeypatch):
         # the draw keys one reused generator per stream by setting its state;

@@ -83,6 +83,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="needs inf points, above the cap"):
             build_grid(2.0, 0, 1e308)
 
+    def test_point_cap_holds_past_the_float_power_range(self):
+        # 1e200 ** 2 used to raise OverflowError from the Python float power
+        with pytest.raises(ValueError, match="needs inf points, above the cap"):
+            build_grid(1e200, -1)
+
 
 class TestFrameCoefficients:
     def test_single_harmonic(self):
@@ -174,6 +179,22 @@ class TestFrameBounds:
         # j = 0 alone cannot resolve degree 16
         with pytest.raises(ValueError):
             estimate_frame_bounds(PROFILE, 2.0, (0, 0), 16)
+
+    def test_coverage_is_checked_before_any_grid(self, count_calls):
+        # the finest scale alone resolves degree 256 but leaves degree 1 at
+        # f^2 below 1e-8 of the largest
+        grids = count_calls(frames, "build_grid")
+        with pytest.raises(ValueError, match="degree 1 has no spectral coverage in "
+                                             "j_range -8..-8"):
+            estimate_frame_bounds(PROFILE, 2.0, (-8, -8), 256)
+        assert grids == []
+
+    def test_one_weight_row_per_scale(self, count_calls):
+        # one estimate of the frame-L24 benchmark line: 8 scales, 8 weight rows
+        # serve both the coverage check and the Gram
+        weights = count_calls(frames, "spectral_weights")
+        estimate_frame_bounds(PROFILE, 2.0, (-7, 0), 24, oversample=1.0)
+        assert sorted(args[1] for args in weights) == [2.0 ** (2 * j) for j in range(-7, 1)]
 
     @pytest.mark.parametrize("j_range", [(0, 0), (-2, 0)])
     @pytest.mark.parametrize("a", [math.nan, 0.0])

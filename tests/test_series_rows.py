@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from needlets import (  # noqa: E402
@@ -29,6 +29,7 @@ from needlets import (  # noqa: E402
     zonal_series_rows,
 )
 from needlets.defaults import degree_cap  # noqa: E402
+from needlets.errors import NumericFailure  # noqa: E402
 from needlets.legendre import _legendre_p  # noqa: E402
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -95,6 +96,14 @@ class TestRowsMatchOneRowCalls:
 
 
 PROFILE, SPECTRUM = NeedletProfile(1), power_spectrum(3.0)
+
+
+def _bound_or_failure(seq, mu):
+    """`zonal_decay_bound(seq, mu)`, or None where it raises NumericFailure."""
+    try:
+        return zonal_decay_bound(seq, mu)
+    except NumericFailure:
+        return None
 SCALES = (0.3, 0.13, 0.05, 0.021)
 
 
@@ -103,11 +112,18 @@ class TestListFormsMatchOneScale:
     @given(st.lists(st.tuples(st.lists(FINITE, min_size=1, max_size=30), OFFSET),
                     min_size=1, max_size=5),
            st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0]))
+    # a far sup that overflows: both forms refuse it
+    @example(seqs=[([4784.0, 5.25220996e-304], 0)], mu=-1.0)
     def test_zonal_decay_bounds(self, seqs, mu):
+        """The batched call raises NumericFailure exactly when some one-sequence
+        call does, and otherwise matches every one of them bit for bit."""
         seqs = [CoeffSequence(o, np.array(v)) for v, o in seqs]
-        batched = zonal_decay_bounds(seqs, mu)
-        for seq, bound in zip(seqs, batched):
-            one = zonal_decay_bound(seq, mu)
+        ones = [_bound_or_failure(seq, mu) for seq in seqs]
+        if any(one is None for one in ones):
+            with pytest.raises(NumericFailure):
+                zonal_decay_bounds(seqs, mu)
+            return
+        for one, bound in zip(ones, zonal_decay_bounds(seqs, mu)):
             assert bound.n_exponent == one.n_exponent
             assert float.hex(bound.sup_value) == float.hex(one.sup_value)
 
