@@ -29,9 +29,6 @@ from .correlation import (
 from .defaults import DEFAULTS, degree_cap
 from .differences import (
     CoeffSequence,
-    backward_difference,
-    decay_rate_estimate,
-    forward_difference,
     multiply_cos_minus_one,
     multiply_cos_minus_one_power,
 )
@@ -52,7 +49,6 @@ from .frames import (
     build_grid,
     estimate_frame_bounds,
     frame_coefficients,
-    grid_min_separation,
 )
 from .kernels import (
     KernelSpec,

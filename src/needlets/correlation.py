@@ -255,7 +255,8 @@ def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
                               [s.offset for s in transformed])
     sups = [0.0] * len(seqs)
     for (i, _), d, u in zip(scaled, direct, numer):
-        vals = np.abs(u) * far ** (2 * n_exp) / np.abs(np.cos(far) - 1.0) ** n_exp
+        with np.errstate(over="ignore"):
+            vals = np.abs(u) * far ** (2 * n_exp) / np.abs(np.cos(far) - 1.0) ** n_exp
         near_sup = float(np.max(np.abs(d) * near ** (2 * n_exp)))
         far_sup = float(np.max(vals))
         if not (math.isfinite(near_sup) and math.isfinite(far_sup)):

@@ -20,13 +20,10 @@ import numpy as np
 
 __all__ = [
     "CoeffSequence",
-    "forward_difference",
-    "backward_difference",
     "first_difference_weight",
     "second_difference_weight",
     "multiply_cos_minus_one",
     "multiply_cos_minus_one_power",
-    "decay_rate_estimate",
 ]
 
 
@@ -58,21 +55,6 @@ class CoeffSequence:
         if hi >= self.offset:
             out[self.offset:hi + 1] = self.values[:hi - self.offset + 1]
         return out
-
-
-def forward_difference(s: CoeffSequence) -> CoeffSequence:
-    """a_{l+1} - a_l; the window loses its top index."""
-    if s.values.size < 2:
-        raise ValueError("need at least two stored values")
-    return CoeffSequence(s.offset, np.diff(s.values))
-
-
-def backward_difference(s: CoeffSequence) -> CoeffSequence:
-    """a_l - a_{l-1}, reading a_{offset-1} as 0; the window keeps its shape."""
-    if s.values.size < 2:
-        raise ValueError("need at least two stored values")
-    shifted = np.concatenate(([0.0], s.values[:-1]))
-    return CoeffSequence(s.offset, s.values - shifted)
 
 
 def first_difference_weight(l):
@@ -117,16 +99,3 @@ def multiply_cos_minus_one_power(s: CoeffSequence, n: int) -> CoeffSequence:
         out = multiply_cos_minus_one(out)
     return out
 
-
-def decay_rate_estimate(s: CoeffSequence, l_min: int, l_max: int) -> float:
-    """Least-squares slope of log|a_l| against log l over [l_min, l_max]."""
-    if not 1 <= l_min < l_max:
-        raise ValueError("need l_max > l_min >= 1")
-    if l_min < s.offset or l_max > s.top:
-        raise ValueError("window extends outside the stored values")
-    ls = np.arange(l_min, l_max + 1)
-    vals = np.abs(s.values[l_min - s.offset:l_max - s.offset + 1])
-    if np.any(vals == 0.0):
-        raise ValueError("zero coefficient inside the fit window; adjust the window")
-    slope, _ = np.polyfit(np.log(ls), np.log(vals), 1)
-    return float(slope)

@@ -51,7 +51,6 @@ __all__ = [
     "monte_carlo_correlation",
     "monte_carlo_correlations",
     "addition_theorem_check",
-    "rotate_alm_about_pole",
     "points_cos_angle",
 ]
 
@@ -271,30 +270,10 @@ def addition_theorem_check(l: int, point_x, point_y) -> float:
     return abs(lhs - z_l / (4.0 * math.pi))
 
 
-def rotate_alm_about_pole(alm: AlmSet, dphi: float) -> AlmSet:
-    """Coefficients of the field rotated by dphi about the polar axis.
-
-    In the real basis a rotation mixes (m, -m) pairs by a plane rotation
-    of angle m * dphi; evaluating the rotated coefficient set at phi equals
-    evaluating the original at phi + dphi.
-    """
-    l, m = np.tril_indices(alm.L)
-    l += 1
-    m += 1
-    ic = sph_harm_flat_index(l, m)
-    is_ = sph_harm_flat_index(l, -m)
-    c, s = np.cos(m * dphi), np.sin(m * dphi)
-    ac, as_ = alm.coeffs[ic], alm.coeffs[is_]
-    out = alm.coeffs.copy()
-    out[ic] = c * ac + s * as_
-    out[is_] = -s * ac + c * as_
-    return AlmSet(L=alm.L, coeffs=out, seed=alm.seed, stream=alm.stream)
-
-
 def _point(point) -> tuple[float, float]:
     """A (theta, phi) pair as floats; both must be finite.  phi is reduced to
-    fmod(phi, 2 pi), which leaves |phi| < 2 pi unchanged and keeps m phi
-    finite in the harmonics for any finite longitude."""
+    fmod(phi, 2 pi), which leaves |phi| < 2 pi unchanged and keeps the
+    longitude difference in `points_cos_angle` finite."""
     theta, phi = float(point[0]), float(point[1])
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("point coordinates (theta, phi) must be finite")

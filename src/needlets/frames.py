@@ -23,14 +23,13 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .kernels import NeedletProfile, check_dilation, choose_lmax, spectral_weights
-from .legendre import (_check_degree, _check_x, _paired_layout, _sph_harm_rows,
+from .legendre import (_check_degree, _paired_layout, _sph_harm_rows,
                        sph_harm_flat_repeat, sph_harm_matrix)
 
 __all__ = [
     "SphereGrid",
     "FrameBoundsEstimate",
     "build_grid",
-    "grid_min_separation",
     "frame_coefficients",
     "estimate_frame_bounds",
 ]
@@ -38,7 +37,6 @@ __all__ = [
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # points in one grid at most, and in one block of each pairwise product below
 _POINT_CAP = 2_000_000
-_SEPARATION_BLOCK = 512
 _GRAM_BLOCK = 4096
 
 
@@ -95,23 +93,6 @@ def build_grid(a: float, j: int, oversample: float = 1.0) -> SphereGrid:
     phi = np.mod(i * _GOLDEN_ANGLE, 2.0 * math.pi)
     weights = np.full(n, math.sqrt(4.0 * math.pi / n))
     return SphereGrid(j=j, a=a, theta=theta, phi=phi, weights=weights)
-
-
-def grid_min_separation(grid: SphereGrid) -> float:
-    """Smallest pairwise geodesic distance on the grid (exhaustive)."""
-    xyz = np.column_stack([
-        np.sin(grid.theta) * np.cos(grid.phi),
-        np.sin(grid.theta) * np.sin(grid.phi),
-        np.cos(grid.theta),
-    ])
-    best = -1.0
-    for start in range(0, grid.n, _SEPARATION_BLOCK):
-        block = xyz[start:start + _SEPARATION_BLOCK]
-        dots = block @ xyz.T
-        for r in range(block.shape[0]):
-            dots[r, start + r] = -1.0  # mask self-pairs
-        best = max(best, float(np.max(dots)))
-    return math.acos(_check_x(best))
 
 
 def _check_resolution(profile: NeedletProfile, a: float, j_min: int, L: int) -> None:

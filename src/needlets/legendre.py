@@ -75,11 +75,6 @@ class SphHarmPoint:
         if not 0.0 <= self.theta <= math.pi + 1e-12:
             raise ValueError(f"colatitude {self.theta!r} outside [0, pi]")
 
-    @property
-    def laplacian_eigenvalue(self) -> float:
-        """l(l+1), the spherical-Laplacian eigenvalue at this degree."""
-        return float(self.l * (self.l + 1))
-
 
 def _legendre_p(x: float, top: int):
     """Yield P_0(x) .. P_top(x) by (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}.
@@ -331,7 +326,8 @@ def _sph_harm_rows(lmin: int, lmax: int, th: np.ndarray, ph: np.ndarray,
     s_mant, s_exp = np.frexp(np.sin(th))
     sqrt2 = math.sqrt(2.0)
     ms = np.arange(lmax + 1)
-    angles = np.multiply.outer(ms.astype(float), ph)
+    # exact, and the identity for |phi| < 2 pi; keeps m phi finite for any finite phi
+    angles = np.multiply.outer(ms.astype(float), np.fmod(ph, 2.0 * math.pi))
     ccol = sqrt2 * np.cos(angles)
     scol = sqrt2 * np.sin(angles)
     del angles

@@ -17,7 +17,6 @@ from needlets import (
     calderon_bounds,
     estimate_frame_bounds,
     frame_coefficients,
-    grid_min_separation,
     profile_eval,
     real_sph_harm,
     sph_harm_flat_repeat,
@@ -51,7 +50,13 @@ class TestBuildGrid:
     def test_min_separation_quasi_uniform(self):
         grid = build_grid(2.0, -4)
         assert grid.n == 1024
-        assert grid_min_separation(grid) >= 0.7 * math.sqrt(4 * math.pi / grid.n)
+        xyz = np.column_stack([np.sin(grid.theta) * np.cos(grid.phi),
+                               np.sin(grid.theta) * np.sin(grid.phi),
+                               np.cos(grid.theta)])
+        dots = xyz @ xyz.T
+        np.fill_diagonal(dots, -1.0)  # mask self-pairs
+        min_separation = math.acos(min(1.0, float(np.max(dots))))
+        assert min_separation >= 0.7 * math.sqrt(4 * math.pi / grid.n)
 
     def test_positive_scale_index_rejected(self):
         with pytest.raises(ValueError):

@@ -297,9 +297,6 @@ class TestRealSphHarm:
         with pytest.raises(DegreeCapExceeded):
             real_sph_harm(SphHarmPoint(17, 0, 0.5, 0.5))
 
-    def test_laplacian_eigenvalue_accessor(self):
-        assert SphHarmPoint(7, 2, 0.5, 0.5).laplacian_eigenvalue == 56.0
-
 
 class TestSphHarmMatrix:
     def test_matches_pointwise_evaluation(self):
@@ -334,6 +331,16 @@ class TestSphHarmMatrix:
             ref = jacobi_real_sph_harm(l, m, theta, 0.4)
             assert abs(ref) > 1e-250
             assert abs(mine - float(ref)) <= 1e-10 * abs(float(ref))
+
+    def test_huge_longitude_is_reduced_modulo_two_pi(self):
+        huge, reduced = 1e308, math.fmod(1e308, 2 * math.pi)
+        mine = sph_harm_matrix(40, [1.0], [huge])
+        assert np.all(np.isfinite(mine))
+        assert np.array_equal(mine.view(np.int64),
+                              sph_harm_matrix(40, [1.0], [reduced]).view(np.int64))
+        point = real_sph_harm(SphHarmPoint(40, 40, 1.0, huge))
+        assert math.isfinite(point)
+        assert float.hex(point) == float.hex(real_sph_harm(SphHarmPoint(40, 40, 1.0, reduced)))
 
     def test_flat_index_layout(self):
         idx = [sph_harm_flat_index(l, m) for l in range(1, 5) for m in range(-l, l + 1)]
