@@ -264,7 +264,8 @@ def addition_theorem_check(l: int, point_x, point_y) -> float:
     if l == 0:
         lhs = 1.0 / (4.0 * math.pi)
     else:
-        y = _sph_harm_rows(l, l, np.array([float(point_x[0]), float(point_y[0])]),
+        y = _sph_harm_rows(sph_harm_flat_index(l, np.arange(-l, l + 1)),
+                           np.array([float(point_x[0]), float(point_y[0])]),
                            np.array([float(point_x[1]), float(point_y[1])]))
         lhs = float(np.sum(y[:, 0] * y[:, 1]))
     return abs(lhs - z_l / (4.0 * math.pi))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .kernels import NeedletProfile, check_dilation, choose_lmax, spectral_weights
-from .legendre import (_check_degree, _paired_layout, _sph_harm_rows,
+from .legendre import (_check_degree, _sph_harm_rows, sph_harm_flat_index,
                        sph_harm_flat_repeat, sph_harm_matrix)
 
 __all__ = [
@@ -38,6 +38,9 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # points in one grid at most, and in one block of each pairwise product below
 _POINT_CAP = 2_000_000
 _GRAM_BLOCK = 4096
+# bytes the Gram stage of one frame estimate may hold, by `_gram_bytes`; L = 64
+# needs about 0.6e9 and L = 128 about 7.2e9
+_GRAM_BYTE_CAP = 2_000_000_000
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,21 @@ def build_grid(a: float, j: int, oversample: float = 1.0) -> SphereGrid:
     """Fibonacci lattice for scale index j with equal-area weights."""
     a = check_dilation(a)
     j = int(j)
+    n = _grid_size(a, j, oversample)
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n  # inside (-1, 1) for every i
+    theta = np.arccos(z)
+    phi = np.mod(i * _GOLDEN_ANGLE, 2.0 * math.pi)
+    weights = np.full(n, math.sqrt(4.0 * math.pi / n))
+    return SphereGrid(j=j, a=a, theta=theta, phi=phi, weights=weights)
+
+
+def _grid_size(a: float, j: int, oversample: float) -> int:
+    """Point count of the grid at scale index j for a checked dilation a.
+
+    ValueError for j > 0, an oversample that is not finite and >= 1, or a
+    count above `_POINT_CAP`.
+    """
     if j > 0:
         raise ValueError("scale index j must be <= 0 (scales a^j <= 1)")
     oversample = float(oversample)
@@ -86,13 +104,7 @@ def build_grid(a: float, j: int, oversample: float = 1.0) -> SphereGrid:
         n = math.inf
     if n > _POINT_CAP:
         raise ValueError(f"grid at j={j} needs {n:.6g} points, above the cap {_POINT_CAP}")
-    n = int(math.ceil(n))
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n  # inside (-1, 1) for every i
-    theta = np.arccos(z)
-    phi = np.mod(i * _GOLDEN_ANGLE, 2.0 * math.pi)
-    weights = np.full(n, math.sqrt(4.0 * math.pi / n))
-    return SphereGrid(j=j, a=a, theta=theta, phi=phi, weights=weights)
+    return int(math.ceil(n))
 
 
 def _check_resolution(profile: NeedletProfile, a: float, j_min: int, L: int) -> None:
@@ -134,7 +146,9 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
     of each grid and its mirror image, so memory stays bounded for fine
     scales.  Degrees must have spectral coverage somewhere
     in j_range; the estimate is flagged ill-conditioned when the smallest
-    squared singular value drops below 1e-12 of the largest.
+    squared singular value drops below 1e-12 of the largest.  A run whose
+    Gram stage would hold more than `_GRAM_BYTE_CAP` bytes is refused with
+    ValueError before any grid is built.
     """
     a = check_dilation(a)
     j_min, j_max = int(j_range[0]), int(j_range[1])
@@ -188,9 +202,11 @@ def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: in
 
     The spectral weights of each scale are computed once, for the coverage
     check (ValueError for a degree no scale in j_min..j_max covers) and the
-    Gram.  Each grid adds its blocks in the paired layout of
-    `legendre._paired_layout` (the + by - block only above the diagonal); the
-    matrix is completed and put in the flat layout once, at the end.
+    Gram.  Then a Gram stage that `_gram_bytes` puts above `_GRAM_BYTE_CAP`
+    is refused (ValueError) before any grid is built.  Each grid adds its
+    blocks in the paired layout of `_paired_layout` (the + by - block only
+    above the diagonal); the matrix is completed and put in the flat layout
+    once, at the end.
     """
     weights = {j: spectral_weights(profile, a ** (2 * j), L) for j in range(j_min, j_max + 1)}
     coverage = sum(f * f for f in weights.values())
@@ -198,22 +214,62 @@ def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: in
         bad = int(np.argmin(coverage)) + 1
         raise ValueError(
             f"degree {bad} has no spectral coverage in j_range {j_min}..{j_max}")
+    need = _gram_bytes(L, _grid_size(a, j_min, oversample))
+    if need > _GRAM_BYTE_CAP:
+        raise ValueError(f"the frame Gram at L={L} needs up to {need:.3g} bytes, "
+                         f"above the cap {_GRAM_BYTE_CAP:.3g}")
     flat, n_plus = _paired_layout(L)
     ls = sph_harm_flat_repeat(np.arange(1, L + 1))[flat]
     ms = flat + 1 - ls * ls - ls
     gram = np.zeros((flat.size, flat.size))
     for j, f in weights.items():
-        _add_grid_gram(gram, n_plus, L, build_grid(a, j, oversample), f[ls - 1], ms)
+        _add_grid_gram(gram, flat, n_plus, build_grid(a, j, oversample), f[ls - 1], ms)
     gram[n_plus:, :n_plus] = gram[:n_plus, n_plus:].T
     order = np.argsort(flat)
     return gram[np.ix_(order, order)]
 
 
-def _add_grid_gram(gram: np.ndarray, n_plus: int, L: int, grid: SphereGrid,
+def _gram_bytes(L: int, points: int) -> int:
+    """An upper bound on the bytes `_frame_gram` holds at once on degrees 1..L
+    when its finest grid has `points` points.
+
+    It adds the Gram and its reordered copy, the + and - half-width blocks
+    with two temporaries of the larger one's size (an outer product and a
+    product with it), one harmonic block of `_GRAM_BLOCK` points with the
+    five order-by-point buffers of its recurrence, and five point arrays of
+    the finest grid as `build_grid` makes it.
+    """
+    n = (L + 1) ** 2 - 1
+    half = L * (L + 1) // 2 + (L + 1) // 2
+    return 8 * (2 * n * n + 4 * half * half + (n + 5 * (L + 1)) * _GRAM_BLOCK + 5 * points)
+
+
+def _paired_layout(lmax: int) -> tuple[np.ndarray, int]:
+    """Flat-layout column of each row of the paired layout, and its count of + rows.
+
+    The mirror z -> -z, phi -> -phi keeps the + harmonics (cos-type and zonal
+    with l + m even, sin-type with l + |m| odd) and negates the - ones, which
+    come after them.  In each part, row k < lmax (lmax + 1) / 2 belongs to the
+    pair k = l (l - 1) / 2 + m - 1 of (l, m) and (l, -m), one of which is +
+    and the other -; the zonal rows of even degrees follow in the + part, those
+    of odd degrees in the - part.
+    """
+    ls = np.repeat(np.arange(1, lmax + 1), np.arange(1, lmax + 1))
+    ms = np.arange(ls.size) - ls * (ls - 1) // 2 + 1
+    cos_kept = (ls + ms) % 2 == 0
+    cos_col, sin_col = sph_harm_flat_index(ls, ms), sph_harm_flat_index(ls, -ms)
+    zonal = sph_harm_flat_index(np.arange(1, lmax + 1), 0)
+    plus = np.concatenate([np.where(cos_kept, cos_col, sin_col), zonal[1::2]])
+    minus = np.concatenate([np.where(cos_kept, sin_col, cos_col), zonal[::2]])
+    return np.concatenate([plus, minus]), plus.size
+
+
+def _add_grid_gram(gram: np.ndarray, flat: np.ndarray, n_plus: int, grid: SphereGrid,
                    weights: np.ndarray, ms: np.ndarray) -> None:
     """Add (4 pi / n) times the sum of y y^T over one grid's points to `gram`.
 
-    y holds the harmonics at a point in the paired layout, row i scaled by
+    y holds the harmonics at a point in the paired layout (flat-layout column
+    flat[i] in row i, the first n_plus of them +), row i scaled by
     weights[i], the spectral weight f_l of its degree; ms[i] is its order m.
     Point n-1-i of a Fibonacci grid is the mirror image of point i: z -> -z
     and phi -> c - phi with c = (n-1) * golden angle.  At azimuth
@@ -228,7 +284,7 @@ def _add_grid_gram(gram: np.ndarray, n_plus: int, L: int, grid: SphereGrid,
     sqrt(8 pi / n) folded into the cos and sin, that is a few elementwise
     products of quarter-size blocks.
     """
-    npair = L * (L + 1) // 2
+    npair = int(np.count_nonzero(ms[:n_plus]))  # + rows of nonzero order, one per pair
     c = math.fmod((grid.n - 1) * _GOLDEN_ANGLE, 2.0 * math.pi)
     count = (grid.n + 1) // 2
     psi = grid.phi[:count] - 0.5 * c
@@ -236,7 +292,7 @@ def _add_grid_gram(gram: np.ndarray, n_plus: int, L: int, grid: SphereGrid,
     minus = np.zeros((gram.shape[0] - n_plus,) * 2)
     for start in range(0, count, _GRAM_BLOCK):
         stop = min(start + _GRAM_BLOCK, count)
-        rows = _sph_harm_rows(1, L, grid.theta[start:stop], psi[start:stop], paired=True)
+        rows = _sph_harm_rows(flat, grid.theta[start:stop], psi[start:stop])
         if grid.n % 2 and stop == count:
             rows[:, -1] *= math.sqrt(0.5)
         plus += rows[:n_plus] @ rows[:n_plus].T

@@ -10,7 +10,10 @@ up to `degree_cap` instead of underflowing to zero.
 Conventions: P_l is the ordinary Legendre polynomial (P_l(1) = 1); the zonal
 harmonic of degree l is Z_l(x) = (2l+1) P_l(x), with the surface-area
 constant dropped; real harmonics Y_{l,m} are orthonormal on the sphere with
-cos(m phi) for m > 0 and sin(|m| phi) for m < 0.
+cos(m phi) for m > 0 and sin(|m| phi) for m < 0.  The one harmonic layout here
+is the flat (l, m) layout of `sph_harm_flat_index`; a caller that wants its
+rows in another order, such as the frame Gram's (`frames._paired_layout`),
+passes that order as a map of flat columns.
 """
 
 from __future__ import annotations
@@ -274,7 +277,8 @@ def real_sph_harm(p: SphHarmPoint) -> float:
     l = _check_degree(p.l)
     if l == 0:
         return _SQRT_INV_4PI
-    rows = _sph_harm_rows(l, l, np.array([float(p.theta)]), np.array([float(p.phi)]))
+    rows = _sph_harm_rows(sph_harm_flat_index(l, np.arange(-l, l + 1)),
+                          np.array([float(p.theta)]), np.array([float(p.phi)]))
     return float(rows[p.m + l, 0])
 
 
@@ -291,7 +295,7 @@ def sph_harm_matrix(lmax: int, theta, phi) -> np.ndarray:
     ph = np.atleast_1d(np.asarray(phi, dtype=float))
     if th.shape != ph.shape or th.ndim != 1:
         raise ValueError("theta and phi must be 1-d arrays of equal length")
-    return _sph_harm_rows(1, lmax, th, ph).T
+    return _sph_harm_rows(np.arange((lmax + 1) ** 2 - 1), th, ph).T
 
 
 # Sectoral seeds shrink like sin(theta)^m and leave the double range near the
@@ -304,23 +308,25 @@ _MIN_NORMAL_EXP = -1021  # frexp exponent of the smallest normal double
 _REJOIN_EXP = -960
 
 
-def _sph_harm_rows(lmin: int, lmax: int, th: np.ndarray, ph: np.ndarray,
-                   paired: bool = False) -> np.ndarray:
-    """Real harmonics of degrees lmin..lmax (lmin >= 1), one row per (l, m).
+def _sph_harm_rows(cols: np.ndarray, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """Real harmonics at every point, one row per flat-layout column in `cols`.
 
-    Row l*l - lmin*lmin + (m + l) holds Y_{l,m} at every point; with
-    `paired` (and lmin = 1) the rows come in the order of `_paired_layout`
-    instead, with the same bits.  The degree
-    is stepped once; each step advances all orders m <= l together with
-    points on the contiguous axis, using the normalized recurrence
+    Row i holds Y_{l,m} for the (l, m) of column cols[i] of the layout of
+    `sph_harm_flat_index`; `cols` is a permutation of the columns of the
+    degrees lmin..lmax it spans, and every order gives the same bits.  The
+    degree is stepped once; each step advances all orders m <= l together
+    with points on the contiguous axis, using the normalized recurrence
 
         P_{l,m} = a_{l,m} (x P_{l-1,m} - b_{l,m} P_{l-2,m}),
 
     seeded by P_{m,m} on the sectoral diagonal and
     P_{m+1,m} = sqrt(2m+3) x P_{m,m}.  Each value takes the same float
-    operations, in the same order, as a loop over m then l would, so the
-    result does not depend on the layout.
+    operations, in the same order, as a loop over m then l would.
     """
+    if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ph))):
+        raise ValueError("harmonic coordinates (theta, phi) must be finite")
+    lmin, lmax = math.isqrt(int(cols.min()) + 1), math.isqrt(int(cols.max()) + 1)
+    row_of = np.argsort(cols)  # output row of each column, from column lmin^2 - 1 on
     npts = th.size
     x = np.cos(th)
     s_mant, s_exp = np.frexp(np.sin(th))
@@ -332,7 +338,7 @@ def _sph_harm_rows(lmin: int, lmax: int, th: np.ndarray, ph: np.ndarray,
     scol = sqrt2 * np.sin(angles)
     del angles
 
-    out = np.empty(((lmax + 1) ** 2 - lmin * lmin, npts))
+    out = np.empty((cols.size, npts))
     p_prev = np.zeros((lmax + 1, npts))  # P_{l-2, m}
     p_cur = np.zeros((lmax + 1, npts))   # P_{l-1, m}
     tmp = np.empty((lmax, npts))
@@ -362,48 +368,13 @@ def _sph_harm_rows(lmin: int, lmax: int, th: np.ndarray, ph: np.ndarray,
         if lost.any():
             ext.add(l, np.flatnonzero(lost), seed[lost], seed_exp[lost])
 
-        if paired:
-            _write_paired(out, l, lmax, p_cur, ccol, scol)
-        elif l >= lmin:
-            base = l * l - lmin * lmin
-            out[base + l] = p_cur[0]
-            np.multiply(ccol[1:l + 1], p_cur[1:l + 1], out=out[base + l + 1:base + 2 * l + 1])
-            np.multiply(scol[l:0:-1], p_cur[l:0:-1], out=out[base:base + l])
+        if l >= lmin:
+            # rows of m = -l .. l; tmp is free until the next step's recurrence
+            rows = row_of[l * l - lmin * lmin:(l + 1) ** 2 - lmin * lmin]
+            out[rows[l]] = p_cur[0]
+            out[rows[l + 1:]] = np.multiply(ccol[1:l + 1], p_cur[1:l + 1], out=tmp[:l])
+            out[rows[l - 1::-1]] = np.multiply(scol[1:l + 1], p_cur[1:l + 1], out=tmp[:l])
     return out
-
-
-def _paired_layout(lmax: int) -> tuple[np.ndarray, int]:
-    """Flat-layout column of each row of the paired layout, and its count of + rows.
-
-    The mirror z -> -z, phi -> -phi keeps the + harmonics (cos-type and zonal
-    with l + m even, sin-type with l + |m| odd) and negates the - ones, which
-    come after them.  In each part, row k < lmax (lmax + 1) / 2 belongs to the
-    pair k = l (l - 1) / 2 + m - 1 of (l, m) and (l, -m), one of which is +
-    and the other -; the zonal rows of even degrees follow in the + part, those
-    of odd degrees in the - part.
-    """
-    ls = np.repeat(np.arange(1, lmax + 1), np.arange(1, lmax + 1))
-    ms = np.arange(ls.size) - ls * (ls - 1) // 2 + 1
-    cos_kept = (ls + ms) % 2 == 0
-    cos_col, sin_col = sph_harm_flat_index(ls, ms), sph_harm_flat_index(ls, -ms)
-    zonal = sph_harm_flat_index(np.arange(1, lmax + 1), 0)
-    plus = np.concatenate([np.where(cos_kept, cos_col, sin_col), zonal[1::2]])
-    minus = np.concatenate([np.where(cos_kept, sin_col, cos_col), zonal[::2]])
-    return np.concatenate([plus, minus]), plus.size
-
-
-def _write_paired(out, l: int, lmax: int, p, ccol, scol) -> None:
-    """Write degree l's harmonics into `out` in the order of `_paired_layout`."""
-    npair = lmax * (lmax + 1) // 2
-    n_plus = npair + lmax // 2
-    lo = l * (l - 1) // 2
-    plus, minus = out[lo:lo + l], out[n_plus + lo:n_plus + lo + l]
-    # orders with l + m even have cos kept and sin negated, odd ones the reverse
-    even = 2 - l % 2
-    for m0, kept, negated in ((even, ccol, scol), (3 - even, scol, ccol)):
-        np.multiply(kept[m0:l + 1:2], p[m0:l + 1:2], out=plus[m0 - 1::2])
-        np.multiply(negated[m0:l + 1:2], p[m0:l + 1:2], out=minus[m0 - 1::2])
-    out[npair + (l - 1) // 2 + (n_plus if l % 2 else 0)] = p[0]
 
 
 def _recurrence_coeffs(l: int, m: np.ndarray):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import needlets.correlation as correlation_module
+import needlets.frames as frames_module
 import needlets.legendre as legendre_module
 from needlets import (
     CorrelationQuery,
@@ -500,6 +501,18 @@ class TestFrameCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: dilation a must be finite and > 1\n"
+
+    def test_gram_above_the_memory_cap_is_config_error(self, monkeypatch, capsys):
+        # L = 128 passes every other check and used to ask for about 7 GB
+        def no_gram(*args):  # the first step of the Gram stage after its checks
+            raise AssertionError("the Gram stage ran")
+
+        monkeypatch.setattr(frames_module, "_paired_layout", no_gram)
+        argv = ["frame", "--r", "1", "--L", "128", "--j-range=-6:0", "--oversample", "1"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "above the cap" in err
 
     @pytest.mark.parametrize("oversample", ["inf", "nan", "1,inf"])
     def test_non_finite_oversample_is_config_error(self, oversample, capsys):

@@ -24,7 +24,8 @@ from needlets import (
     spectral_weights,
 )
 from needlets import frames
-from needlets.legendre import _paired_layout, _sph_harm_rows
+from needlets.frames import _paired_layout
+from needlets.legendre import _sph_harm_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -294,7 +295,7 @@ class TestPairedLayout:
         c = 2.5
         psi = phi - c / 2
         flat = _paired_layout(L)[0]
-        rows = _sph_harm_rows(1, L, theta, psi, paired=True)
+        rows = _sph_harm_rows(flat, theta, psi)
         assert np.array_equal(rows, sph_harm_matrix(L, theta, psi)[:, flat].T)
 
     @pytest.mark.parametrize("L", [1, 2, 16, 64])
@@ -304,7 +305,7 @@ class TestPairedLayout:
         theta, phi = _points(L)
         flat = _paired_layout(L)[0]
         for c in (0.3, 4.0, 2.0 * math.pi - 0.1):
-            rows = _sph_harm_rows(1, L, theta, phi - c / 2, paired=True)
+            rows = _sph_harm_rows(flat, theta, phi - c / 2)
             at_psi = np.empty_like(rows)
             at_psi[flat] = rows
             turned = at_psi.copy()
@@ -318,6 +319,34 @@ class TestPairedLayout:
                                        rtol=0.0, atol=1e-12)
 
 
+class TestGramMemory:
+    """The Gram stage's bytes are bounded from L and the finest grid before any
+    of it is built."""
+
+    @pytest.mark.parametrize("oversample", [1.0, 4.0])
+    @pytest.mark.parametrize("L, j_min", [(8, -4), (16, -6), (24, -7)])
+    def test_estimate_bounds_the_traced_peak(self, L, j_min, oversample):
+        tracemalloc.start()
+        try:
+            estimate_frame_bounds(PROFILE, 2.0, (j_min, 0), L, oversample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frames._gram_bytes(L, frames._grid_size(2.0, j_min, oversample)) >= peak
+
+    def test_large_band_limit_is_refused_before_the_gram(self, monkeypatch):
+        def no_gram(*args):  # the first step of the Gram stage after its checks
+            raise AssertionError("the Gram stage ran")
+
+        monkeypatch.setattr(frames, "_paired_layout", no_gram)
+        with pytest.raises(ValueError, match=r"L=128 needs up to 7\.21e\+09 bytes, above the cap"):
+            estimate_frame_bounds(PROFILE, 2.0, (-6, 0), 128, 1.0)
+
+    def test_band_limit_64_is_under_the_cap(self):
+        need = frames._gram_bytes(64, frames._grid_size(2.0, -8, 1.0))
+        assert need <= frames._GRAM_BYTE_CAP
+
+
 class TestMirrorGram:
     """The Gram matrix from one hemisphere of each grid plus its mirror image."""
 
@@ -328,10 +357,10 @@ class TestMirrorGram:
         rng = np.random.default_rng(L)
         theta = np.concatenate([rng.uniform(0.0, math.pi, 40), [0.0, math.pi]])
         phi = rng.uniform(0.0, 2.0 * math.pi, theta.size)
-        n_plus = _paired_layout(L)[1]
+        flat, n_plus = _paired_layout(L)
         for c in (*rng.uniform(0.0, 2.0 * math.pi, 3), 0.0):
-            y = _sph_harm_rows(1, L, theta, phi - c / 2, paired=True)
-            mirrored = _sph_harm_rows(1, L, math.pi - theta, (c - phi) - c / 2, paired=True)
+            y = _sph_harm_rows(flat, theta, phi - c / 2)
+            mirrored = _sph_harm_rows(flat, math.pi - theta, (c - phi) - c / 2)
             np.testing.assert_allclose(mirrored[:n_plus], y[:n_plus], rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(mirrored[n_plus:], -y[n_plus:], rtol=0.0, atol=1e-12)
 

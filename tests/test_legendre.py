@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_legendre, lpmv
 
 from needlets import (
@@ -23,6 +25,7 @@ from needlets import (
     zonal_series,
 )
 from needlets.defaults import DEGREE_CAP_ENV
+from needlets.frames import _paired_layout
 from needlets.legendre import _sph_harm_rows
 
 RNG = np.random.default_rng(20240811)
@@ -109,6 +112,11 @@ def reference_real_sph_harm(l, m, theta, phi):
     if m > 0:
         return math.sqrt(2.0) * plm * math.cos(am * phi)
     return math.sqrt(2.0) * plm * math.sin(am * phi)
+
+
+def degree_columns(l):
+    """Flat-layout columns of degree l, m = -l..l."""
+    return sph_harm_flat_index(l, np.arange(-l, l + 1))
 
 
 def legendre_p(l, x):
@@ -342,6 +350,34 @@ class TestSphHarmMatrix:
         assert math.isfinite(point)
         assert float.hex(point) == float.hex(real_sph_harm(SphHarmPoint(40, 40, 1.0, reduced)))
 
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 1.0), (1.0, math.inf),
+                                            (1.0, -math.inf)])
+    def test_non_finite_coordinates_are_refused(self, theta, phi):
+        # these used to return NaN entries with only a RuntimeWarning
+        with pytest.raises(ValueError, match="must be finite"):
+            sph_harm_matrix(4, [theta], [phi])
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_longitude_is_refused_by_real_sph_harm(self, phi):
+        with pytest.raises(ValueError, match="must be finite"):
+            real_sph_harm(SphHarmPoint(4, 2, 1.0, phi))
+
+    def test_nan_colatitude_is_refused_by_the_point(self):
+        # the request itself refuses it, before any harmonic is evaluated
+        with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
+            SphHarmPoint(4, 2, math.nan, 1.0)
+
+    def test_scaled_seed_single_degree_matches_matrix_bits(self):
+        # at theta = 0.01 the sectoral seed of these orders is below the normal
+        # range, so their recurrence runs scaled, yet Y_{300,m} is back in range
+        l, theta, phi = 300, 0.01, 0.4
+        row = sph_harm_matrix(l, [theta], [phi])[0]
+        for m in (160, -166, 172):
+            assert abs(m) * math.log2(math.sin(theta)) < -1050
+            value = real_sph_harm(SphHarmPoint(l, m, theta, phi))
+            assert abs(value) > 2.0 ** -960
+            assert float.hex(value) == float.hex(float(row[sph_harm_flat_index(l, m)]))
+
     def test_flat_index_layout(self):
         idx = [sph_harm_flat_index(l, m) for l in range(1, 5) for m in range(-l, l + 1)]
         assert idx == list(range(24))
@@ -356,6 +392,33 @@ class TestSphHarmMatrix:
                 sph_harm_flat_index(np.array(bad_l), np.array(bad_m))
 
 
+class TestColumnMap:
+    """`_sph_harm_rows` writes the rows of any order of a degree range's columns."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_rows_are_the_matrix_columns_bit_for_bit(self, data):
+        lmax = data.draw(st.integers(1, 20), label="lmax")
+        if data.draw(st.booleans(), label="paired"):
+            cols = _paired_layout(lmax)[0]
+        else:
+            lmin = data.draw(st.integers(1, lmax), label="lmin")
+            span = range(lmin * lmin - 1, (lmax + 1) ** 2 - 1)
+            cols = np.array(data.draw(st.permutations(span), label="cols"))
+        inner = data.draw(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6))
+        theta = np.array([0.0, math.pi, *inner])
+        # |phi| < 2 pi, where the oracle's unreduced longitude has the same bits
+        phi = np.array(data.draw(st.lists(st.floats(-6.28, 6.28), min_size=theta.size,
+                                          max_size=theta.size)))
+        rows = _sph_harm_rows(cols, theta, phi)
+        mine = sph_harm_matrix(lmax, theta, phi)[:, cols].T
+        assert np.array_equal(rows.view(np.int64), mine.view(np.int64))
+        ref, lost = loop_sph_harm_matrix(lmax, theta, phi)
+        ref, lost = ref[:, cols].T, lost[:, cols].T
+        assert np.array_equal(rows[~lost].view(np.int64), ref[~lost].view(np.int64))
+        assert np.max(np.abs(rows[lost] - ref[lost]), initial=0.0) <= 1e-290
+
+
 class TestHighDegree:
     """Harmonics near `degree_cap`, where sectoral seeds leave the double range."""
 
@@ -366,7 +429,7 @@ class TestHighDegree:
         near = RNG.uniform(0.005, 0.05, 2)
         theta = np.concatenate([RNG.uniform(0.0, math.pi, 3), [near[0], math.pi - near[1]]])
         phi = RNG.uniform(0.0, 2.0 * math.pi, theta.size)
-        rows = _sph_harm_rows(l, l, theta, phi)
+        rows = _sph_harm_rows(degree_columns(l), theta, phi)
         sums = np.array([math.fsum(rows[:, k] ** 2) for k in range(theta.size)])
         rel = np.abs(sums / ((2 * l + 1) / (4.0 * math.pi)) - 1.0)
         assert np.max(rel) <= 1e-10
@@ -377,7 +440,7 @@ class TestHighDegree:
         # P_l by l(l+1)/2 ulps near x = 1.
         l = 4096
         theta = np.array([1e-8, 1e-6, 1e-4, 3e-4, 1e-3, math.pi - 3e-4])
-        rows = _sph_harm_rows(l, l, theta, np.full(theta.size, 0.5))
+        rows = _sph_harm_rows(degree_columns(l), theta, np.full(theta.size, 0.5))
         sums = np.array([math.fsum(rows[:, k] ** 2) for k in range(theta.size)])
         rel = np.abs(sums / ((2 * l + 1) / (4.0 * math.pi)) - 1.0)
         assert np.max(rel) <= l * (l + 1) / 2 * np.finfo(float).eps
@@ -388,7 +451,7 @@ class TestHighDegree:
         orders = (0, 1, -1, l // 2 - 1, l // 2, -(l // 2), l - 1, l, -l)
         checked = 0
         for theta in (0.05, 0.3, 1.0, math.pi - 0.2):
-            row = _sph_harm_rows(l, l, np.array([theta]), np.array([0.7]))[:, 0]
+            row = _sph_harm_rows(degree_columns(l), np.array([theta]), np.array([0.7]))[:, 0]
             for m in orders:
                 ref = jacobi_real_sph_harm(l, m, theta, 0.7)
                 if abs(ref) <= mp.mpf("1e-250"):
