@@ -336,14 +336,14 @@ def cmd_frame(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_profile_args(p: argparse.ArgumentParser) -> None:
+def _add_profile_args(p: argparse.ArgumentParser, eps_tail: bool = True) -> None:
     p.add_argument("--r", type=int, required=True, help="profile exponent r >= 1")
     p.add_argument("--f0", default="exponential",
                    help="profile family (exponential|gaussian)")
-    p.add_argument("--eps-tail", type=float, default=None,
-                   help=f"relative tail for truncation, in (0, 1) (default "
-                        f"{DEFAULTS['eps_tail']}); a value below the rounding floor "
-                        "of the tail sum, about 1e-15, is a config error (exit 2)")
+    if eps_tail:
+        p.add_argument("--eps-tail", type=float, default=None,
+                       help=f"relative tail for truncation, in (0, 1) (default "
+                            f"{DEFAULTS['eps_tail']})")
 
 
 def _add_spectrum_args(p: argparse.ArgumentParser) -> None:
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("frame", help="frame-bound estimates over an oversample sweep")
-    _add_profile_args(p)
+    _add_profile_args(p, eps_tail=False)
     p.add_argument("--a", type=float, default=2.0, help="dilation a > 1")
     p.add_argument("--L", type=int, default=16, help="band limit")
     p.add_argument("--oversample", default="1,2,4", help="comma list of oversample factors")
@@ -438,7 +438,7 @@ def main(argv=None) -> int:
     except (DegreeCapExceeded, NumericFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-# points in one grid at most, and in one block of each pairwise product below
+# points in one grid at most, and in one block of harmonics
 _POINT_CAP = 2_000_000
 _GRAM_BLOCK = 4096
 # bytes the Gram stage of one frame estimate may hold, by `_gram_bytes`; L = 64
@@ -108,7 +108,7 @@ def _grid_size(a: float, j: int, oversample: float) -> int:
 
 
 def _check_resolution(profile: NeedletProfile, a: float, j_min: int, L: int) -> None:
-    resolvable = choose_lmax(profile, a ** j_min, DEFAULTS["eps_tail"])
+    resolvable = choose_lmax(profile, a ** j_min)
     if L > resolvable:
         raise ValueError(
             f"band limit L={L} exceeds the finest scale's spectral support "
@@ -133,8 +133,12 @@ def frame_coefficients(f_hat: np.ndarray, profile: NeedletProfile,
     out = []
     for g in grids:
         weighted = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * g.j), L)) * f_hat
-        y = sph_harm_matrix(L, g.theta, g.phi)
-        out.append(g.weights * (y @ weighted))
+        # one block of harmonics at a time, so memory does not grow with the grid
+        coefs = np.empty(g.n)
+        for s in range(0, g.n, _GRAM_BLOCK):
+            e = s + _GRAM_BLOCK
+            coefs[s:e] = sph_harm_matrix(L, g.theta[s:e], g.phi[s:e]) @ weighted
+        out.append(g.weights * coefs)
     return out
 
 

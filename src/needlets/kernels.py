@@ -144,8 +144,7 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
     or 2 for `squared`; terms past the spectral peak decay faster than any
     geometric sequence, so extending the scan until the last term is far
     below eps_tail times the running total makes the remainder negligible.
-    An eps_tail that no degree reaches, because it is below the rounding of
-    those sums, is a ValueError.  No scan runs past 64 times the degree cap.
+    No scan runs past 64 times the degree cap.
     """
     check_scale(t)
     eps = DEFAULTS["eps_tail"] if eps_tail is None else float(eps_tail)
@@ -171,14 +170,10 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
             break
         hi *= 2
 
-    retained = np.cumsum(g)
-    dropped = total - retained
-    ok = np.nonzero(dropped <= eps * retained)[0]
-    if not ok.size:
-        raise ValueError(
-            f"eps_tail={eps!r} is below the rounding floor of the tail sum at t={t}; "
-            "no truncation degree reaches it")
-    lmax = max(int(ok[0]) + 1, 8)
+    # the mass dropped past each degree, summed from the top so that no
+    # cancellation hides it; the last scanned degree drops nothing
+    dropped = np.append(np.cumsum(g[:0:-1])[::-1], 0.0)
+    lmax = max(int(np.argmax(dropped <= eps * (total - dropped))) + 1, 8)
     if lmax > cap:
         raise DegreeCapExceeded(
             f"t={t} needs lmax={lmax}, above the configured cap {cap}")

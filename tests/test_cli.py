@@ -179,15 +179,14 @@ class TestCorrelationCommand:
         assert len(rows_of(capsys.readouterr().out.split("\n\n")[0])) == 168
         assert len(queries) == 24
 
-    def test_eps_tail_below_rounding_floor_is_config_error(self):
-        # this used to crash with an IndexError, exit 1 ("verification FAIL")
+    def test_eps_tail_near_double_rounding_gives_its_row(self):
+        # the tail as total - cumsum could not resolve 1e-16 and was refused
+        # (exit 2); summed from the top it can
         res = run("correlation", "--r", "1", "--alpha", "3", "--t", "0.05",
                   "--cos-gamma", "0", "--eps-tail", "1e-16")
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: eps_tail=1e-16 is below the rounding floor")
-        assert "exit 2" in run("correlation", "--help").stdout
+        assert res.returncode == 0
+        assert len(rows_of(res.stdout)) == 1
+        assert res.stderr == ""
 
     def test_nan_distance_is_config_error(self):
         res = run("correlation", "--r", "1", "--alpha", "3", "--t", "0.2", "--d", "nan")
@@ -514,6 +513,18 @@ class TestFrameCommand:
         assert out == ""
         assert "above the cap" in err
 
+    def test_no_eps_tail_option(self, capsys):
+        # the resolution check always truncates at the default eps_tail, so
+        # frame used to accept an --eps-tail it never read
+        assert cli.main(["frame", "--help"]) == 0
+        assert "--eps-tail" not in capsys.readouterr().out
+        argv = ["frame", "--r", "1", "--L", "8", "--j-range=-4:0", "--oversample", "1",
+                "--eps-tail", "1e-3"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --eps-tail 1e-3" in err
+
     @pytest.mark.parametrize("oversample", ["inf", "nan", "1,inf"])
     def test_non_finite_oversample_is_config_error(self, oversample, capsys):
         # inf used to crash with an OverflowError, nan failed converting to int
@@ -522,6 +533,31 @@ class TestFrameCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: oversample must be finite and >= 1\n"
+
+
+class TestOutOfMemory:
+    """A size option too large to allocate (`verify --envelope-lmax 1e12`,
+    `simulate --replicas 1e12`) is a config error, as the frame Gram's memory
+    cap is, not a traceback with exit 1.  The allocation is faked: a real one
+    of that size may succeed on a host that overcommits memory."""
+
+    @pytest.mark.parametrize("callee, argv", [
+        ("verify_envelope", ["verify", "--r", "1", "--alpha", "3", "--t-grid", "0.4,0.2",
+                             "--variance-t-grid", "0.2,0.1"]),
+        ("monte_carlo_correlations", ["simulate", "--r", "1", "--alpha", "3", "--t", "0.2",
+                                      "--d", "0.5"]),
+    ])
+    def test_memory_error_is_config_error(self, monkeypatch, capsys, callee, argv):
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, callee, out_of_memory)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestDeterminism:
@@ -572,8 +608,9 @@ class TestDeterminism:
 class TestBenchmarkReplay:
     """Benchmark command lines replayed byte for byte: every line of the
     `analytic` workload and the `montecarlo` workload's simulate lines at
-    seed 0.  The `frame` lines are left out: their last digits depend on the
-    BLAS thread count.
+    seed 0.  The `frame` lines are left out: `perfbench/reference/frame-*.out`
+    still hold bytes from before the parity-split Gram and its regrouped
+    sums, which moved their last digits within perfbench's 1e-9 check.
 
     The command lines are read from `perfbench/workloads.py`, the expected
     bytes from `perfbench/reference/` and the traced names from

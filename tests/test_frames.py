@@ -125,6 +125,25 @@ class TestFrameCoefficients:
         with pytest.raises(ValueError):
             frame_coefficients(f_hat, PROFILE, [build_grid(2.0, 0)])
 
+    def test_one_block_of_harmonics_at_a_time(self):
+        # the harmonics of a whole grid used to be built at once: a 50 MB
+        # peak here, where the 16384-point grid holds four blocks
+        L = 16
+        grids = [build_grid(2.0, j) for j in range(-6, 1)]
+        f_hat = RNG.normal(size=(L + 1) ** 2 - 1)
+        tracemalloc.start()
+        try:
+            coefs = frame_coefficients(f_hat, PROFILE, grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grids[0].n == 4 * frames._GRAM_BLOCK
+        assert peak <= 2 * 8 * frames._GRAM_BLOCK * f_hat.size
+        for g, c in zip(grids, coefs):
+            weighted = sph_harm_flat_repeat(spectral_weights(PROFILE, 2.0 ** (2 * g.j), L)) * f_hat
+            whole_grid = g.weights * (sph_harm_matrix(L, g.theta, g.phi) @ weighted)
+            assert c.tobytes() == whole_grid.tobytes()
+
     def test_parseval_proxy_consistent_with_bounds(self):
         L = 8
         j_range = (-5, 0)

@@ -2,9 +2,12 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
 from needlets import (
@@ -174,11 +177,12 @@ class TestChooseLmax:
         with pytest.raises(DegreeCapExceeded):
             choose_lmax(NeedletProfile(1), 0.01, 1e-12)
 
-    @pytest.mark.parametrize("r, t, eps", [(1, 0.05, 1e-16), (2, 0.0125, 1e-15)])
-    def test_eps_below_rounding_floor_is_value_error(self, r, t, eps):
-        # no prefix of the tail sums reaches eps; this used to be an IndexError
-        with pytest.raises(ValueError, match="below the rounding floor"):
-            choose_lmax(NeedletProfile(r), t, eps, squared=True)
+    @pytest.mark.parametrize("r, t, eps, lmax", [(1, 0.05, 1e-16, 93),
+                                                 (2, 0.0125, 1e-15, 387)])
+    def test_eps_near_double_rounding_gets_its_exact_degree(self, r, t, eps, lmax):
+        # total - cumsum could not resolve a tail this small and refused it
+        # as below its rounding floor; the tail summed from the top resolves it
+        assert choose_lmax(NeedletProfile(r), t, eps, squared=True) == lmax
 
     @pytest.mark.parametrize("squared", [False, True])
     @pytest.mark.parametrize("t", [1e-6, 1e-12, 1e-300, 5e-324])
@@ -206,6 +210,51 @@ class TestChooseLmax:
             choose_lmax(NeedletProfile(1), t)
         with pytest.raises(ValueError, match="scale t must be finite and > 0"):
             make_kernel(NeedletProfile(1), t)
+
+
+def log_uniform(lo: float, hi: float):
+    """Numbers between lo and hi, spread in log rather than crowding simple
+    values such as 1.0 the way floats drawn on a log range would."""
+    return st.floats(0.0, 1.0).map(lambda u: lo * (hi / lo) ** u)
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of doubles, each an integer multiple of 2^-1074."""
+    unit = 1 << 1074
+    return Fraction(sum(n * (unit // d) for n, d in map(float.as_integer_ratio, values)), unit)
+
+
+class TestExactTailRule:
+    """choose_lmax returns the smallest L >= 8 whose dropped tail is at most
+    eps times what it keeps, summed exactly over the scanned weights
+    |f|^p (2l+1) for l up to 4 max(L, 64).  The one allowance is the scan's
+    own stop margin: it ignores terms past the degree where a term falls
+    below 1e-6 eps times the total, so either side of the rule may move by
+    1e-6 eps total."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 4), f0=st.sampled_from(["exponential", "gaussian"]),
+           t=log_uniform(0.002, 3.0), squared=st.booleans(), eps=log_uniform(1e-20, 1e-2))
+    def test_degree_is_the_smallest_that_meets_the_rule(self, r, f0, t, squared, eps):
+        # the largest L of this domain, about 3850 at r = 4, t = 0.002 and
+        # eps = 1e-20, is below the degree cap
+        profile = NeedletProfile(r, f0)
+        lmax = choose_lmax(profile, t, eps, squared=squared)
+        top = 4 * max(lmax, 64)
+        f = spectral_weights(profile, t * t, top)
+        g = (f * f if squared else np.abs(f)) * (2 * np.arange(1, top + 1) + 1)
+        total = exact_sum(g.tolist())
+        margin = Fraction(1e-6) * Fraction(eps) * total
+
+        def excess(L):
+            """Exact dropped tail minus eps times what L keeps."""
+            kept = exact_sum(g[:L].tolist())
+            return total - kept - Fraction(eps) * kept
+
+        assert lmax >= 8
+        assert excess(lmax) <= margin
+        if lmax > 8:
+            assert excess(lmax - 1) > -margin
 
 
 class TestDegreeCapOverride:
