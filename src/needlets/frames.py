@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULTS
-from .kernels import NeedletProfile, check_dilation, choose_lmax, spectral_weights
+from .kernels import NeedletProfile, check_dilation, spectral_weights
 from .legendre import (_check_degree, _sph_harm_rows, sph_harm_flat_index,
                        sph_harm_flat_repeat, sph_harm_matrix)
 
@@ -107,12 +107,15 @@ def _grid_size(a: float, j: int, oversample: float) -> int:
     return int(math.ceil(n))
 
 
-def _check_resolution(profile: NeedletProfile, a: float, j_min: int, L: int) -> None:
-    resolvable = choose_lmax(profile, a ** j_min)
-    if L > resolvable:
-        raise ValueError(
-            f"band limit L={L} exceeds the finest scale's spectral support "
-            f"({resolvable} at j={j_min}); extend j_range downward")
+def _scale_weights(profile: NeedletProfile, a: float, js, L: int) -> dict[int, np.ndarray]:
+    """f(a^(2j) l(l+1)) for l = 1..L and each j in js; ValueError for a degree
+    that no j covers, its sum of f^2 over js below 1e-8 of the largest."""
+    weights = {j: spectral_weights(profile, a ** (2 * j), L) for j in js}
+    coverage = sum(f * f for f in weights.values())
+    if float(np.min(coverage)) < 1e-8 * float(np.max(coverage)):
+        raise ValueError(f"degree {int(np.argmin(coverage)) + 1} has no spectral coverage "
+                         f"in j_range {min(weights)}..{max(weights)}")
+    return weights
 
 
 def frame_coefficients(f_hat: np.ndarray, profile: NeedletProfile,
@@ -121,6 +124,8 @@ def frame_coefficients(f_hat: np.ndarray, profile: NeedletProfile,
 
     `f_hat` holds the harmonic coefficients of F in the flat layout over
     degrees 1..L.  Each returned array is indexed by k within its grid.
+    ValueError for grids of more than one dilation, or for a degree that no
+    grid's scale covers.
     """
     f_hat = np.asarray(f_hat, dtype=float)
     L = math.isqrt(f_hat.size + 1) - 1
@@ -128,11 +133,12 @@ def frame_coefficients(f_hat: np.ndarray, profile: NeedletProfile,
         raise ValueError("coefficient vector length must be (L+1)^2 - 1 for some L >= 1")
     if not grids:
         raise ValueError("need at least one grid")
-    a = grids[0].a
-    _check_resolution(profile, a, min(g.j for g in grids), L)
+    if len({g.a for g in grids}) > 1:
+        raise ValueError("grids must share one dilation a")
+    weights = _scale_weights(profile, grids[0].a, sorted({g.j for g in grids}), L)
     out = []
     for g in grids:
-        weighted = sph_harm_flat_repeat(spectral_weights(profile, a ** (2 * g.j), L)) * f_hat
+        weighted = sph_harm_flat_repeat(weights[g.j]) * f_hat
         # one block of harmonics at a time, so memory does not grow with the grid
         coefs = np.empty(g.n)
         for s in range(0, g.n, _GRAM_BLOCK):
@@ -159,7 +165,6 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
     if j_min > j_max or j_max > 0:
         raise ValueError("j_range must satisfy j_min <= j_max <= 0")
     L = _check_degree(L, 1)
-    _check_resolution(profile, a, j_min, L)
     eigs = _eigvalsh_one_thread(_frame_gram(profile, a, j_min, j_max, L, oversample))
     a_hat = float(eigs[0])
     b_hat = float(eigs[-1])
@@ -204,20 +209,14 @@ def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: in
                 oversample: float) -> np.ndarray:
     """The Gram matrix M^T M of the analysis matrix on degrees 1..L.
 
-    The spectral weights of each scale are computed once, for the coverage
-    check (ValueError for a degree no scale in j_min..j_max covers) and the
-    Gram.  Then a Gram stage that `_gram_bytes` puts above `_GRAM_BYTE_CAP`
-    is refused (ValueError) before any grid is built.  Each grid adds its
-    blocks in the paired layout of `_paired_layout` (the + by - block only
-    above the diagonal); the matrix is completed and put in the flat layout
-    once, at the end.
+    The spectral weights of each scale are computed once, by `_scale_weights`,
+    for its coverage check and the Gram.  Then a Gram stage that `_gram_bytes`
+    puts above `_GRAM_BYTE_CAP` is refused (ValueError) before any grid is
+    built.  Each grid adds its blocks in the paired layout of `_paired_layout`
+    (the + by - block only above the diagonal); the matrix is completed and
+    put in the flat layout once, at the end.
     """
-    weights = {j: spectral_weights(profile, a ** (2 * j), L) for j in range(j_min, j_max + 1)}
-    coverage = sum(f * f for f in weights.values())
-    if float(np.min(coverage)) < 1e-8 * float(np.max(coverage)):
-        bad = int(np.argmin(coverage)) + 1
-        raise ValueError(
-            f"degree {bad} has no spectral coverage in j_range {j_min}..{j_max}")
+    weights = _scale_weights(profile, a, range(j_min, j_max + 1), L)
     need = _gram_bytes(L, _grid_size(a, j_min, oversample))
     if need > _GRAM_BYTE_CAP:
         raise ValueError(f"the frame Gram at L={L} needs up to {need:.3g} bytes, "

@@ -166,7 +166,8 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
         total = float(np.sum(g))
         if total == 0.0:
             return 8  # everything underflowed; any truncation is exact
-        if g[-1] < 1e-6 * eps * total and (g[-1] == 0.0 or g[-1] < g[-2]):
+        # past the peak a 0 term makes every later one 0, even if the margin underflows
+        if g[-1] == 0.0 or (g[-1] < 1e-6 * eps * total and g[-1] < g[-2]):
             break
         hi *= 2
 

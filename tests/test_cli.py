@@ -513,6 +513,25 @@ class TestFrameCommand:
         assert out == ""
         assert "above the cap" in err
 
+    def test_degree_cap_bounds_only_the_evaluated_degrees(self, monkeypatch, capsys):
+        # the finest scale, 1/16, truncates its own series at degree 89, above
+        # a cap of 64, but the Gram evaluates degrees 1..8; this used to exit 3
+        argv = ["frame", "--r", "1", "--a", "2", "--L", "8", "--j-range=-4:0",
+                "--oversample", "1"]
+        assert cli.main(argv) == 0
+        default = capsys.readouterr()
+        monkeypatch.setenv(DEGREE_CAP_ENV, "64")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == default
+
+    def test_uncovered_degree_is_config_error(self, capsys):
+        argv = ["frame", "--r", "1", "--a", "2", "--L", "16", "--j-range=0:0",
+                "--oversample", "1"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: degree 16 has no spectral coverage in j_range 0..0\n"
+
     def test_no_eps_tail_option(self, capsys):
         # the resolution check always truncates at the default eps_tail, so
         # frame used to accept an --eps-tail it never read

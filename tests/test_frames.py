@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from needlets import (
+    DegreeCapExceeded,
     NeedletProfile,
     SphHarmPoint,
     build_grid,
     calderon_bounds,
+    choose_lmax,
     estimate_frame_bounds,
     frame_coefficients,
     profile_eval,
@@ -125,6 +127,30 @@ class TestFrameCoefficients:
         with pytest.raises(ValueError):
             frame_coefficients(f_hat, PROFILE, [build_grid(2.0, 0)])
 
+    def test_uncovered_degree_rejected(self):
+        # at r = 4 the scale 1/4 resolves degree 8 but leaves degree 1 at f^2
+        # below 1e-8 of the largest; these coefficients used to be computed
+        # without a word
+        f_hat = np.zeros(9 ** 2 - 1)
+        with pytest.raises(ValueError, match="degree 1 has no spectral coverage in "
+                                             "j_range -2..-2"):
+            frame_coefficients(f_hat, NeedletProfile(4), [build_grid(2.0, -2)])
+
+    def test_mixed_dilations_rejected(self):
+        # every grid used to be weighted with the first grid's a: 0.27 off
+        # here, where the largest coefficient is 0.52
+        f_hat = np.random.default_rng(0).normal(size=24)
+        grids = [build_grid(2.0, 0), build_grid(2.0, -1), build_grid(3.0, -1)]
+        with pytest.raises(ValueError, match="^grids must share one dilation a$"):
+            frame_coefficients(f_hat, PROFILE, grids)
+
+    def test_one_weight_row_per_scale(self, count_calls):
+        # a scale listed twice is weighted once
+        weights = count_calls(frames, "spectral_weights")
+        grids = [build_grid(2.0, j) for j in (-2, -1, 0, -1)]
+        frame_coefficients(np.zeros(24), PROFILE, grids)
+        assert sorted(args[1] for args in weights) == [2.0 ** -4, 2.0 ** -2, 1.0]
+
     def test_one_block_of_harmonics_at_a_time(self):
         # the harmonics of a whole grid used to be built at once: a 50 MB
         # peak here, where the 16384-point grid holds four blocks
@@ -212,6 +238,29 @@ class TestFrameBounds:
         with pytest.raises(ValueError, match="degree 1 has no spectral coverage in "
                                              "j_range -8..-8"):
             estimate_frame_bounds(PROFILE, 2.0, (-8, -8), 256)
+        assert grids == []
+
+    def test_every_band_the_finest_scale_cannot_resolve_is_uncovered(self, count_calls):
+        # frame used to refuse L above choose_lmax at the finest scale as a
+        # second rule; the coverage check refuses each such L before any grid.
+        # L runs to the degree cap; the three cases whose finest scale needs
+        # more than the cap are left out, as that scan refused them with
+        # DegreeCapExceeded.
+        grids = count_calls(frames, "build_grid")
+        cases = 0
+        for r, f0, a, j_min in itertools.product((1, 2, 3, 4), ("exponential", "gaussian"),
+                                                 (1.5, 2.0, 3.0), range(-6, 1)):
+            profile = NeedletProfile(r, f0)
+            try:
+                resolvable = choose_lmax(profile, a ** j_min)
+            except DegreeCapExceeded:
+                continue
+            for j_max, L in itertools.product({j_min, 0},
+                                              {resolvable + 1, min(2 * resolvable, 4096)}):
+                with pytest.raises(ValueError, match="has no spectral coverage in j_range"):
+                    estimate_frame_bounds(profile, a, (j_min, j_max), L)
+                cases += 1
+        assert cases == 612
         assert grids == []
 
     def test_one_weight_row_per_scale(self, count_calls):

@@ -238,7 +238,17 @@ class TestExactTailRule:
     def test_degree_is_the_smallest_that_meets_the_rule(self, r, f0, t, squared, eps):
         # the largest L of this domain, about 3850 at r = 4, t = 0.002 and
         # eps = 1e-20, is below the degree cap
-        profile = NeedletProfile(r, f0)
+        self.check_exact_rule(NeedletProfile(r, f0), t, eps, squared)
+
+    @pytest.mark.parametrize("eps", [1e-318, 5e-324])
+    @pytest.mark.parametrize("r, f0, t", [(1, "exponential", 0.2), (3, "gaussian", 0.05)])
+    def test_margin_that_underflows_still_stops_the_scan(self, r, f0, t, eps):
+        # 1e-6 * eps * total rounds to 0 here, and the scan used to run on to
+        # 64 times the cap looking for a term below it
+        self.check_exact_rule(NeedletProfile(r, f0), t, eps, squared=False)
+
+    @staticmethod
+    def check_exact_rule(profile, t, eps, squared):
         lmax = choose_lmax(profile, t, eps, squared=squared)
         top = 4 * max(lmax, 64)
         f = spectral_weights(profile, t * t, top)
