@@ -30,7 +30,7 @@ from .correlation import (
 from .defaults import DEFAULTS, degree_cap
 from .errors import DecayHypothesisError, DegreeCapExceeded, NumericFailure
 from .fields import monte_carlo_correlations, points_cos_angle
-from .frames import build_grid, estimate_frame_bounds
+from .frames import _POINT_CAP, build_grid, estimate_frame_bounds
 from .kernels import (
     NeedletProfile,
     check_scale_grid,
@@ -67,7 +67,8 @@ def _floats(text: str, what: str) -> list[float]:
 
 
 def _grid_spec(text: str) -> list[float]:
-    """Either 'start:stop:count' (inclusive linspace) or a comma list, all finite."""
+    """Either 'start:stop:count' (inclusive linspace, at most the grid point cap)
+    or a comma list, all finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -75,6 +76,8 @@ def _grid_spec(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 2 or stop <= start:
             raise ValueError(f"bad grid spec {text!r}")
+        if count > _POINT_CAP:
+            raise ValueError(f"grid spec {text!r} has more than {_POINT_CAP} points")
         step = (stop - start) / (count - 1)
         values = [start + step * i for i in range(count)]
     else:
@@ -316,15 +319,20 @@ def cmd_frame(args) -> int:
         any_ill = any_ill or est.ill_conditioned
         rows.append((args.a, ov, args.L, est.a_hat, est.b_hat, est.ratio,
                      est.ill_conditioned))
-    _emit(_table(["a", "oversample", "L", "A_hat", "B_hat", "ratio",
-                  "ill_conditioned"], rows), args.output)
+    outputs = [(_table(["a", "oversample", "L", "A_hat", "B_hat", "ratio",
+                        "ill_conditioned"], rows), args.output)]
     if args.export_grid:
         grid_rows = []
         for j in range(j_range[0], j_range[1] + 1):
             grid = build_grid(args.a, j, oversamples[0])
             for k in range(grid.n):
                 grid_rows.append((j, k, grid.theta[k], grid.phi[k], grid.weights[k]))
-        _emit(_table(["j", "k", "theta", "phi", "weight"], grid_rows), args.export_grid)
+        outputs.append((_table(["j", "k", "theta", "phi", "weight"], grid_rows),
+                        args.export_grid))
+    # files first, so a path that cannot be written fails before stdout gets a
+    # byte; the sort is stable, so on stdout the table still precedes the grid
+    for text, path in sorted(outputs, key=lambda out: out[1] in (None, "-")):
+        _emit(text, path)
     if any_ill:
         print("FAIL: analysis matrix is ill-conditioned on the requested subspace",
               file=sys.stderr)

@@ -335,6 +335,9 @@ def fit_correlation_decay(profile: NeedletProfile, spectrum: PowerSpectrum,
 
     n_fit = min(DEFAULTS["fit_points"], len(t_grid))
     ts_fit = np.array(t_grid[-n_fit:])
+    if t_grid[-n_fit] == t_grid[-1]:  # sorted, so one distinct fitted scale
+        raise ValueError(f"the {n_fit} smallest scales are all t={t_grid[-1]!r}; "
+                         "a slope needs two distinct scales")
     slope = float(np.polyfit(np.log(ts_fit), np.log(abs_cors[-n_fit:]), 1)[0])
 
     bounds = abs_cors * d ** (2 * n_exp) * np.array(t_grid) ** -exponent

@@ -7,6 +7,8 @@ cap may be overridden through the NEEDLETS_DEGREE_CAP environment variable.
 
 import os
 
+__all__ = ["DEFAULTS", "degree_cap"]
+
 DEGREE_CAP_ENV = "NEEDLETS_DEGREE_CAP"
 
 DEFAULTS = {

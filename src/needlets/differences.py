@@ -20,8 +20,6 @@ import numpy as np
 
 __all__ = [
     "CoeffSequence",
-    "first_difference_weight",
-    "second_difference_weight",
     "multiply_cos_minus_one",
     "multiply_cos_minus_one_power",
 ]

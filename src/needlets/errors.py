@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NeedletError", "DegreeCapExceeded", "NumericFailure", "DecayHypothesisError"]
+
 
 class NeedletError(Exception):
     """Base class for needlet-specific failures."""

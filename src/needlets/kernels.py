@@ -26,10 +26,8 @@ __all__ = [
     "NeedletProfile",
     "KernelSpec",
     "LocalizationReport",
-    "spread",
     "profile_eval",
     "spectral_weights",
-    "check_scale_grid",
     "choose_lmax",
     "make_kernel",
     "kernel_eval",

@@ -39,13 +39,10 @@ from .kernels import spread
 __all__ = [
     "PowerSpectrum",
     "EnvelopeEstimate",
-    "DerivativeDecayReport",
-    "F_CATALOG",
     "power_spectrum",
     "rational_log_spectrum",
     "tabulated_spectrum",
     "spectrum_eval",
-    "positive_spectrum",
     "verify_envelope",
     "verify_derivative_decay",
     "load_spectrum_json",

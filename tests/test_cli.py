@@ -102,6 +102,17 @@ class TestKernelCommand:
         assert res.stdout == ""
         assert "non-finite" in res.stderr
 
+    @pytest.mark.parametrize("count", [2_000_001, 10 ** 12])
+    def test_theta_count_above_the_point_cap_is_config_error(self, count, count_calls,
+                                                            capsys):
+        # the whole grid used to be built as a list before any size check
+        kernels = count_calls(cli, "make_kernel")
+        assert cli.main(["kernel", "--r", "1", "--t", "0.2", "--theta", f"0:1:{count}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: grid spec '0:1:{count}' has more than 2000000 points\n"
+        assert kernels == []
+
     @pytest.mark.parametrize("t", ["1e-6", "1e-12", "1e-300", "5e-324"])
     def test_tiny_scale_stops_at_the_degree_cap(self, t, capsys):
         # these used to scan 6e6 degrees, ask for 43.7 TiB, exceed numpy's
@@ -130,6 +141,16 @@ class TestCorrelationCommand:
         slope = report["reports"][0]["fitted_slope"]
         assert 2.0 <= slope <= 3.0
         assert report["reports"][0]["n_exponent"] == 2
+
+    def test_fit_through_one_scale_is_config_error(self, capsys):
+        # this used to print a fitted_slope of 0.874 and exit 0
+        argv = ["correlation", "--r", "1", "--alpha", "3", "--d", "1", "--fit", "--t"]
+        assert cli.main(argv + ["0.2,0.2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the 2 smallest scales are all t=0.2; "
+                       "a slope needs two distinct scales\n")
+        assert cli.main(argv + ["0.2,0.2,0.1"]) == 0
 
     def test_hypothesis_violation_with_fit(self):
         res = run("correlation", "--r", "1", "--alpha", "7", "--t", "0.2,0.1",
@@ -481,6 +502,25 @@ class TestFrameCommand:
         for j in range(-3, 1):
             n_j = math.ceil(2 * 4.0 * 2.0 ** (-2 * j))
             assert sum(1 for r in rows if int(r["j"]) == j) == n_j
+
+    def test_unwritable_grid_path_is_config_error_with_empty_stdout(self, tmp_path,
+                                                                      capsys):
+        # the frame table used to reach stdout before the grid path failed
+        argv = ["frame", "--r", "1", "--a", "2", "--L", "4", "--j-range=-2:0",
+                "--oversample", "1", "--export-grid"]
+        assert cli.main(argv + [str(tmp_path / "missing" / "grid.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
+    def test_grid_on_stdout_follows_the_table(self, tmp_path, capsys):
+        argv = ["frame", "--r", "1", "--a", "2", "--L", "4", "--j-range=-2:0",
+                "--oversample", "1", "--export-grid"]
+        grid = tmp_path / "grid.csv"
+        assert cli.main(argv + [str(grid)]) == 0
+        table = capsys.readouterr().out
+        assert cli.main(argv + ["-"]) == 0
+        assert capsys.readouterr().out == table + grid.read_text()
 
     def test_ill_conditioning_exit(self):
         res = run("frame", "--r", "1", "--L", "2", "--j-range=0:0",

@@ -436,6 +436,18 @@ class TestCorrelationDecay:
         with pytest.raises(ValueError):
             correlation_decay_check(PROFILE, SPECTRUM, 0.9999, [0.2, 0.1])
 
+    def test_fit_through_one_scale_is_refused(self):
+        # a line through points at one scale has no slope; this used to return
+        # 1.029, with numpy's RankWarning on stderr
+        with pytest.raises(ValueError, match="two distinct scales"):
+            correlation_decay_check(PROFILE, SPECTRUM, 0.0, [0.1, 0.1])
+        # the fit takes the smallest fit_points scales; a larger one does not help
+        with pytest.raises(ValueError, match="the 4 smallest scales are all t=0.1;"):
+            fit_correlation_decay(PROFILE, SPECTRUM, 0.0, [0.4] + [0.1] * 4,
+                                  [0.1, 0.01, 0.01, 0.01, 0.01])
+        rep = correlation_decay_check(PROFILE, SPECTRUM, 0.0, [0.2, 0.2, 0.1])
+        assert rep.t_grid == (0.2, 0.2, 0.1)
+
 
 def mpmath_correlation(mpmath, r, alpha, t):
     """Cor(t, 0) as a direct 40-digit sum over l, independent of the library.
