@@ -197,11 +197,8 @@ def analytic_covariance(q: CorrelationQuery, eps_tail: float | None = None) -> f
 
 
 def analytic_correlation(q: CorrelationQuery, eps_tail: float | None = None) -> float:
-    """Cov(t, cos gamma) / Cov(t, 1); exactly 1 at coincident points."""
-    if q.cos_gamma == 1.0:
-        return 1.0
-    _, cors = correlation_series(q.profile, q.spectrum, q.t, [q.cos_gamma], eps_tail)
-    return float(cors[0])
+    """Cov(t, cos gamma) / Cov(t, 1): the one-point `correlation_series`."""
+    return float(correlation_series(q.profile, q.spectrum, q.t, [q.cos_gamma], eps_tail)[1][0])
 
 
 def zonal_decay_bound(a: CoeffSequence, mu: float) -> ZonalDecayBound:
@@ -229,8 +226,9 @@ def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
     has the bits of its one-sequence call.
     """
     mu = float(mu)
-    if mu + 2.0 <= 0.0:
-        raise ValueError("need mu + 2 > 0; the series bound does not apply otherwise")
+    if not (math.isfinite(mu) and mu + 2.0 > 0.0):
+        raise ValueError(f"need a finite mu with mu + 2 > 0, got {mu!r}; "
+                         "the series bound does not apply otherwise")
     n_exp = least_integer_above(mu / 2.0 + 1.0)
 
     scaled = []  # (index, rescaled sequence) of the sequences with a nonzero term
@@ -306,10 +304,10 @@ def correlation_decay_check(profile: NeedletProfile, spectrum: PowerSpectrum,
 
     Computes the correlations and hands them to `fit_correlation_decay`.
     """
-    t_grid = tuple(sorted((float(t) for t in t_grid), reverse=True))
+    t_grid = tuple(t_grid)
     _decay_setup(profile, spectrum, cos_gamma, len(t_grid))
-    cors = [analytic_correlation(CorrelationQuery(profile, spectrum, t, cos_gamma), eps_tail)
-            for t in t_grid]
+    cors = [correlation_series(profile, spectrum, t, [cos_gamma], eps_tail)[1][0]
+            for t in check_scale_grid(t_grid)]
     return fit_correlation_decay(profile, spectrum, cos_gamma, t_grid, cors)
 
 
@@ -323,7 +321,7 @@ def fit_correlation_decay(profile: NeedletProfile, spectrum: PowerSpectrum,
     tolerance of it, and |Cor| d^(2N) t^(-exponent) must stay within the
     stability ratio across the grid.
     """
-    t_grid = [float(t) for t in t_grid]
+    t_grid = check_scale_grid(t_grid)
     correlations = [float(c) for c in correlations]
     exponent, n_exp, d = _decay_setup(profile, spectrum, cos_gamma, len(t_grid))
     if len(correlations) != len(t_grid):

@@ -77,6 +77,8 @@ class SphHarmPoint:
             raise ValueError(f"order |m|={abs(self.m)} exceeds degree l={self.l}")
         if not 0.0 <= self.theta <= math.pi + 1e-12:
             raise ValueError(f"colatitude {self.theta!r} outside [0, pi]")
+        if not math.isfinite(self.phi):
+            raise ValueError("harmonic coordinates (theta, phi) must be finite")
 
 
 def _legendre_p(x: float, top: int):
@@ -115,13 +117,18 @@ def legendre_series_rows(rows, x, offsets) -> np.ndarray:
     value has the bits of the one-row `legendre_series` call.
     """
     rows = [np.asarray(c, dtype=float) for c in rows]
-    offsets = list(offsets)
+    offsets = _one_offset_per_row(rows, offsets)
     xv = np.atleast_1d(_check_x(x))
-    if len(offsets) != len(rows):
-        raise ValueError("need one offset per coefficient row")
     if xv.ndim > 2 or (xv.ndim == 2 and xv.shape[0] != len(rows)):
         raise ValueError("points must be shared (1-d) or one row per coefficient row (2-d)")
     return _series_rows(rows, offsets, xv)
+
+
+def _one_offset_per_row(rows: list, offsets) -> list:
+    offsets = list(offsets)
+    if len(offsets) != len(rows):
+        raise ValueError("need one offset per coefficient row")
+    return offsets
 
 
 def _series_rows(rows: list, offsets: list, x: np.ndarray) -> np.ndarray:
@@ -214,7 +221,8 @@ def zonal_series(values: np.ndarray, x, offset: int = 0):
 def zonal_series_rows(rows, x, offsets) -> np.ndarray:
     """`zonal_series` of every coefficient row in one recurrence; `x` as in
     `legendre_series_rows`."""
-    offsets = list(offsets)
+    rows = list(rows)
+    offsets = _one_offset_per_row(rows, offsets)
     return legendre_series_rows([_zonal_coeffs(v, o) for v, o in zip(rows, offsets)],
                                 x, offsets)
 

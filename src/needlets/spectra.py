@@ -155,7 +155,7 @@ def tabulated_spectrum(ls, cs, alpha) -> PowerSpectrum:
 
 
 def spectrum_eval(ps: PowerSpectrum, l):
-    """u(l) for scalar or array degree >= 1.
+    """u(l) for scalar or array finite degree >= 1, in every family.
 
     Tabulated spectra return 0 for degrees missing from the table; the other
     families are strictly positive wherever defined.
@@ -163,8 +163,8 @@ def spectrum_eval(ps: PowerSpectrum, l):
     lv = np.asarray(l, dtype=float)
     scalar = lv.ndim == 0
     lv = np.atleast_1d(lv)
-    if lv.size and np.min(lv) < 1.0:
-        raise ValueError("spectra are defined for degrees >= 1 only")
+    if not np.all((lv >= 1.0) & (lv < math.inf)):
+        raise ValueError("spectra are defined for finite degrees >= 1 only")
     if ps.family == "power":
         out = lv ** -ps.alpha
     elif ps.family == "rational_log":
@@ -172,8 +172,6 @@ def spectrum_eval(ps: PowerSpectrum, l):
         out = (f(np.log(lv)) * npoly.polyval(lv, ps.p_coeffs)
                / (lv ** ps.beta * npoly.polyval(lv, ps.q_coeffs)))
     elif ps.family == "tabulated":
-        if not np.all(np.isfinite(lv)):
-            raise ValueError("tabulated spectra are defined for finite degrees only")
         # sorted distinct degrees, each with its last value, and a final
         # degree inf reading 0 so that every finite degree has a place
         degrees, last = np.unique(np.array(ps.table_l[::-1], dtype=float), return_index=True)

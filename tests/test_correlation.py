@@ -11,6 +11,7 @@ from needlets import (
     CoeffSequence,
     CorrelationQuery,
     DecayHypothesisError,
+    DegreeCapExceeded,
     NeedletProfile,
     NumericFailure,
     analytic_correlation,
@@ -183,6 +184,16 @@ class TestCorrelation:
         with pytest.raises(NumericFailure):
             analytic_correlation(CorrelationQuery(PROFILE, SPECTRUM, 50.0, 0.3))
 
+    def test_coincident_point_is_refused_where_the_series_is(self):
+        # cos gamma = 1 used to return 1.0 before the truncation was chosen
+        with pytest.raises(DegreeCapExceeded):
+            analytic_correlation(CorrelationQuery(PROFILE, SPECTRUM, 1e-7, 1.0))
+        with pytest.raises(DegreeCapExceeded):
+            correlation_series(PROFILE, SPECTRUM, 1e-7, [1.0])
+
+    def test_coincident_point_of_a_degenerate_variance_is_one(self):
+        assert analytic_correlation(CorrelationQuery(PROFILE, SPECTRUM, 50.0, 1.0)) == 1.0
+
 
 class TestCorrelationSeries:
     XS = [-1.0, -0.3, 0.0, 0.42, 0.995, 1.0, 0.7]
@@ -258,6 +269,12 @@ class TestShortTable:
         with pytest.raises(ValueError, match="c_11;"):
             correlation_series(PROFILE, self.short(10), 0.05, [0.0])
 
+    def test_coincident_point_refuses_a_table_below_the_truncation(self):
+        # cos gamma = 1 used to return 1.0 here while 0.9 raised
+        for cos_gamma in (1.0, 0.9):
+            with pytest.raises(ValueError, match="c_11;"):
+                analytic_correlation(CorrelationQuery(PROFILE, self.short(10), 0.05, cos_gamma))
+
     def test_table_covering_the_truncation_matches_the_power_law(self):
         t = 0.05
         top = choose_lmax(PROFILE, t, squared=True)
@@ -326,6 +343,12 @@ class TestZonalDecayBound:
     def test_hypothesis_guard(self):
         with pytest.raises(ValueError):
             zonal_decay_bound(CoeffSequence(1, np.ones(5)), -2.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_is_refused(self, mu):
+        # NaN used to fail inside numpy's integer conversion, inf with OverflowError
+        with pytest.raises(ValueError, match="need a finite mu with mu \\+ 2 > 0"):
+            zonal_decay_bound(CoeffSequence(1, np.ones(5)), mu)
 
     def test_scale_invariance(self):
         lmax = choose_lmax(PROFILE, 0.2, squared=True)
@@ -431,6 +454,14 @@ class TestCorrelationDecay:
             fit_correlation_decay(PROFILE, SPECTRUM, 0.0, [0.2], [0.1])
         with pytest.raises(ValueError, match="one correlation per scale"):
             fit_correlation_decay(PROFILE, SPECTRUM, 0.0, [0.2, 0.1], [0.1])
+
+    @pytest.mark.parametrize("bad", [-0.1, 0.0, math.nan])
+    def test_fit_refuses_a_scale_outside_the_domain(self, bad, capfd):
+        # these reached np.log: a RuntimeWarning, or LAPACK errors on stderr
+        # and "SVD did not converge"
+        with pytest.raises(ValueError, match="^scale t must be finite and > 0$"):
+            fit_correlation_decay(PROFILE, SPECTRUM, 0.0, [0.2, bad], [0.1, 0.01])
+        assert capfd.readouterr() == ("", "")
 
     def test_geometry_too_close(self):
         with pytest.raises(ValueError):

@@ -362,6 +362,13 @@ class TestSphHarmMatrix:
         with pytest.raises(ValueError, match="must be finite"):
             real_sph_harm(SphHarmPoint(4, 2, 1.0, phi))
 
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_longitude_is_refused_at_degree_zero(self, phi):
+        # Y_00 is constant, and used to be returned at any longitude
+        message = r"^harmonic coordinates \(theta, phi\) must be finite$"
+        with pytest.raises(ValueError, match=message):
+            real_sph_harm(SphHarmPoint(0, 0, 1.0, phi))
+
     def test_nan_colatitude_is_refused_by_the_point(self):
         # the request itself refuses it, before any harmonic is evaluated
         with pytest.raises(ValueError, match=r"outside \[0, pi\]"):

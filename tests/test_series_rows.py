@@ -94,6 +94,12 @@ class TestRowsMatchOneRowCalls:
         with pytest.raises(ValueError, match=r"arguments must lie in \[-1, 1\]"):
             legendre_series_rows([[1.0]], [[math.nan]], [0])
 
+    @pytest.mark.parametrize("offsets", [[0], [0, 0, 0]])
+    def test_zonal_rows_need_one_offset_per_row(self, offsets):
+        # zipping rows with offsets used to drop the rows past the shorter list
+        with pytest.raises(ValueError, match="^need one offset per coefficient row$"):
+            zonal_series_rows([[1.0], [2.0]], [0.5], offsets)
+
 
 PROFILE, SPECTRUM = NeedletProfile(1), power_spectrum(3.0)
 

@@ -32,6 +32,17 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             spectrum_eval(power_spectrum(3.0), 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("ps", [power_spectrum(3.0),
+                                    rational_log_spectrum(3.0, 3.0, [1.0], [1.0])],
+                             ids=["power", "rational_log"])
+    def test_non_finite_degree_rejected_in_every_family(self, ps, bad):
+        # NaN used to evaluate to NaN, and inf to "a non-positive value"
+        with pytest.raises(ValueError, match="finite degrees >= 1"):
+            spectrum_eval(ps, bad)
+        with pytest.raises(ValueError, match="finite degrees >= 1"):
+            spectrum_eval(ps, np.array([2.0, bad]))
+
     def test_alpha_must_exceed_two(self):
         with pytest.raises(ValueError):
             power_spectrum(2.0)
