@@ -15,9 +15,10 @@ no adjustment).
 Randomness is counter-based: draw j of stream (seed, stream) is a fixed
 function of the Philox output word at counter position j, so coefficients
 never depend on evaluation order and replicas can run on any schedule.  The
-Monte-Carlo loop uses that: each block of replicas is drawn once and
-projected as two row halves on two threads, onto one weighted harmonic row
-per distinct coefficient beta_{t,x}, however many query pairs share it.
+Monte-Carlo loop uses that: each of two threads owns one contiguous half of
+the replicas and streams it through its own small buffer, drawing each
+replica once and projecting it onto one weighted harmonic row per distinct
+coefficient beta_{t,x}, however many query pairs share it.
 Longitudes are reduced modulo 2 pi on entry, so any finite point is usable.
 """
 
@@ -55,9 +56,9 @@ __all__ = [
 ]
 
 _U64 = 2 ** 64
-# size of one block of replica coefficients in the Monte-Carlo loop
-_BLOCK_BYTES = 8 * 2 ** 20
-# threads per Monte-Carlo call; each block is split into this many row ranges
+# size of each Monte-Carlo worker's buffer of replica coefficients
+_BLOCK_BYTES = 2 ** 20
+# threads per Monte-Carlo call; each owns this share of the replicas
 _WORKERS = 2
 
 
@@ -187,11 +188,11 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
     draws it would make alone, so every result is a pure function of
     (seed, replicas) and its query, whatever the other queries, the blocking
     or the schedule.  Each distinct coefficient beta_{t,x} is projected once,
-    into its own row of the sample, and a query reads two rows.  A block
-    holds about 8 MiB of coefficients, whatever the replica count; two
-    threads each draw and project one half of a block's rows, each replica
-    into its own slot of the sample, so neither the split nor the block size
-    moves a bit.
+    into its own row of the sample, and a query reads two rows.  Two threads
+    each own one contiguous half of the replicas and stream it through a
+    buffer of 1 MiB (or one replica, if larger), whatever the replica count;
+    each replica goes into its own slot of the sample, so neither the split
+    nor the buffer size moves a bit.
     The estimate is the uncentered moment ratio matching the defining
     expectation formula for these zero-mean fields; the standard error is
     the leave-one-out jackknife of that ratio.
@@ -218,24 +219,23 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
     chunk = max(1, _BLOCK_BYTES // (sigma.size * sigma.itemsize))
 
     samples = np.empty((len(keys), replicas))
-    block = np.empty((min(chunk, replicas), sigma.size))
 
-    def draw_and_project(lo: int, hi: int, rows: np.ndarray) -> None:
-        # rows holds replicas lo..hi-1; every replica is reduced on its own,
-        # so the result does not depend on which rows share a call
-        _counter_normals(seed, range(lo, hi), rows)
-        rows *= sigma
-        for k, w in enumerate(projections):
-            samples[k, lo:hi] = (rows[:, :w.size] * w).sum(axis=1)
+    def draw_and_project(lo: int, hi: int) -> None:
+        # this worker owns replicas lo..hi-1; every replica is reduced on its
+        # own, so the result does not depend on which rows share a chunk
+        buffer = np.empty((min(chunk, hi - lo), sigma.size))
+        for start in range(lo, hi, chunk):
+            stop = min(start + chunk, hi)
+            rows = buffer[:stop - start]
+            _counter_normals(seed, range(start, stop), rows)
+            rows *= sigma
+            for k, w in enumerate(projections):
+                samples[k, start:stop] = (rows[:, :w.size] * w).sum(axis=1)
 
+    cuts = [replicas * k // _WORKERS for k in range(_WORKERS + 1)]
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        for start in range(0, replicas, chunk):
-            stop = min(start + chunk, replicas)
-            cuts = [start + (stop - start) * k // _WORKERS for k in range(_WORKERS + 1)]
-            futures = [pool.submit(draw_and_project, lo, hi, block[lo - start:hi - start])
-                       for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-            for future in futures:
-                future.result()
+        for future in [pool.submit(draw_and_project, lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
+            future.result()
     return [_jackknife_correlation(samples[keys[t, point_x]], samples[keys[t, point_y]])
             for t, point_x, point_y in queries]
 

@@ -209,6 +209,8 @@ def zonal_eval(l: int, x: float) -> float:
 def _zonal_coeffs(values, offset: int) -> np.ndarray:
     """a_l (2l+1) for the window a_offset .. a_top."""
     values = np.asarray(values, dtype=float)
+    if values.ndim > 1:  # checked before the product, which would broadcast it
+        raise ValueError("each coefficient row must be 1-d")
     ls = np.arange(offset, offset + values.size)
     return values * (2 * ls + 1)
 

@@ -62,7 +62,8 @@ def loop_rotate_alm_about_pole(alm, dphi):
 
 
 def set_block_rows(monkeypatch, rows, ts):
-    """Size the Monte-Carlo block to `rows` replicas at the largest degree of scales ts."""
+    """Size each Monte-Carlo worker's buffer to `rows` replicas at the largest
+    degree of scales ts."""
     L = max(choose_lmax(PROFILE, t) for t in ts)
     monkeypatch.setattr(fields_module, "_BLOCK_BYTES", rows * ((L + 1) ** 2 - 1) * 8)
 
@@ -306,7 +307,10 @@ class TestMonteCarloCorrelation:
 
     def test_bounded_memory(self):
         # L = 116: 300 replicas of 13 688 coefficients are 33 MB, so the loop
-        # has to work in blocks and must not hold a whole-sample temporary
+        # has to stream them.  Measured peak 4.4 MB: each of two workers holds
+        # a buffer of 9 replicas (0.99 MB) and a product temporary of the same
+        # size.  The bound leaves 1.6 MB of margin, and one 8 MiB block shared
+        # by the workers (17.1 MB measured) fails it.
         profile = NeedletProfile(2)
         x, y = (math.pi / 2, 0.0), (math.pi / 2, 0.3)
         assert choose_lmax(profile, 0.05) == 116
@@ -316,7 +320,7 @@ class TestMonteCarloCorrelation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 6e6
 
 
 def loop_monte_carlo_correlation(profile, spectrum, t, point_x, point_y, replicas, seed):
@@ -361,6 +365,13 @@ MC_POINT = st.one_of(
 def grid_oracle():
     """float.hex of the per-query loop oracle on GRID_QUERIES, 300 replicas, seed 7."""
     return hexes(loop_monte_carlo_correlation(PROFILE, SPECTRUM, t, x, y, 300, 7)
+                 for t, x, y in GRID_QUERIES)
+
+
+@pytest.fixture(scope="module")
+def odd_grid_oracle():
+    """As grid_oracle, on 301 replicas: no worker count in 2, 3 splits them evenly."""
+    return hexes(loop_monte_carlo_correlation(PROFILE, SPECTRUM, t, x, y, 301, 7)
                  for t, x, y in GRID_QUERIES)
 
 
@@ -435,7 +446,7 @@ class TestBatchedMonteCarlo:
 
     @pytest.mark.parametrize("chunk", [None, 37, 1])
     def test_worker_count_does_not_move_a_bit(self, monkeypatch, grid_oracle, chunk):
-        # blocks of one row leave one of the two halves of every block empty
+        # buffers of one row draw and project every replica on its own
         if chunk is not None:
             set_block_rows(monkeypatch, chunk, GRID_SCALES)
         two = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
@@ -443,22 +454,39 @@ class TestBatchedMonteCarlo:
         one = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
         assert hexes(one) == hexes(two) == grid_oracle
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [None, 37, 2, 1])
+    def test_uneven_ranges_and_short_chunks_do_not_move_a_bit(
+            self, monkeypatch, odd_grid_oracle, chunk, workers):
+        # 301 replicas leave uneven worker ranges, and most buffer sizes a
+        # short last chunk in each range
+        if chunk is not None:
+            set_block_rows(monkeypatch, chunk, GRID_SCALES)
+        monkeypatch.setattr(fields_module, "_WORKERS", workers)
+        got = monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 301, seed=7)
+        assert hexes(got) == odd_grid_oracle
+
     def test_draws_run_on_at_most_two_worker_threads(self, monkeypatch):
-        threads = set()
-        halves = []
+        calls = []
         draw = fields_module._counter_normals
 
         def recorded(seed, streams, out):
-            threads.add(threading.get_ident())
-            halves.append(len(streams))
+            calls.append((threading.get_ident(), streams))
             draw(seed, streams, out)
 
         monkeypatch.setattr(fields_module, "_counter_normals", recorded)
         set_block_rows(monkeypatch, 37, GRID_SCALES)
         monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 300, seed=7)
-        assert max(halves) == 19  # a 37-row block splits into 18 and 19 rows
+        assert all(1 <= len(streams) <= 37 and streams.step == 1 for _, streams in calls)
+        threads = {thread for thread, _ in calls}
         assert 1 <= len(threads) <= 2
         assert threading.get_ident() not in threads
+        # each thread's chunks follow on from one another, and together they
+        # draw every replica once
+        for thread in threads:
+            mine = [streams for t, streams in calls if t == thread]
+            assert all(a.stop == b.start for a, b in zip(mine, mine[1:]))
+        assert sorted(i for _, streams in calls for i in streams) == list(range(300))
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         def broken(seed, streams, out):

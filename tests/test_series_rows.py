@@ -100,6 +100,14 @@ class TestRowsMatchOneRowCalls:
         with pytest.raises(ValueError, match="^need one offset per coefficient row$"):
             zonal_series_rows([[1.0], [2.0]], [0.5], offsets)
 
+    def test_zonal_rows_must_be_1d(self):
+        # the (2l + 1) product used to run first, and numpy refused to broadcast
+        for call in (lambda: zonal_series_rows([np.ones((2, 3))], [0.5], [0]),
+                     lambda: zonal_series(np.ones((2, 3)), 0.5),
+                     lambda: legendre_series_rows([np.ones((2, 3))], [0.5], [0])):
+            with pytest.raises(ValueError, match="^each coefficient row must be 1-d$"):
+                call()
+
 
 PROFILE, SPECTRUM = NeedletProfile(1), power_spectrum(3.0)
 
