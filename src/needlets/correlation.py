@@ -246,11 +246,9 @@ def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
 
     split = DEFAULTS["series_bound_theta_split"]
     near = np.geomspace(DEFAULTS["theta_min"], split, 256, endpoint=False)
-    direct = zonal_series_rows([s.values for _, s in scaled], np.cos(near),
-                               [s.offset for _, s in scaled])
+    direct = zonal_series_rows([s for _, s in scaled], np.cos(near))
     far = np.linspace(split, math.pi, 1024)
-    numer = zonal_series_rows([s.values for s in transformed], np.cos(far),
-                              [s.offset for s in transformed])
+    numer = zonal_series_rows(transformed, np.cos(far))
     sups = [0.0] * len(seqs)
     for (i, _), d, u in zip(scaled, direct, numer):
         with np.errstate(over="ignore"):
@@ -273,8 +271,8 @@ def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
     NumericFailure.
     """
     t_grid = check_scale_grid(t_grid)
-    rows = [covariance_sequence(profile, spectrum, t, eps_tail).values for t in t_grid]
-    variances = zonal_series_rows(rows, [1.0], [1] * len(rows))[:, 0].tolist()
+    seqs = [covariance_sequence(profile, spectrum, t, eps_tail) for t in t_grid]
+    variances = zonal_series_rows(seqs, [1.0])[:, 0].tolist()
     scaled = [var * t ** (2.0 - spectrum.alpha) for t, var in zip(t_grid, variances)]
     for t, value in zip(t_grid, scaled):
         if not math.isfinite(value):

@@ -36,6 +36,8 @@ class CoeffSequence:
         if self.offset < 0:
             raise ValueError("offset must be >= 0")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.ndim != 1:
+            raise ValueError("each coefficient row must be 1-d")
 
     @property
     def top(self) -> int:

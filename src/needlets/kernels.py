@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULTS, degree_cap
+from .differences import CoeffSequence
 from .errors import DegreeCapExceeded
 from .legendre import _zonal_coeffs, legendre_series, legendre_series_rows
 
@@ -153,7 +154,7 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
 
     # the scan starts past the spectral peak near sqrt(r) / t; a peak past
     # hard_stop raises below before any array is built
-    l_peak = max(8, int(min(math.sqrt(max(profile.r, 1)) / t, hard_stop)) + 1)
+    l_peak = int(min(math.sqrt(max(profile.r, 1)) / t, hard_stop)) + 1
     hi = max(64, 6 * l_peak)
     while True:
         if hi > hard_stop:
@@ -162,9 +163,8 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
         f = spectral_weights(profile, t * t, hi)
         g = _zonal_coeffs(f * f if squared else np.abs(f), 1)
         total = float(np.sum(g))
-        if total == 0.0:
-            return 8  # everything underflowed; any truncation is exact
-        # past the peak a 0 term makes every later one 0, even if the margin underflows
+        # past the peak a 0 term makes every later one 0, even if the margin
+        # underflows; a scan that underflowed everywhere stops here at total 0
         if g[-1] == 0.0 or (g[-1] < 1e-6 * eps * total and g[-1] < g[-2]):
             break
         hi *= 2
@@ -216,7 +216,7 @@ def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
     xs = np.ones((len(t_list), max(th.size for th in thetas)))
     for row, th in zip(xs, thetas):
         row[:th.size] = np.cos(th)
-    vals = legendre_series_rows([spec.coeffs for spec in specs], xs, [1] * len(specs))
+    vals = legendre_series_rows([CoeffSequence(1, spec.coeffs) for spec in specs], xs)
     sups = [float(np.max((t * t) * np.abs(v[:th.size]) * (th / t) ** n_exponent))
             for t, th, v in zip(t_list, thetas, vals)]
     _, _, ratio, passed = spread(sups, DEFAULTS["stability_ratio"])

@@ -7,6 +7,11 @@ so no factorial is ever formed; sectoral seeds that would leave the double
 range near the poles carry an extended exponent, so harmonics stay accurate
 up to `degree_cap` instead of underflowing to zero.
 
+A coefficient window is a `CoeffSequence`: the batched series
+`legendre_series_rows` and `zonal_series_rows` take one per row, and the
+one-row `legendre_series` and `zonal_series` build one from an array and an
+offset, so every window is checked in one place.
+
 Conventions: P_l is the ordinary Legendre polynomial (P_l(1) = 1); the zonal
 harmonic of degree l is Z_l(x) = (2l+1) P_l(x), with the surface-area
 constant dropped; real harmonics Y_{l,m} are orthonormal on the sphere with
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import degree_cap
+from .differences import CoeffSequence
 from .errors import DegreeCapExceeded
 
 __all__ = [
@@ -104,60 +110,49 @@ def legendre_series(coeffs: np.ndarray, x, offset: int = 0):
     """
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(_check_x(x))
-    out = _series_rows([np.asarray(coeffs, dtype=float)], [offset], xv.reshape(-1))[0]
+    out = _series_rows([CoeffSequence(offset, coeffs)], xv.reshape(-1))[0]
     return float(out[0]) if scalar else out.reshape(xv.shape)
 
 
-def legendre_series_rows(rows, x, offsets) -> np.ndarray:
-    """Sums of rows[i][l - offsets[i]] * P_l(x), every row in one recurrence.
+def legendre_series_rows(seqs, x) -> np.ndarray:
+    """Sums of s[l] * P_l(x) over the window of each `CoeffSequence` s in
+    `seqs`, every row in one recurrence.
 
     `x` is a scalar or a 1-d array of points shared by every row, or a 2-d
     array with one row of points per coefficient row.  Returns an array of
-    shape (len(rows), points).  Rows may differ in length and offset; each
+    shape (len(seqs), points).  Windows may differ in length and offset; each
     value has the bits of the one-row `legendre_series` call.
     """
-    rows = [np.asarray(c, dtype=float) for c in rows]
-    offsets = _one_offset_per_row(rows, offsets)
+    seqs = list(seqs)
     xv = np.atleast_1d(_check_x(x))
-    if xv.ndim > 2 or (xv.ndim == 2 and xv.shape[0] != len(rows)):
+    if xv.ndim > 2 or (xv.ndim == 2 and xv.shape[0] != len(seqs)):
         raise ValueError("points must be shared (1-d) or one row per coefficient row (2-d)")
-    return _series_rows(rows, offsets, xv)
+    return _series_rows(seqs, xv)
 
 
-def _one_offset_per_row(rows: list, offsets) -> list:
-    offsets = list(offsets)
-    if len(offsets) != len(rows):
-        raise ValueError("need one offset per coefficient row")
-    return offsets
+def _series_rows(seqs: list, x: np.ndarray) -> np.ndarray:
+    """The series loop: one degree recurrence for every `CoeffSequence`.
 
-
-def _series_rows(rows: list, offsets: list, x: np.ndarray) -> np.ndarray:
-    """The series loop: one degree recurrence for every coefficient row.
-
-    `x` is a checked 1-d array shared by all rows, or 2-d with a row of
-    points per coefficient row.  Rows are ordered by descending top degree,
-    so the rows still inside their window form a prefix and each step works
-    on that prefix only, in preallocated buffers.  A row reads zero below its
+    `x` is a checked 1-d array shared by all windows, or 2-d with a row of
+    points per window; each window was checked when it was built.  Rows are
+    ordered by descending top degree, so the rows still inside their window
+    form a prefix and each step works on that prefix only, in preallocated
+    buffers.  A row reads zero below its
     offset; those zero terms leave its sum and carry at +0.0, so each row
     takes the float operations of a lone evaluation.  The compensation is
     TwoSum (Ogita, Rump & Oishi 2005): it yields the exact rounding error
     of each addition, the same value Neumaier's branch gives.
     """
-    for c, offset in zip(rows, offsets):
-        if c.ndim != 1:
-            raise ValueError("each coefficient row must be 1-d")
-        if offset < 0:
-            raise ValueError("offset must be >= 0")
-    n, npts = len(rows), x.shape[-1]
+    n, npts = len(seqs), x.shape[-1]
     out = np.zeros((n, npts))
-    tops = np.array([int(o) + c.size - 1 for c, o in zip(rows, offsets)], dtype=int)
+    tops = np.array([s.top for s in seqs], dtype=int)
     order = np.argsort(-tops, kind="stable")
     if n == 0 or tops[order[0]] < 0:
         return out
     top = int(tops[order[0]])
     table = np.zeros((top + 1, n, 1))  # coefficient of degree l for sorted row j
     for j, i in enumerate(order):
-        table[offsets[i]:tops[i] + 1, j, 0] = rows[i]
+        table[seqs[i].offset:tops[i] + 1, j, 0] = seqs[i].values
     # live[l]: how many sorted rows still hold a degree-l term
     live = np.searchsorted(-tops[order], -np.arange(top + 2), side="right")
 
@@ -209,24 +204,21 @@ def zonal_eval(l: int, x: float) -> float:
 def _zonal_coeffs(values, offset: int) -> np.ndarray:
     """a_l (2l+1) for the window a_offset .. a_top."""
     values = np.asarray(values, dtype=float)
-    if values.ndim > 1:  # checked before the product, which would broadcast it
-        raise ValueError("each coefficient row must be 1-d")
     ls = np.arange(offset, offset + values.size)
     return values * (2 * ls + 1)
 
 
 def zonal_series(values: np.ndarray, x, offset: int = 0):
     """Sum of a_l * Z_l(x) = a_l (2l+1) P_l(x) for a coefficient window."""
-    return legendre_series(_zonal_coeffs(values, offset), x, offset=offset)
+    s = CoeffSequence(offset, values)  # checked before the (2l + 1) product
+    return legendre_series(_zonal_coeffs(s.values, s.offset), x, offset=s.offset)
 
 
-def zonal_series_rows(rows, x, offsets) -> np.ndarray:
-    """`zonal_series` of every coefficient row in one recurrence; `x` as in
+def zonal_series_rows(seqs, x) -> np.ndarray:
+    """`zonal_series` of every `CoeffSequence` in one recurrence; `x` as in
     `legendre_series_rows`."""
-    rows = list(rows)
-    offsets = _one_offset_per_row(rows, offsets)
-    return legendre_series_rows([_zonal_coeffs(v, o) for v, o in zip(rows, offsets)],
-                                x, offsets)
+    return legendre_series_rows(
+        [CoeffSequence(s.offset, _zonal_coeffs(s.values, s.offset)) for s in seqs], x)
 
 
 def recursion_residual(l: int, x: float) -> float:

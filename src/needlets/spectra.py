@@ -129,12 +129,14 @@ def rational_log_spectrum(alpha, beta, p_coeffs, q_coeffs, f_name="one",
         raise ValueError(f"unknown F function {f_name!r}; choose from {sorted(F_CATALOG)}")
     deg_p = _poly_degree(p_coeffs)
     deg_q = _poly_degree(q_coeffs)
-    if p_coeffs[deg_p] <= 0 or q_coeffs[deg_q] <= 0:
+    # every check below is written so that a NaN fails it
+    if not (p_coeffs[deg_p] > 0 and q_coeffs[deg_q] > 0):
         raise ValueError("P and Q must have positive leading coefficients")
     probe = np.geomspace(1.0, 1e6, 256)
-    if np.any(npoly.polyval(probe, p_coeffs) <= 0) or np.any(npoly.polyval(probe, q_coeffs) <= 0):
+    if not (np.all(npoly.polyval(probe, p_coeffs) > 0)
+            and np.all(npoly.polyval(probe, q_coeffs) > 0)):
         raise ValueError("P and Q must be positive on [1, inf)")
-    if validate and abs(beta + deg_q - deg_p - alpha) > 1e-9:
+    if validate and not abs(beta + deg_q - deg_p - alpha) <= 1e-9:
         raise ValueError(
             f"inconsistent rational-log spectrum: beta + deg Q - deg P = "
             f"{beta + deg_q - deg_p}, declared alpha = {alpha}")
@@ -182,7 +184,7 @@ def spectrum_eval(ps: PowerSpectrum, l):
         out = np.where(degrees[pos] == nearest, values[pos], 0.0)
     else:
         raise ValueError(f"unknown spectrum family {ps.family!r}")
-    if ps.family != "tabulated" and np.any(out <= 0):
+    if ps.family != "tabulated" and not np.all(out > 0):  # NaN fails too
         raise ValueError("spectrum evaluated to a non-positive value")
     return float(out[0]) if scalar else out
 

@@ -87,6 +87,14 @@ class TestKernelCommand:
         res = run("kernel", "--r", "1", "--t", "0.0001", "--theta", "0.1,0.2")
         assert res.returncode == 3
 
+    def test_underflowed_kernel_meets_the_degree_cap(self):
+        # every term underflows at t = 100; the degree-8 series used to pass a cap of 4
+        res = run("kernel", "--r", "1", "--t", "100", "--theta", "0.5",
+                  env_extra={DEGREE_CAP_ENV: "4"})
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "needs lmax=8, above the configured cap 4" in res.stderr
+
     def test_bad_scale_is_config_error_before_degree_cap(self):
         # every scale of the grid is checked before the first kernel is built,
         # so the NaN is a config error although t = 0.0001 alone exceeds the cap
@@ -468,6 +476,17 @@ class TestVerifyCommand:
         assert res.returncode == 1
         report = strict_json(res.stdout)
         assert not report["checks"]["envelope"]["passed"]
+
+    def test_nan_beta_is_config_error(self, tmp_path):
+        # a NaN beta used to pass the spectrum's own checks; only the series'
+        # positivity check refused it, as "non-positive variance c_2"
+        path = tmp_path / "nan.json"
+        path.write_text('{"family": "rational_log", "alpha": 3.0, "beta": NaN,'
+                        ' "P": [1.0], "Q": [1.0]}')
+        res = run("verify", "--r", "1", "--spectrum", str(path))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: spectrum evaluated to a non-positive value\n"
 
     def test_one_series_loop_per_check(self, count_calls, capsys):
         # series bound: near and far angles; variance; localization

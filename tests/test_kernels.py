@@ -204,6 +204,15 @@ class TestChooseLmax:
     def test_floor_of_eight(self):
         assert choose_lmax(NeedletProfile(1), 5.0, 1e-6) >= 8
 
+    def test_underflowed_scan_meets_the_cap(self, monkeypatch):
+        # at t = 100 every term underflows; degree 8 used to be returned
+        # before the cap was checked
+        assert choose_lmax(NeedletProfile(1), 100.0) == 8
+        monkeypatch.setenv(DEGREE_CAP_ENV, "4")
+        with pytest.raises(DegreeCapExceeded,
+                           match="^t=100.0 needs lmax=8, above the configured cap 4$"):
+            choose_lmax(NeedletProfile(1), 100.0)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
     def test_rejects_bad_scale(self, t):
         with pytest.raises(ValueError, match="scale t must be finite and > 0"):

@@ -54,7 +54,7 @@ class TestRowsMatchOneRowCalls:
     @given(st.lists(st.tuples(ROW, OFFSET), min_size=1, max_size=6),
            st.lists(POINT, min_size=1, max_size=9))
     def test_shared_points(self, rows, xs):
-        got = legendre_series_rows([c for c, _ in rows], np.array(xs), [o for _, o in rows])
+        got = legendre_series_rows([CoeffSequence(o, c) for c, o in rows], np.array(xs))
         assert got.shape == (len(rows), len(xs))
         for (c, offset), values in zip(rows, got):
             assert hexes(values) == hexes(legendre_series(c, np.array(xs), offset))
@@ -68,43 +68,38 @@ class TestRowsMatchOneRowCalls:
         points = np.full((len(rows), width), pad)
         for row, (_, _, xs) in zip(points, rows):
             row[:len(xs)] = xs
-        got = legendre_series_rows([c for c, _, _ in rows], points, [o for _, o, _ in rows])
+        got = legendre_series_rows([CoeffSequence(o, c) for c, o, _ in rows], points)
         for (c, offset, xs), values in zip(rows, got):
             assert hexes(values[:len(xs)]) == hexes(legendre_series(c, np.array(xs), offset))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(ROW, OFFSET), min_size=1, max_size=4), POINT)
     def test_scalar_point_and_zonal_rows(self, rows, x):
-        got = zonal_series_rows([c for c, _ in rows], x, [o for _, o in rows])
+        got = zonal_series_rows([CoeffSequence(o, c) for c, o in rows], x)
         for (c, offset), values in zip(rows, got):
             assert hexes(values) == hexes([zonal_series(c, x, offset)])
 
     def test_empty_and_all_zero_rows_read_plus_zero(self):
-        got = legendre_series_rows([[], np.zeros(5), [0.0]], [-1.0, 0.3, 1.0], [0, 1, 3])
+        seqs = [CoeffSequence(0, []), CoeffSequence(1, np.zeros(5)), CoeffSequence(3, [0.0])]
+        got = legendre_series_rows(seqs, [-1.0, 0.3, 1.0])
         assert hexes(got) == [float.hex(0.0)] * 9
-        assert legendre_series_rows([], [0.5], []).shape == (0, 1)
+        assert legendre_series_rows([], [0.5]).shape == (0, 1)
 
     def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="one offset per coefficient row"):
-            legendre_series_rows([[1.0], [2.0]], [0.5], [0])
+        two = [CoeffSequence(0, [1.0]), CoeffSequence(0, [2.0])]
         with pytest.raises(ValueError, match="one row per coefficient row"):
-            legendre_series_rows([[1.0], [2.0]], np.zeros((3, 2)), [0, 0])
+            legendre_series_rows(two, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="offset must be >= 0"):
-            legendre_series_rows([[1.0]], [0.5], [-1])
+            legendre_series([1.0], [0.5], -1)
         with pytest.raises(ValueError, match=r"arguments must lie in \[-1, 1\]"):
-            legendre_series_rows([[1.0]], [[math.nan]], [0])
-
-    @pytest.mark.parametrize("offsets", [[0], [0, 0, 0]])
-    def test_zonal_rows_need_one_offset_per_row(self, offsets):
-        # zipping rows with offsets used to drop the rows past the shorter list
-        with pytest.raises(ValueError, match="^need one offset per coefficient row$"):
-            zonal_series_rows([[1.0], [2.0]], [0.5], offsets)
+            legendre_series_rows(two[:1], [[math.nan]])
 
     def test_zonal_rows_must_be_1d(self):
         # the (2l + 1) product used to run first, and numpy refused to broadcast
-        for call in (lambda: zonal_series_rows([np.ones((2, 3))], [0.5], [0]),
+        for call in (lambda: CoeffSequence(0, np.ones((2, 3))),
                      lambda: zonal_series(np.ones((2, 3)), 0.5),
-                     lambda: legendre_series_rows([np.ones((2, 3))], [0.5], [0])):
+                     lambda: legendre_series(np.ones((2, 3)), 0.5),
+                     lambda: legendre_series(1.0, 0.5)):
             with pytest.raises(ValueError, match="^each coefficient row must be 1-d$"):
                 call()
 
