@@ -258,6 +258,7 @@ def cmd_verify(args) -> int:
     t_grid = _scales(args.t_grid)
     var_grid = _scales(args.variance_t_grid)
     window = _int_pair(args.window)
+    check_decay_hypothesis(profile, spectrum)
 
     mu = 4.0 * profile.r - spectrum.alpha
     bounds = zonal_decay_bounds(

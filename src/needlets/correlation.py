@@ -12,10 +12,10 @@ power-law envelope l^(-alpha) and profiles f(s) = s^r f0(s) with
 gamma) is bounded by C t^(4r - alpha + 2) / d^(2N), N the least positive
 integer above 2r - alpha/2 + 1.  `covariance_sequence` is the one place
 that truncates the series: one scan of the squared profile per scale.
-`covariance_series` sums it in one series call per scale, over all of that
-scale's evaluation points, and `correlation_series` is the one place that
-divides by the variance.  `correlation_decay_check` verifies the rate empirically
-on a scale grid (`fit_correlation_decay` fits correlations already at hand);
+`correlation_series`, the one per-scale entry for Cov and Cor, sums it in
+one series call over all of the scale's points and divides by the variance.
+`correlation_decay_check` verifies the rate empirically on a scale grid
+(`fit_correlation_decay` fits correlations already at hand);
 `zonal_decay_bound` estimates the constant of the underlying series bound;
 `variance_scaling_check` confirms the variance floor Cov(t, 1) ~ t^(alpha - 2)
 that the ratio rests on.
@@ -51,7 +51,6 @@ __all__ = [
     "least_integer_above",
     "check_decay_hypothesis",
     "decay_exponents",
-    "covariance_series",
     "correlation_series",
     "analytic_covariance",
     "analytic_correlation",
@@ -156,29 +155,19 @@ def covariance_sequence(profile: NeedletProfile, spectrum: PowerSpectrum, t: flo
                                    choose_lmax(profile, t, eps_tail, squared=True))
 
 
-def covariance_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
-                      xs, eps_tail: float | None = None) -> np.ndarray:
-    """Cov(t, x) at every inner product x in `xs`, as an array.
-
-    One truncation scan (for the squared profile) and one compensated series
-    call serve all points; the series is elementwise in x, so each value has
-    the bits of a one-point evaluation.
-    """
-    seq = covariance_sequence(profile, spectrum, t, eps_tail)
-    return zonal_series(seq.values, np.asarray(xs, dtype=float), offset=seq.offset)
-
-
 def correlation_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float, cos_gammas,
                        eps_tail: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(Cov(t, x), Cor(t, x)) at every inner product x in `cos_gammas`.
 
-    One `covariance_series` call serves every point, with the variance
-    Cov(t, 1) as its last point.  Cor is exactly 1 where x == 1 and
+    One truncation scan and one series call serve every point and the
+    variance Cov(t, 1); the series is elementwise in x, so each value has the
+    bits of a one-point call.  Cor is exactly 1 where x == 1 and
     Cov(t, x) / Cov(t, 1) elsewhere; a variance that is not finite and
     positive is refused unless every x is 1.
     """
     xs = np.asarray(cos_gammas, dtype=float)
-    values = covariance_series(profile, spectrum, t, np.append(xs, 1.0), eps_tail)
+    seq = covariance_sequence(profile, spectrum, t, eps_tail)
+    values = zonal_series(seq.values, np.append(xs, 1.0), offset=seq.offset)
     covs, variance = values[:-1], float(values[-1])
     cors = np.ones_like(covs)
     apart = xs != 1.0
@@ -192,8 +181,8 @@ def correlation_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: floa
 
 
 def analytic_covariance(q: CorrelationQuery, eps_tail: float | None = None) -> float:
-    """Cov(t, cos gamma) with truncation chosen for the squared profile."""
-    return float(covariance_series(q.profile, q.spectrum, q.t, [q.cos_gamma], eps_tail)[0])
+    """Cov(t, cos gamma): the one-point `correlation_series`."""
+    return float(correlation_series(q.profile, q.spectrum, q.t, [q.cos_gamma], eps_tail)[0][0])
 
 
 def analytic_correlation(q: CorrelationQuery, eps_tail: float | None = None) -> float:

@@ -11,10 +11,11 @@ Three families are supported:
                     the table read as 0, and a degree listed twice takes its
                     last value
 
-`positive_spectrum` is the one check that c_l > 0 for l = 1..L: the
-covariance series and the field draws both go through it, so a table that
-stops short of the truncation degree, or has a gap below it, is refused
-rather than read as a series that silently ends there.
+`positive_spectrum` is the one check that c_l is finite and > 0 for
+l = 1..L: the covariance series and the field draws both go through it, so
+a table that stops short of the truncation degree, has a gap below it or an
+infinite entry, is refused rather than read as a series that silently ends
+there or sums to inf.
 
 `verify_envelope` and `verify_derivative_decay` probe the two regularity
 conditions a spectrum must satisfy for the correlation-decay machinery:
@@ -127,15 +128,20 @@ def rational_log_spectrum(alpha, beta, p_coeffs, q_coeffs, f_name="one",
     q_coeffs = tuple(float(c) for c in q_coeffs)
     if f_name not in F_CATALOG:
         raise ValueError(f"unknown F function {f_name!r}; choose from {sorted(F_CATALOG)}")
+    if any(abs(v) == math.inf for v in (beta, *p_coeffs, *q_coeffs)):
+        raise ValueError("beta, P and Q must be finite")
     deg_p = _poly_degree(p_coeffs)
     deg_q = _poly_degree(q_coeffs)
     # every check below is written so that a NaN fails it
     if not (p_coeffs[deg_p] > 0 and q_coeffs[deg_q] > 0):
         raise ValueError("P and Q must have positive leading coefficients")
     probe = np.geomspace(1.0, 1e6, 256)
-    if not (np.all(npoly.polyval(probe, p_coeffs) > 0)
-            and np.all(npoly.polyval(probe, q_coeffs) > 0)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.concatenate([npoly.polyval(probe, p_coeffs), npoly.polyval(probe, q_coeffs)])
+    if not np.all(values > 0):
         raise ValueError("P and Q must be positive on [1, inf)")
+    if np.any(values == math.inf):
+        raise ValueError("P or Q overflows on the probed degrees [1, 1e6]")
     if validate and not abs(beta + deg_q - deg_p - alpha) <= 1e-9:
         raise ValueError(
             f"inconsistent rational-log spectrum: beta + deg Q - deg P = "
@@ -171,8 +177,10 @@ def spectrum_eval(ps: PowerSpectrum, l):
         out = lv ** -ps.alpha
     elif ps.family == "rational_log":
         f = F_CATALOG[ps.f_name]
-        out = (f(np.log(lv)) * npoly.polyval(lv, ps.p_coeffs)
-               / (lv ** ps.beta * npoly.polyval(lv, ps.q_coeffs)))
+        # an overflow reads inf, which `positive_spectrum` refuses by degree
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = (f(np.log(lv)) * npoly.polyval(lv, ps.p_coeffs)
+                   / (lv ** ps.beta * npoly.polyval(lv, ps.q_coeffs)))
     elif ps.family == "tabulated":
         # sorted distinct degrees, each with its last value, and a final
         # degree inf reading 0 so that every finite degree has a place
@@ -190,13 +198,15 @@ def spectrum_eval(ps: PowerSpectrum, l):
 
 
 def positive_spectrum(ps: PowerSpectrum, lmax: int) -> np.ndarray:
-    """c_l for l = 1..lmax, every one of them > 0; otherwise a ValueError
-    naming the first degree that is not."""
+    """c_l for l = 1..lmax, every one of them finite and > 0; otherwise a
+    ValueError naming the first degree that is not."""
     c = spectrum_eval(ps, np.arange(1, int(lmax) + 1))
-    bad = np.flatnonzero(~(c > 0.0))
+    bad = np.flatnonzero(~(c > 0.0) | (c == math.inf))
     if bad.size:
-        raise ValueError(f"spectrum gives non-positive variance c_{int(bad[0]) + 1}; "
-                         f"every degree up to {int(lmax)} needs c_l > 0")
+        kind, need = (("infinite", "a finite c_l") if c[bad[0]] == math.inf
+                      else ("non-positive", "c_l > 0"))
+        raise ValueError(f"spectrum gives {kind} variance c_{int(bad[0]) + 1}; "
+                         f"every degree up to {int(lmax)} needs {need}")
     return c
 
 

@@ -401,6 +401,35 @@ class TestShortTable:
         assert res.stderr.startswith("error: spectrum gives non-positive variance c_11;")
 
 
+class TestInfiniteSpectrum:
+    # each of these evaluated to c_l = inf: verify exited 3 ("growth constant
+    # of sequence 0 is inf"), correlation 3 ("variance degenerate"), and the
+    # overflowing P printed a RuntimeWarning, an error under the CI setting
+    @pytest.mark.parametrize("command", [("verify",), ("correlation", "--t", "0.1", "--d", "1")],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("params, message", [
+        ('"beta": -Infinity, "P": [1.0]', "beta, P and Q must be finite"),
+        ('"beta": 3.0, "P": [Infinity]', "beta, P and Q must be finite"),
+        ('"beta": 3.0, "P": [1e308, 1e308]', "P or Q overflows on the probed degrees [1, 1e6]"),
+    ], ids=["beta", "P", "P-overflow"])
+    def test_rational_log_is_config_error(self, tmp_path, capsys, command, params, message):
+        path = tmp_path / "inf.json"
+        path.write_text(f'{{"family": "rational_log", "alpha": 3.0, {params}, "Q": [1.0]}}')
+        code = cli.main([command[0], "--r", "1", "--spectrum", str(path), *command[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_table_is_config_error_naming_the_degree(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text("l,c_l\n" + "".join(f"{l},{math.inf if l == 2 else l ** -3.0!r}\n"
+                                             for l in range(1, 100)))
+        code = cli.main(["correlation", "--r", "1", "--spectrum", str(path), "--alpha", "3",
+                         "--t", "0.1", "--d", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: spectrum gives infinite variance c_2; ")
+
+
 class TestStrictJson:
     def test_infinite_ratio_is_null(self):
         doc = cli._json_doc({"ratio": math.inf, "growth_ratios": [1.0, math.inf]})
@@ -498,7 +527,9 @@ class TestVerifyCommand:
 
     def test_series_bound_hypothesis_is_config_error(self):
         res = run("verify", "--r", "1", "--alpha", "7")
-        assert res.returncode == 2
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr == "error: 4r + 2 = 6 must exceed alpha = 7.0; raise r\n"
 
 
 class TestFrameCommand:

@@ -21,7 +21,6 @@ from needlets import (
     correlation_series,
     covariance_coefficients,
     covariance_sequence,
-    covariance_series,
     fit_correlation_decay,
     least_integer_above,
     legendre_series,
@@ -84,6 +83,15 @@ class TestCovariance:
         ref = brute_force_covariance(1, 3.0, 0.2, 0.0)
         assert analytic_covariance(q) == pytest.approx(ref, rel=1e-10)
 
+    def test_degenerate_variance_raises_where_the_correlation_does(self):
+        # at t = 50 every retained coefficient underflows; this returned 0.0
+        q = CorrelationQuery(PROFILE, SPECTRUM, 50.0, 0.3)
+        with pytest.raises(NumericFailure, match="^variance degenerate at t=50.0: 0.0; "):
+            analytic_covariance(q)
+
+    def test_degenerate_variance_at_coincidence_is_the_variance(self):
+        assert analytic_covariance(CorrelationQuery(PROFILE, SPECTRUM, 50.0, 1.0)) == 0.0
+
 
 class TestCovarianceSeries:
     XS = [-1.0, -0.95, -0.3, 0.0, 0.42, 0.9, 0.995, 1.0]
@@ -96,7 +104,7 @@ class TestCovarianceSeries:
         ls = np.arange(1, lmax + 1, dtype=float)
         f = profile_eval(profile, (t * t) * ls * (ls + 1.0))
         coeffs = f * f * spectrum_eval(spectrum, ls) * (2.0 * ls + 1.0)
-        batched = covariance_series(profile, spectrum, t, self.XS)
+        batched, _ = correlation_series(profile, spectrum, t, self.XS)
         for x, value in zip(self.XS, batched):
             assert value == legendre_series(coeffs, x, offset=1)
             assert value == analytic_covariance(CorrelationQuery(profile, spectrum, t, x))
@@ -104,7 +112,7 @@ class TestCovarianceSeries:
     def test_one_scan_and_one_series_per_call(self, count_calls):
         scans = count_calls(correlation_module, "choose_lmax")
         series = count_calls(correlation_module, "zonal_series")
-        covariance_series(PROFILE, SPECTRUM, 0.1, self.XS)
+        correlation_series(PROFILE, SPECTRUM, 0.1, self.XS)
         assert (len(scans), len(series)) == (1, 1)
         analytic_correlation(CorrelationQuery(PROFILE, SPECTRUM, 0.1, 0.3))
         assert (len(scans), len(series)) == (2, 2)

@@ -8,7 +8,9 @@ Mehler-Heine), each sum over l becomes an integral with no t in it:
     t^2 K_t(cos(t u)) -> int 2 v^(2r+1) e^(-v^2) J0(u v) dv
                        = r! e^(-u^2/4) L_r(u^2/4)   (Gradshteyn & Ryzhik 6.631.10),
 
-    the Mexican hat for r = 1, with an error of order t^2;
+    the Mexican hat for r = 1, with an error of order t^2; for the gaussian
+    f0, f(s) = s^r e^(-s^2), the same integral with e^(-v^4) in place of
+    e^(-v^2), which has no closed form and is summed by mpmath quadrature;
 
 (b) Cov(t, 1) t^(2 - alpha) -> K = int 2 v^(p-1) f0(v^2)^2 dv, p = 4r + 2 - alpha,
 
@@ -22,6 +24,7 @@ measured on this grid (a margin of 2), written as a constant times t^2 for (a)
 and t for (b); the order itself is checked with a margin of 2 as well.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +48,27 @@ def mexican_hat(r: int, u: np.ndarray) -> np.ndarray:
     return math.factorial(r) * np.exp(-u * u / 4.0) * eval_laguerre(r, u * u / 4.0)
 
 
+@functools.cache
+def hankel_limit(r: int, power: int) -> np.ndarray:
+    """int 2 v^(2r+1) e^(-v^power) J0(u v) dv at every u in US, by mpmath
+    quadrature at 30 digits: the limit of t^2 K_t(cos(t u)) for the gaussian
+    f0 with power 4, and for the exponential f0 with power 2."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def integral(u):
+        def integrand(v):
+            return 2 * v ** (2 * r + 1) * mpmath.exp(-v ** power) * mpmath.besselj(0, u * v)
+        return float(mpmath.quad(integrand, [0, 1, 2, 3, 4, 6, 10]))
+
+    with mpmath.workdps(30):
+        return np.array([integral(mpmath.mpf(float(u))) for u in US])
+
+
+def kernel_limit(f0: str, r: int) -> np.ndarray:
+    """The t -> 0 limit of t^2 K_t(cos(t u)) at every u in US."""
+    return mexican_hat(r, US) if f0 == "exponential" else hankel_limit(r, 4)
+
+
 def variance_floor(f0: str, r: int, alpha: float) -> float:
     """The t -> 0 limit of Cov(t, 1) t^(2 - alpha), p = 4r + 2 - alpha:
     2^(-p/2) Gamma(p/2) for the exponential f0, 2^(-p/4) Gamma(p/4) / 2 for
@@ -56,26 +80,39 @@ def variance_floor(f0: str, r: int, alpha: float) -> float:
 
 
 class TestKernelTendsToTheMexicanHat:
-    # largest |error| / t^2 measured over US and T_GRID: 0.178, 0.245, 0.613, 1.86
-    ERROR_PER_T2 = {1: 0.18, 2: 0.25, 3: 0.62, 4: 1.9}
+    # largest |error| / t^2 measured over US and T_GRID, per (f0, r)
+    ERROR_PER_T2 = {
+        ("exponential", 1): 0.18,  # 0.178
+        ("exponential", 2): 0.25,  # 0.245
+        ("exponential", 3): 0.62,  # 0.613
+        ("exponential", 4): 1.9,  # 1.86
+        ("gaussian", 1): 0.23,  # 0.2202
+        ("gaussian", 2): 0.16,  # 0.1529
+        ("gaussian", 3): 0.16,  # 0.1567
+        ("gaussian", 4): 0.2,  # 0.1974
+    }
 
-    def errors(self, r):
-        profile = NeedletProfile(r)
+    CASES = sorted(ERROR_PER_T2)
+    # ids name f0 only where it is not the default
+    IDS = [str(r) if f0 == "exponential" else f"{f0}-{r}" for f0, r in CASES]
+
+    def errors(self, f0, r):
+        profile = NeedletProfile(r, f0)
         errors = []
         for t in T_GRID:
             scaled = t * t * kernel_eval(make_kernel(profile, t), np.cos(t * US))
-            errors.append(float(np.max(np.abs(scaled - mexican_hat(r, US)))))
+            errors.append(float(np.max(np.abs(scaled - kernel_limit(f0, r)))))
         return errors
 
-    @pytest.mark.parametrize("r", sorted(ERROR_PER_T2))
-    def test_error_within_twice_the_measured_t_squared_constant(self, r):
-        for t, error in zip(T_GRID, self.errors(r)):
-            assert error <= 2.0 * self.ERROR_PER_T2[r] * t * t
+    @pytest.mark.parametrize("f0, r", CASES, ids=IDS)
+    def test_error_within_twice_the_measured_t_squared_constant(self, f0, r):
+        for t, error in zip(T_GRID, self.errors(f0, r)):
+            assert error <= 2.0 * self.ERROR_PER_T2[f0, r] * t * t
 
-    @pytest.mark.parametrize("r", sorted(ERROR_PER_T2))
-    def test_error_falls_like_t_squared(self, r):
+    @pytest.mark.parametrize("f0, r", CASES, ids=IDS)
+    def test_error_falls_like_t_squared(self, f0, r):
         # a quarter of the scale takes the error down 16-fold; ask for 8
-        errors = self.errors(r)
+        errors = self.errors(f0, r)
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 8.0
 
@@ -84,6 +121,10 @@ class TestKernelTendsToTheMexicanHat:
         np.testing.assert_allclose(mexican_hat(1, US),
                                    np.exp(-US ** 2 / 4.0) * (1.0 - US ** 2 / 4.0),
                                    rtol=1e-15, atol=1e-16)
+
+    def test_quadrature_reproduces_the_closed_form(self):
+        # the gaussian targets' method, run on the exponential f0 at r = 1
+        np.testing.assert_allclose(hankel_limit(1, 2), mexican_hat(1, US), rtol=0, atol=1e-16)
 
 
 class TestVarianceFloorTendsToAConstant:

@@ -103,6 +103,35 @@ class TestEnvelope:
         with pytest.raises(ValueError, match=message):
             rational_log_spectrum(3.0, beta, p, q)
 
+    # each of these evaluated to c_l = inf, which passed the positivity checks
+    @pytest.mark.parametrize("beta, p, q", [
+        (-math.inf, [1.0], [1.0]),
+        (math.inf, [1.0], [1.0]),
+        (3.0, [math.inf], [1.0]),
+        (4.0, [1.0, math.inf], [1.0]),
+        (3.0, [1.0], [math.inf]),
+    ], ids=["beta-minus", "beta", "P", "P-leading", "Q"])
+    def test_constructor_rejects_infinite_parameters(self, beta, p, q):
+        with pytest.raises(ValueError, match="^beta, P and Q must be finite$"):
+            rational_log_spectrum(3.0, beta, p, q, validate=False)
+
+    @pytest.mark.parametrize("p, q", [([1e308, 1e308], [1.0]), ([1.0], [1e308, 1e308])],
+                             ids=["P", "Q"])
+    def test_constructor_rejects_an_overflowing_probe(self, p, q):
+        # the probe used to print an overflow RuntimeWarning and pass
+        with pytest.raises(ValueError, match=r"^P or Q overflows on the probed degrees"):
+            rational_log_spectrum(3.0, 3.0, p, q, validate=False)
+
+    @pytest.mark.parametrize("beta, p, q, bad", [(-1000.0, [1.0], [1.0], 3),
+                                                 (3.0, [1e300], [1e-300], 1)],
+                             ids=["underflowing-power", "overflowing-ratio"])
+    def test_overflowing_value_is_refused_by_degree(self, beta, p, q, bad):
+        # finite parameters whose c_l overflows: a RuntimeWarning, then inf
+        ps = rational_log_spectrum(3.0, beta, p, q, validate=False)
+        with pytest.raises(ValueError, match=f"^spectrum gives infinite variance c_{bad}; "
+                                             "every degree up to 10 needs a finite c_l$"):
+            positive_spectrum(ps, 10)
+
     def test_nan_beta_never_evaluates_to_nan(self):
         # unvalidated, as the JSON loader builds it: 1^NaN is 1, and every
         # other degree used to read NaN
@@ -191,6 +220,15 @@ class TestPositiveSpectrum:
         with pytest.raises(ValueError, match=f"non-positive variance c_{bad}; "
                                              "every degree up to 4 needs c_l > 0"):
             positive_spectrum(ps, 4)
+
+    @pytest.mark.parametrize("cs,bad,kind", [([1.0, math.inf, 0.0], 2, "infinite"),
+                                             ([1.0, 0.0, math.inf], 2, "non-positive"),
+                                             ([math.inf, math.nan, 1.0], 1, "infinite")])
+    def test_names_the_first_degree_not_finite_and_positive(self, cs, bad, kind):
+        # an infinite c_l used to pass as positive
+        ps = tabulated_spectrum([1, 2, 3], cs, 3.0)
+        with pytest.raises(ValueError, match=f"^spectrum gives {kind} variance c_{bad}; "):
+            positive_spectrum(ps, 3)
 
 
 class TestTabulatedAndFiles:
