@@ -18,7 +18,6 @@ import sys
 from dataclasses import asdict
 
 from .correlation import (
-    CorrelationQuery,
     check_decay_hypothesis,
     correlation_series,
     covariance_sequence,
@@ -39,11 +38,11 @@ from .kernels import (
     make_kernel,
     spread,
 )
+from .legendre import _check_x
 from .spectra import (
     load_spectrum_csv,
     load_spectrum_json,
     power_spectrum,
-    spectrum_eval,
     verify_derivative_decay,
     verify_envelope,
 )
@@ -194,14 +193,14 @@ def cmd_correlation(args) -> int:
         check_decay_hypothesis(profile, spectrum)
 
     # one checked inner product and one distance per cos gamma serve every scale
-    qs = [CorrelationQuery(profile, spectrum, ts[0], cg) for cg in cos_gammas]
+    xs = _check_x(cos_gammas, "cos_gamma")
+    ds = [math.acos(x) for x in xs.tolist()]
     rows, cors_by_t = [], []
     for t in ts:
-        covs, cors = correlation_series(profile, spectrum, t, [q.cos_gamma for q in qs],
-                                        args.eps_tail)
+        covs, cors = correlation_series(profile, spectrum, t, xs, args.eps_tail)
         cors_by_t.append(cors)
-        for cg, q, cov, cor in zip(cos_gammas, qs, covs.tolist(), cors.tolist()):
-            bound = abs(cor) * q.geodesic_distance ** (2 * n_exp) * t ** -exponent
+        for cg, d, cov, cor in zip(cos_gammas, ds, covs.tolist(), cors.tolist()):
+            bound = abs(cor) * d ** (2 * n_exp) * t ** -exponent
             rows.append((t, cg, cov, cor, exponent, n_exp, bound))
     out = _table(["t", "cos_gamma", "covariance", "correlation",
                   "predicted_exponent", "N", "bound_constant"], rows)
@@ -447,7 +446,7 @@ def main(argv=None) -> int:
     except (DegreeCapExceeded, NumericFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

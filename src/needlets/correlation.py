@@ -77,10 +77,6 @@ class CorrelationQuery:
         check_scale(self.t)
         object.__setattr__(self, "cos_gamma", _check_x(self.cos_gamma, "cos_gamma"))
 
-    @property
-    def geodesic_distance(self) -> float:
-        return math.acos(self.cos_gamma)
-
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -227,10 +223,16 @@ def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
         if np.any(pos) and np.any(a.values[pos] != 0.0):
             with np.errstate(over="ignore"):
                 scale = float(np.max(np.abs(a.values[pos]) * ls[pos] ** -mu))
-            if not math.isfinite(scale):
+            if not (math.isfinite(scale) and scale > 0.0):
                 raise NumericFailure(f"growth constant of sequence {i} is {scale!r}; "
                                      "cannot rescale it")
-            scaled.append((i, CoeffSequence(a.offset, a.values / scale)))
+            # the constant is taken over l >= 1, so a tiny one can overflow a_0
+            with np.errstate(over="ignore"):
+                values = a.values / scale
+            if np.any(np.isinf(values) & np.isfinite(a.values)):
+                raise NumericFailure(f"sequence {i} overflows when divided by its "
+                                     f"growth constant {scale!r}")
+            scaled.append((i, CoeffSequence(a.offset, values)))
     transformed = [multiply_cos_minus_one_power(s, n_exp) for _, s in scaled]
 
     split = DEFAULTS["series_bound_theta_split"]
@@ -247,7 +249,7 @@ def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
         if not (math.isfinite(near_sup) and math.isfinite(far_sup)):
             raise NumericFailure(f"series bound of sequence {i} is not finite "
                                  f"(near {near_sup!r}, far {far_sup!r})")
-        sups[i] = max(0.0, near_sup, far_sup)
+        sups[i] = max(near_sup, far_sup)
     return [ZonalDecayBound(n_exp, sup) for sup in sups]
 
 

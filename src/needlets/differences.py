@@ -59,16 +59,12 @@ class CoeffSequence:
 
 def first_difference_weight(l):
     """S(l) = 1/(2l+1), the weight on the backward difference."""
-    l = np.asarray(l, dtype=float)
-    out = 1.0 / (2.0 * l + 1.0)
-    return float(out) if out.ndim == 0 else out
+    return 1.0 / (2.0 * l + 1.0)
 
 
 def second_difference_weight(l):
     """R(l) = l/(2l+1), the weight on the mixed second difference."""
-    l = np.asarray(l, dtype=float)
-    out = l / (2.0 * l + 1.0)
-    return float(out) if out.ndim == 0 else out
+    return l / (2.0 * l + 1.0)
 
 
 def multiply_cos_minus_one(s: CoeffSequence) -> CoeffSequence:

@@ -98,17 +98,22 @@ def profile_eval(profile: NeedletProfile, s):
         raise ValueError("profile argument must be finite and >= 0")
     out = np.zeros_like(sv)
     pos = sv > 0
-    if np.any(pos):
-        sp = sv[pos]
+    sp = sv[pos]
+    # log f0 may overflow to -inf (the gaussian's s * s past 1.3e154): f is 0 there
+    with np.errstate(over="ignore"):
         logf = profile.r * np.log(sp) + _LOG_F0[profile.f0](sp)
-        out[pos] = np.exp(logf)
+    out[pos] = np.exp(logf)
     return float(out[0]) if scalar else out
 
 
 def spectral_weights(profile: NeedletProfile, scale_sq: float, lmax: int) -> np.ndarray:
-    """f(scale_sq l(l+1)) for l = 1..lmax; scale_sq is t * t, or a^(2j) on a frame."""
+    """f(scale_sq l(l+1)) for l = 1..lmax; scale_sq is t * t, or a^(2j) on a frame.
+    An argument that overflows (t * t does past t = 1.3e154) reads as the
+    largest double, where f is 0, its limit."""
     ls = np.arange(1, int(lmax) + 1, dtype=float)
-    return profile_eval(profile, scale_sq * ls * (ls + 1.0))
+    with np.errstate(over="ignore"):
+        s = scale_sq * ls * (ls + 1.0)
+    return profile_eval(profile, np.minimum(s, np.finfo(float).max))
 
 
 def check_scale(t: float) -> None:
@@ -154,14 +159,14 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
 
     # the scan starts past the spectral peak near sqrt(r) / t; a peak past
     # hard_stop raises below before any array is built
-    l_peak = int(min(math.sqrt(max(profile.r, 1)) / t, hard_stop)) + 1
+    l_peak = int(min(math.sqrt(profile.r) / t, hard_stop)) + 1
     hi = max(64, 6 * l_peak)
     while True:
         if hi > hard_stop:
             raise DegreeCapExceeded(
                 f"series for t={t} does not settle below degree {hard_stop}")
         f = spectral_weights(profile, t * t, hi)
-        g = _zonal_coeffs(f * f if squared else np.abs(f), 1)
+        g = _zonal_coeffs(f * f if squared else f, 1)
         total = float(np.sum(g))
         # past the peak a 0 term makes every later one 0, even if the margin
         # underflows; a scan that underflowed everywhere stops here at total 0
@@ -227,19 +232,25 @@ def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
 def calderon_g(profile: NeedletProfile, a: float, lam):
     """g(lam) = sum over integer j of f(a^(2j) lam)^2.
 
-    The sum is invariant under lam -> a^2 lam; j runs outward from the
-    spectral peak until terms fall below the configured floor relative to
-    the largest term seen.
+    The sum is invariant under lam -> a^2 lam, so each lam is first brought
+    into the period [1, a^2), where it keeps its bits if it lies there
+    already; j then runs outward from the spectral peak until terms fall
+    below the configured floor relative to the largest term seen.
     """
     a = check_dilation(a)
     lv = np.asarray(lam, dtype=float)
     scalar = lv.ndim == 0
     lv = np.atleast_1d(lv)
-    if np.any(lv <= 0):
-        raise ValueError("lambda must be positive")
+    if not np.all((lv > 0) & np.isfinite(lv)):
+        raise ValueError("lambda must be finite and > 0")
+    # lam / period^k in two half steps: neither factor leaves the double range
+    period = a ** 2
+    k = np.floor(np.log(lv) / math.log(period))
+    lv = np.where((lv >= 1.0) & (lv < period), lv,
+                  lv / period ** np.ceil(k / 2) / period ** np.floor(k / 2))
 
     floor = DEFAULTS["calderon_term_floor"]
-    j_center = int(round(math.log(max(profile.r, 1.0)) / (2.0 * math.log(a))))
+    j_center = int(round(math.log(profile.r) / (2.0 * math.log(a))))
     total = np.zeros_like(lv)
     peak = 0.0
     for direction in (1, -1):

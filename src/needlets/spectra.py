@@ -248,19 +248,18 @@ def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window) -> Derivative
 
     ls = np.arange(l_min, l_max + k_max + 1, dtype=float)
     u = spectrum_eval(ps, ls)
+    base = ls[:l_max - l_min + 1]  # the window: each order keeps its differences there
     edges = np.geomspace(l_min, l_max, 5)
+    segments = [(base >= lo) & (base <= hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
     c_estimates, seg_sups, ratios, order_ok = [], [], [], []
     for k in range(k_max + 1):
-        dk = np.diff(u, n=k) if k else u
-        base = ls[:dk.size]
-        keep = base <= l_max
-        weighted = np.abs(dk[keep]) * base[keep] ** (ps.alpha + k)
+        weighted = np.abs(np.diff(u, n=k)[:base.size]) * base ** (ps.alpha + k)
         if not np.all(np.isfinite(weighted)):
             raise NumericFailure(f"weighted differences of order {k} are not finite")
         sups = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            seg = weighted[(base[keep] >= lo) & (base[keep] <= hi)]
+        for segment in segments:
+            seg = weighted[segment]
             sups.append(float(np.max(seg)) if seg.size else 0.0)
         c_estimates.append(float(np.max(weighted)))
         seg_sups.append(tuple(sups))

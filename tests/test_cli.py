@@ -131,6 +131,31 @@ class TestKernelCommand:
         assert err.startswith(f"error: series for t={float(t)!r} does not settle")
 
 
+class TestScaleWhoseSquareOverflows:
+    """t * t overflows past t = 1.3e154, and the gaussian's s * s already at
+    t = 1e76: such a scale reads as a very large one, where f is 0."""
+
+    STRICT = {"PYTHONWARNINGS": "error::RuntimeWarning"}
+
+    @pytest.mark.parametrize("args", [["--f0", "gaussian", "--t", "1e76"], ["--t", "1e160"]],
+                             ids=["gaussian", "exponential"])
+    def test_kernel_is_zero(self, args):
+        res = run("kernel", "--r", "1", *args, "--theta", "1", env_extra=self.STRICT)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert [row["value"] for row in rows_of(res.stdout)] == ["0.0"]
+
+    def test_correlation_has_a_degenerate_variance(self):
+        res = run("correlation", "--r", "1", "--alpha", "3", "--t", "1e160", "--d", "1",
+                  env_extra=self.STRICT)
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr.startswith("error: variance degenerate at t=1e+160")
+
+    def test_unknown_f0_is_config_error(self):
+        res = run("kernel", "--r", "1", "--f0", "cauchy", "--t", "0.2", "--theta", "1")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "unknown f0 family 'cauchy'" in res.stderr
+
+
 class TestCorrelationCommand:
     def test_coincidence_row_is_one(self):
         res = run("correlation", "--r", "1", "--alpha", "3", "--t", "0.2",
@@ -199,14 +224,14 @@ class TestCorrelationCommand:
         assert len(rows_of(capsys.readouterr().out.split("\n\n")[0])) == 12
         assert (len(scans), len(series)) == (3, 3)
 
-    def test_one_query_per_cos_gamma(self, count_calls, capsys):
-        # the benchmark line: 7 scales x 24 inner products, 24 checked queries
+    def test_one_check_of_the_inner_products(self, count_calls, capsys):
+        # the benchmark line: 7 scales x 24 inner products, all checked at once
         workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
         (command,) = [c for c in workloads["analytic"] if c.label == "correlation"]
-        queries = count_calls(cli, "CorrelationQuery")
+        checks = count_calls(cli, "_check_x")
         assert cli.main(command.args(0)) == 0
         assert len(rows_of(capsys.readouterr().out.split("\n\n")[0])) == 168
-        assert len(queries) == 24
+        assert [len(args[0]) for args in checks] == [24]
 
     def test_eps_tail_near_double_rounding_gives_its_row(self):
         # the tail as total - cumsum could not resolve 1e-16 and was refused

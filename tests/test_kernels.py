@@ -447,6 +447,27 @@ class TestCalderon:
         g2 = calderon_g(p, 2.0, 4.0 * lam)
         np.testing.assert_allclose(g1, g2, atol=1e-12)
 
+    @pytest.mark.parametrize("a", [2.0, 1.5])
+    def test_periodic_over_every_period(self, a):
+        # the walk over j once started where it does for lambda in [1, a^2),
+        # so at a = 2 a lambda past about 1483 or below 8e-159 gave 0.0
+        p = NeedletProfile(1)
+        lams = 1.7 * a ** (2.0 * np.arange(-100, 101))
+        np.testing.assert_allclose([calderon_g(p, a, lam) for lam in lams],
+                                   calderon_g(p, a, 1.7), rtol=1e-12)
+
+    def test_scalar_is_its_entry_in_an_array(self):
+        # the walk's stopping peak was shared across the array
+        p = NeedletProfile(1)
+        lams = np.array([1.0, 1.5e3, 1e-200])
+        np.testing.assert_allclose([calderon_g(p, 2.0, lam) for lam in lams],
+                                   calderon_g(p, 2.0, lams), rtol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match=r"^lambda must be finite and > 0$"):
+            calderon_g(NeedletProfile(1), 2.0, lam)
+
     def test_bounds_positive_and_ordered(self):
         lo, hi = calderon_bounds(NeedletProfile(1), 2.0)
         assert 0 < lo <= hi

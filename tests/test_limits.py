@@ -16,12 +16,21 @@ Mehler-Heine), each sum over l becomes an integral with no t in it:
 
     for a power spectrum c_l = l^(-alpha), with a gap of order t; that is
     K = 2^(-p/2) Gamma(p/2) for the exponential f0 and
-    K = 2^(-p/4) Gamma(p/4) / 2 for the gaussian f0(s) = e^(-s^2).
+    K = 2^(-p/4) Gamma(p/4) / 2 for the gaussian f0(s) = e^(-s^2);
 
-Neither target is computed by the library, so they owe nothing to its series,
-its truncation or its rounding.  Each tolerance is twice the largest error
-measured on this grid (a margin of 2), written as a constant times t^2 for (a)
-and t for (b); the order itself is checked with a margin of 2 as well.
+(c) Cor(t, cos gamma) / t^p -> C(gamma) = G(gamma) / K at gamma != 0, with
+
+    G(gamma) = (cos gamma - 1)^(-N) sum_l (Delta^N b)_l (2l + 1) P_l(cos gamma),
+    b_l = c_l (l(l+1))^(2r),
+
+    Delta the three-term (cos theta - 1) rule of the paper applied N times to
+    a sequence with no t in it, summed at 80 digits; the gap is of order t.
+
+None of the targets is computed by the library, so they owe nothing to its
+series, its truncation or its rounding.  Each tolerance is twice the largest
+error measured on this grid (a margin of 2), written as a constant times t^2
+for (a) and t for (b) and (c); the order itself is checked with a margin of 2
+as well.
 """
 
 import functools
@@ -33,6 +42,7 @@ from scipy.special import eval_laguerre
 
 from needlets import (
     NeedletProfile,
+    correlation_series,
     kernel_eval,
     make_kernel,
     power_spectrum,
@@ -167,3 +177,112 @@ class TestVarianceFloorTendsToAConstant:
         # r = 1, alpha = 3: p = 3 and K = 2^(-3/2) Gamma(3/2) = sqrt(pi) / 2^(5/2)
         assert variance_floor("exponential", 1, 3.0) == pytest.approx(
             math.sqrt(math.pi) / 2 ** 2.5, rel=1e-15)
+
+
+@functools.cache
+def correlation_limit(r: int, alpha: float, gamma: float, terms: int = 300,
+                      n: int | None = None) -> float:
+    """C(gamma) = G(gamma) / K for a power spectrum and the exponential f0.
+
+    b_l = l^(-alpha) (l(l+1))^(2r) is taken to degree terms + n, so each of
+    the n passes of the three-term rule (default n = 2r + 2) is exact up to
+    degree `terms`; the series of Delta^n b is summed there at 80 digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n = 2 * r + 2 if n is None else n
+    with mpmath.workdps(80):
+        x = mpmath.mpf(math.cos(gamma))
+        b = [mpmath.mpf(0)] + [mpmath.mpf(l) ** -alpha * (l * (l + 1)) ** (2 * r)
+                               for l in range(1, terms + n + 1)]
+        for _ in range(n):
+            # (l a_{l-1} + (l+1) a_{l+1} - (2l+1) a_l) / (2l+1), with a_{-1} = 0
+            b = [(l * (prev - 2 * here + nxt) + nxt - here) / (2 * l + 1)
+                 for l, (prev, here, nxt) in enumerate(zip([0] + b[:-2], b[:-1], b[1:]))]
+        total, p_l, p_next = mpmath.mpf(0), mpmath.mpf(1), x
+        for l in range(terms + 1):
+            total += b[l] * (2 * l + 1) * p_l
+            p_l, p_next = p_next, ((2 * l + 3) * x * p_next - (l + 1) * p_l) / (l + 2)
+        return float(total / (x - 1) ** n) / variance_floor("exponential", r, alpha)
+
+
+@functools.cache
+def direct_scaled_correlation(r: int, alpha: float, t: float, gamma: float) -> float:
+    """Cor(t, cos gamma) / t^p for the exponential f0 and c_l = l^(-alpha),
+    as a 50-digit sum over every degree with t^2 l(l+1) <= 80, past which
+    the squared profile has dropped below 1e-50 of its peak."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x, tm = mpmath.mpf(math.cos(gamma)), mpmath.mpf(t)
+        cov = var = mpmath.mpf(0)
+        p_prev, p_l = mpmath.mpf(1), x
+        for l in range(1, int(math.sqrt(80.0) / t) + 2):
+            s = tm * tm * l * (l + 1)
+            w = s ** (2 * r) * mpmath.exp(-2 * s) * mpmath.mpf(l) ** -alpha * (2 * l + 1)
+            cov += w * p_l
+            var += w
+            p_prev, p_l = p_l, ((2 * l + 1) * x * p_l - l * p_prev) / (l + 1)
+        return float(cov / var / tm ** (4 * r + 2 - alpha))
+
+
+class TestCorrelationTendsToItsLimit:
+    # C(pi/2) as first measured, to the digits given
+    RIGHT_ANGLE = {(1, 3.0): -11.1101, (2, 4.0): 14.3848, (3, 4.0): 1305.94}
+
+    @pytest.mark.parametrize("r, alpha", sorted(RIGHT_ANGLE))
+    def test_limit_at_a_right_angle(self, r, alpha):
+        assert correlation_limit(r, alpha, math.pi / 2) == pytest.approx(
+            self.RIGHT_ANGLE[r, alpha], rel=1e-5)
+
+    @pytest.mark.parametrize("r, alpha", [(1, 3.0), (2, 4.0)])
+    def test_limit_does_not_depend_on_its_truncation(self, r, alpha):
+        # twice the terms and three more passes; gamma = 0.3 converges slowest
+        assert correlation_limit(r, alpha, 0.3, 600, 2 * r + 5) == pytest.approx(
+            correlation_limit(r, alpha, 0.3), rel=1e-10)
+
+    @pytest.mark.parametrize("r, alpha", sorted(RIGHT_ANGLE))
+    def test_direct_sum_approaches_the_limit(self, r, alpha):
+        # no library call: each halving of t brings Cor / t^p closer to C
+        limit = correlation_limit(r, alpha, math.pi / 2)
+        gaps = [abs(direct_scaled_correlation(r, alpha, t, math.pi / 2) - limit)
+                for t in (0.0125, 0.00625, 0.003125)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine < coarse
+
+    # largest |Cor / (t^p C) - 1| / t measured for r = 1 over the scales of
+    # T_GRID with t <= gamma / 20; coarser scales are not yet near the limit
+    GAP_PER_T = {
+        (3.0, 0.3): 1.8,  # 1.735
+        (3.0, 1.0): 2.4,  # 2.362
+        (3.0, math.pi / 2): 2.4,  # 2.388
+        (3.5, 0.3): 2.2,  # 2.19
+        (3.5, 1.0): 3.4,  # 3.347
+        (3.5, math.pi / 2): 3.4,  # 3.354
+    }
+
+    CASES = sorted(GAP_PER_T)
+    IDS = [f"{alpha}-{gamma:.4g}" for alpha, gamma in CASES]
+    # at gamma = 0.3 the gap changes sign near t = 0.0125, so no order shows there
+    ORDERED = [(alpha, gamma) for alpha, gamma in CASES if gamma >= 1.0]
+
+    def gaps(self, alpha, gamma):
+        profile, spectrum = NeedletProfile(1), power_spectrum(alpha)
+        limit = correlation_limit(1, alpha, gamma)
+        scales = [t for t in T_GRID if t <= gamma / 20.0]
+        cors = [correlation_series(profile, spectrum, t, [math.cos(gamma)])[1][0]
+                for t in scales]
+        return scales, [abs(cor / (t ** (6.0 - alpha) * limit) - 1.0)
+                        for t, cor in zip(scales, cors)]
+
+    @pytest.mark.parametrize("alpha, gamma", CASES, ids=IDS)
+    def test_gap_within_twice_the_measured_t_constant(self, alpha, gamma):
+        for t, gap in zip(*self.gaps(alpha, gamma)):
+            assert gap <= 2.0 * self.GAP_PER_T[alpha, gamma] * t
+
+    @pytest.mark.parametrize("alpha, gamma", ORDERED,
+                             ids=[f"{alpha}-{gamma:.4g}" for alpha, gamma in ORDERED])
+    def test_gap_falls_like_t(self, alpha, gamma):
+        # a quarter of the scale takes the gap down 3.3 to 4.0-fold; ask for 2
+        scales, gaps = self.gaps(alpha, gamma)
+        assert len(scales) == len(T_GRID)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine <= coarse / 2.0

@@ -123,6 +123,10 @@ class TestListFormsMatchOneScale:
            st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0]))
     # a far sup that overflows: both forms refuse it
     @example(seqs=[([4784.0, 5.25220996e-304], 0)], mu=-1.0)
+    # a subnormal growth constant (taken over l >= 1) overflows the l = 0 term
+    @example(seqs=[([1.0, 2.225073858507203e-309], 0)], mu=-1.0)
+    # a growth constant that underflows to 0
+    @example(seqs=[([0.0, 5e-324], 1)], mu=4.0)
     def test_zonal_decay_bounds(self, seqs, mu):
         """The batched call raises NumericFailure exactly when some one-sequence
         call does, and otherwise matches every one of them bit for bit."""
