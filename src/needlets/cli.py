@@ -18,6 +18,8 @@ import sys
 from dataclasses import asdict
 
 from .correlation import (
+    _bound_overflow,
+    _power,
     check_decay_hypothesis,
     correlation_series,
     covariance_sequence,
@@ -200,7 +202,9 @@ def cmd_correlation(args) -> int:
         covs, cors = correlation_series(profile, spectrum, t, xs, args.eps_tail)
         cors_by_t.append(cors)
         for cg, d, cov, cor in zip(cos_gammas, ds, covs.tolist(), cors.tolist()):
-            bound = abs(cor) * d ** (2 * n_exp) * t ** -exponent
+            bound = abs(cor) * _power(d, 2 * n_exp) * _power(t, -exponent)
+            if not math.isfinite(bound):
+                raise _bound_overflow(t, d, profile.r, n_exp, exponent)
             rows.append((t, cg, cov, cor, exponent, n_exp, bound))
     out = _table(["t", "cos_gamma", "covariance", "correlation",
                   "predicted_exponent", "N", "bound_constant"], rows)
@@ -225,13 +229,14 @@ def cmd_simulate(args) -> int:
     points_y = [(math.pi / 2.0, d) for d in _floats(args.d, "distance list")]
     # every point is checked before anything is drawn; cos gamma depends on d alone
     cos_gammas = [points_cos_angle(point_x, point_y) for point_y in points_y]
+    # one analytic series per distinct scale, over all distances; a series
+    # past the double range fails here, before any draw
+    truths = {t: correlation_series(profile, spectrum, t, cos_gammas, args.eps_tail)[1].tolist()
+              for t in dict.fromkeys(ts)}
     # one draw of each replica serves the whole t x d grid
     estimates = monte_carlo_correlations(
         profile, spectrum, [(t, point_x, point_y) for t in ts for point_y in points_y],
         args.replicas, args.seed, args.eps_tail)
-    # one analytic series per distinct scale, over all distances
-    truths = {t: correlation_series(profile, spectrum, t, cos_gammas, args.eps_tail)[1].tolist()
-              for t in dict.fromkeys(ts)}
     grid = [(t, d, true) for t in ts for (_, d), true in zip(points_y, truths[t])]
     rows = []
     worst = 0.0

@@ -40,7 +40,7 @@ from .kernels import (
     spectral_weights,
     spread,
 )
-from .legendre import _check_x, zonal_series, zonal_series_rows
+from .legendre import _check_x, _zonal_mass, zonal_series, zonal_series_rows
 from .spectra import PowerSpectrum, positive_spectrum
 
 __all__ = [
@@ -158,17 +158,22 @@ def correlation_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: floa
     One truncation scan and one series call serve every point and the
     variance Cov(t, 1); the series is elementwise in x, so each value has the
     bits of a one-point call.  Cor is exactly 1 where x == 1 and
-    Cov(t, x) / Cov(t, 1) elsewhere; a variance that is not finite and
-    positive is refused unless every x is 1.
+    Cov(t, x) / Cov(t, 1) elsewhere; a variance past the double range is
+    refused before the series runs, and one that is not positive unless
+    every x is 1.
     """
     xs = np.asarray(cos_gammas, dtype=float)
     seq = covariance_sequence(profile, spectrum, t, eps_tail)
+    # the terms are positive, so their mass is the variance
+    if not math.isfinite(_zonal_mass(seq)):
+        raise NumericFailure(f"variance at t={t} for r={profile.r} leaves the double range: "
+                             "the terms c_l f^2 (2l+1) sum to inf")
     values = zonal_series(seq.values, np.append(xs, 1.0), offset=seq.offset)
     covs, variance = values[:-1], float(values[-1])
     cors = np.ones_like(covs)
     apart = xs != 1.0
     if np.any(apart):
-        if not math.isfinite(variance) or variance <= 0.0:
+        if variance <= 0.0:
             raise NumericFailure(
                 f"variance degenerate at t={t}: {variance!r}; "
                 "the scale is too large for every retained coefficient")
@@ -232,7 +237,12 @@ def zonal_decay_bounds(seqs, mu: float) -> list[ZonalDecayBound]:
             if np.any(np.isinf(values) & np.isfinite(a.values)):
                 raise NumericFailure(f"sequence {i} overflows when divided by its "
                                      f"growth constant {scale!r}")
-            scaled.append((i, CoeffSequence(a.offset, values)))
+            s = CoeffSequence(a.offset, values)
+            mass = _zonal_mass(s)
+            if not math.isfinite(mass):
+                raise NumericFailure(f"series bound of sequence {i} is not finite: "
+                                     f"its rescaled terms |a_l| (2l+1) sum to {mass!r}")
+            scaled.append((i, s))
     transformed = [multiply_cos_minus_one_power(s, n_exp) for _, s in scaled]
 
     split = DEFAULTS["series_bound_theta_split"]
@@ -259,18 +269,36 @@ def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
 
     The variances Cov(t, 1) of every scale come from one series call, all
     rows at the one point x = 1.  A scaled variance that is not finite raises
-    NumericFailure.
+    NumericFailure, before that call where the variance itself overflows.
     """
     t_grid = check_scale_grid(t_grid)
     seqs = [covariance_sequence(profile, spectrum, t, eps_tail) for t in t_grid]
+    for t, seq in zip(t_grid, seqs):
+        if not math.isfinite(_zonal_mass(seq)):  # the variance, its terms being positive
+            raise NumericFailure(f"scaled variance at t={t} is inf: the variance series "
+                                 "leaves the double range")
     variances = zonal_series_rows(seqs, [1.0])[:, 0].tolist()
-    scaled = [var * t ** (2.0 - spectrum.alpha) for t, var in zip(t_grid, variances)]
+    scaled = [var * _power(t, 2.0 - spectrum.alpha) for t, var in zip(t_grid, variances)]
     for t, value in zip(t_grid, scaled):
         if not math.isfinite(value):
             raise NumericFailure(f"scaled variance at t={t} is {value!r}")
     lo, _, ratio, passed = spread(scaled, DEFAULTS["stability_ratio"])
     return VarianceScalingReport(t_grid=t_grid, scaled_variances=tuple(scaled),
                                  infimum=lo, ratio=ratio, passed=passed)
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where Python's float power raises OverflowError."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+def _bound_overflow(t: float, d: float, r: int, n_exp: int, exponent: float) -> NumericFailure:
+    """The error for a bound constant |Cor| d^(2N) t^(-exponent) past the double range."""
+    return NumericFailure(f"bound constant at t={t}, d={d} for r={r} leaves the double "
+                          f"range: |Cor| d^{2 * n_exp} t^-{exponent} is inf")
 
 
 def _decay_setup(profile: NeedletProfile, spectrum: PowerSpectrum, cos_gamma: float,
@@ -308,7 +336,8 @@ def fit_correlation_decay(profile: NeedletProfile, spectrum: PowerSpectrum,
     is 4r - alpha + 2 (hypothesis 4r + 2 > alpha must hold); the fitted
     log-log slope over the smallest scales must come within the slope
     tolerance of it, and |Cor| d^(2N) t^(-exponent) must stay within the
-    stability ratio across the grid.
+    stability ratio across the grid; a value of it past the double range
+    raises NumericFailure.
     """
     t_grid = check_scale_grid(t_grid)
     correlations = [float(c) for c in correlations]
@@ -327,7 +356,11 @@ def fit_correlation_decay(profile: NeedletProfile, spectrum: PowerSpectrum,
                          "a slope needs two distinct scales")
     slope = float(np.polyfit(np.log(ts_fit), np.log(abs_cors[-n_fit:]), 1)[0])
 
-    bounds = abs_cors * d ** (2 * n_exp) * np.array(t_grid) ** -exponent
+    with np.errstate(over="ignore"):  # checked below
+        bounds = abs_cors * _power(d, 2 * n_exp) * np.array(t_grid) ** -exponent
+    if not np.all(np.isfinite(bounds)):
+        raise _bound_overflow(t_grid[int(np.argmin(np.isfinite(bounds)))], d, profile.r,
+                             n_exp, exponent)
     _, b_hi, bound_ratio, bound_passed = spread(bounds, DEFAULTS["stability_ratio"])
     slope_passed = slope >= exponent - DEFAULTS["slope_tol"]
     return DecayReport(t_grid=t_grid, correlations=cors, fitted_slope=slope,

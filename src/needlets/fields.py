@@ -241,7 +241,14 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
 
 
 def _jackknife_correlation(bx: np.ndarray, by: np.ndarray) -> MonteCarloCorrelation:
-    """Moment-ratio correlation of paired coefficient samples, with its stderr."""
+    """Moment-ratio correlation of paired coefficient samples, with its stderr.
+
+    The ratio does not change when a sample is scaled, so each is first
+    scaled by the power of two that brings its largest magnitude into
+    [0.5, 1).  That is exact: the moments keep their bits, and stay in the
+    double range however large the coefficients are.
+    """
+    bx, by = (np.ldexp(b, -np.frexp(np.max(np.abs(b)))[1]) for b in (bx, by))
     replicas = bx.size
     sxx = float(np.sum(bx * bx))
     syy = float(np.sum(by * by))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULTS
+from .errors import NumericFailure
 from .kernels import NeedletProfile, check_dilation, spectral_weights
 from .legendre import (_check_degree, _sph_harm_rows, sph_harm_flat_index,
                        sph_harm_flat_repeat, sph_harm_matrix)
@@ -109,9 +110,14 @@ def _grid_size(a: float, j: int, oversample: float) -> int:
 
 def _scale_weights(profile: NeedletProfile, a: float, js, L: int) -> dict[int, np.ndarray]:
     """f(a^(2j) l(l+1)) for l = 1..L and each j in js; ValueError for a degree
-    that no j covers, its sum of f^2 over js below 1e-8 of the largest."""
+    that no j covers, its sum of f^2 over js below 1e-8 of the largest, and
+    NumericFailure for a sum past the double range."""
     weights = {j: spectral_weights(profile, a ** (2 * j), L) for j in js}
-    coverage = sum(f * f for f in weights.values())
+    with np.errstate(over="ignore"):
+        coverage = sum(f * f for f in weights.values())
+    if not math.isfinite(float(np.max(coverage))):
+        raise NumericFailure(f"frame weights for r={profile.r} leave the double range: "
+                             "their squares sum to inf")
     if float(np.min(coverage)) < 1e-8 * float(np.max(coverage)):
         raise ValueError(f"degree {int(np.argmin(coverage)) + 1} has no spectral coverage "
                          f"in j_range {min(weights)}..{max(weights)}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .defaults import DEFAULTS, degree_cap
 from .differences import CoeffSequence
-from .errors import DegreeCapExceeded
+from .errors import DegreeCapExceeded, NumericFailure
 from .legendre import _zonal_coeffs, legendre_series, legendre_series_rows
 
 __all__ = [
@@ -90,7 +90,8 @@ def spread(values, cap: float) -> tuple[float, float, float, bool]:
 
 
 def profile_eval(profile: NeedletProfile, s):
-    """f(s) = s^r f0(s), computed as exp(r log s + log f0(s)) to dodge overflow."""
+    """f(s) = s^r f0(s), computed as exp(r log s + log f0(s)) to dodge overflow;
+    a value past the double range (e^(-s) s^r is, at s = r, from r = 172) reads inf."""
     sv = np.asarray(s, dtype=float)
     scalar = sv.ndim == 0
     sv = np.atleast_1d(sv)
@@ -102,7 +103,7 @@ def profile_eval(profile: NeedletProfile, s):
     # log f0 may overflow to -inf (the gaussian's s * s past 1.3e154): f is 0 there
     with np.errstate(over="ignore"):
         logf = profile.r * np.log(sp) + _LOG_F0[profile.f0](sp)
-    out[pos] = np.exp(logf)
+        out[pos] = np.exp(logf)
     return float(out[0]) if scalar else out
 
 
@@ -148,7 +149,9 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
     or 2 for `squared`; terms past the spectral peak decay faster than any
     geometric sequence, so extending the scan until the last term is far
     below eps_tail times the running total makes the remainder negligible.
-    No scan runs past 64 times the degree cap.
+    No scan runs past 64 times the degree cap.  A total past the double range
+    raises NumericFailure: the series of every window it bounds, such as the
+    kernel's f (2l+1), could then overflow.
     """
     check_scale(t)
     eps = DEFAULTS["eps_tail"] if eps_tail is None else float(eps_tail)
@@ -166,8 +169,13 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
             raise DegreeCapExceeded(
                 f"series for t={t} does not settle below degree {hard_stop}")
         f = spectral_weights(profile, t * t, hi)
-        g = _zonal_coeffs(f * f if squared else f, 1)
-        total = float(np.sum(g))
+        with np.errstate(over="ignore"):
+            g = _zonal_coeffs(f * f if squared else f, 1)
+            total = float(np.sum(g))
+        if not math.isfinite(total):
+            raise NumericFailure(
+                f"series at t={t} for r={profile.r} leaves the double range: its "
+                f"terms {'f^2' if squared else 'f'} (2l+1) sum to {total!r}")
         # past the peak a 0 term makes every later one 0, even if the margin
         # underflows; a scan that underflowed everywhere stops here at total 0
         if g[-1] == 0.0 or (g[-1] < 1e-6 * eps * total and g[-1] < g[-2]):
@@ -207,7 +215,8 @@ def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
 
     A localized kernel family keeps these sups comparable across scales; the
     report passes when their max/min ratio stays within the stability ratio.
-    The kernels of every scale are evaluated in one series call.
+    The kernels of every scale are evaluated in one series call.  A sup past
+    the double range raises NumericFailure.
     """
     if n_exponent < 1:
         raise ValueError("decay exponent N must be >= 1")
@@ -222,8 +231,13 @@ def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
     for row, th in zip(xs, thetas):
         row[:th.size] = np.cos(th)
     vals = legendre_series_rows([CoeffSequence(1, spec.coeffs) for spec in specs], xs)
-    sups = [float(np.max((t * t) * np.abs(v[:th.size]) * (th / t) ** n_exponent))
-            for t, th, v in zip(t_list, thetas, vals)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sups = [float(np.max((t * t) * np.abs(v[:th.size]) * (th / t) ** n_exponent))
+                for t, th, v in zip(t_list, thetas, vals)]
+    for t, sup in zip(t_list, sups):
+        if not math.isfinite(sup):
+            raise NumericFailure(f"localization sup at t={t} is {sup!r}: t^2 |K_t| "
+                                 f"(theta/t)^{n_exponent} leaves the double range")
     _, _, ratio, passed = spread(sups, DEFAULTS["stability_ratio"])
     return LocalizationReport(t_list=t_list, n_exponent=int(n_exponent),
                               sups=tuple(sups), ratio=ratio, passed=passed)

@@ -208,6 +208,14 @@ def _zonal_coeffs(values, offset: int) -> np.ndarray:
     return values * (2 * ls + 1)
 
 
+def _zonal_mass(seq: CoeffSequence) -> float:
+    """sum of |a_l| (2l+1) over the window, inf past the double range.  As
+    |P_l(x)| <= 1, a finite mass bounds every partial sum of the zonal series,
+    so the series loop cannot overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(_zonal_coeffs(seq.values, seq.offset))))
+
+
 def zonal_series(values: np.ndarray, x, offset: int = 0):
     """Sum of a_l * Z_l(x) = a_l (2l+1) P_l(x) for a coefficient window."""
     s = CoeffSequence(offset, values)  # checked before the (2l + 1) product

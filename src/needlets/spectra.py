@@ -222,7 +222,8 @@ def verify_envelope(ps: PowerSpectrum, l_max: int) -> EnvelopeEstimate:
     if l_max < 10:
         raise ValueError("need l_max >= 10 for a meaningful envelope")
     ls = np.arange(1, l_max + 1, dtype=float)
-    scaled = spectrum_eval(ps, ls) * ls ** ps.alpha
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scaled = spectrum_eval(ps, ls) * ls ** ps.alpha
     k0, k1, ratio, passed = spread(scaled, DEFAULTS["envelope_ratio_cap"])
     if not (math.isfinite(k0) and math.isfinite(k1)):
         raise NumericFailure(f"envelope extremes of u(l) l^alpha are not finite: {k0!r}, {k1!r}")
@@ -254,7 +255,8 @@ def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window) -> Derivative
 
     c_estimates, seg_sups, ratios, order_ok = [], [], [], []
     for k in range(k_max + 1):
-        weighted = np.abs(np.diff(u, n=k)[:base.size]) * base ** (ps.alpha + k)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            weighted = np.abs(np.diff(u, n=k)[:base.size]) * base ** (ps.alpha + k)
         if not np.all(np.isfinite(weighted)):
             raise NumericFailure(f"weighted differences of order {k} are not finite")
         sups = []

@@ -1,5 +1,6 @@
-"""Lets child processes started by the tests import the package from `src/`,
-and counts calls of package functions for the work-count tests."""
+"""Lets child processes started by the tests import the package from `src/`
+and treat a RuntimeWarning as an error, as pytest does in its own process;
+counts calls of package functions for the work-count tests."""
 
 import os
 from pathlib import Path
@@ -9,6 +10,9 @@ import pytest
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+# a filter the caller set comes later, so it wins where the two disagree
+os.environ["PYTHONWARNINGS"] = ",".join(
+    w for w in ("error::RuntimeWarning", os.environ.get("PYTHONWARNINGS")) if w)
 
 
 @pytest.fixture

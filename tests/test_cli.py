@@ -11,7 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -59,6 +58,12 @@ def strict_json(text):
 def power_table(path, top):
     """Write c_l = l^-3 for l = 1..top as a CSV spectrum table."""
     path.write_text("l,c_l\n" + "".join(f"{l},{l ** -3.0!r}\n" for l in range(1, top + 1)))
+    return str(path)
+
+
+def huge_table(path):
+    """Write c_l = 1e308 for l = 1..3999 as a CSV spectrum table."""
+    path.write_text("l,c_l\n" + "".join(f"{l},1e308\n" for l in range(1, 4000)))
     return str(path)
 
 
@@ -135,18 +140,15 @@ class TestScaleWhoseSquareOverflows:
     """t * t overflows past t = 1.3e154, and the gaussian's s * s already at
     t = 1e76: such a scale reads as a very large one, where f is 0."""
 
-    STRICT = {"PYTHONWARNINGS": "error::RuntimeWarning"}
-
     @pytest.mark.parametrize("args", [["--f0", "gaussian", "--t", "1e76"], ["--t", "1e160"]],
                              ids=["gaussian", "exponential"])
     def test_kernel_is_zero(self, args):
-        res = run("kernel", "--r", "1", *args, "--theta", "1", env_extra=self.STRICT)
+        res = run("kernel", "--r", "1", *args, "--theta", "1")
         assert (res.returncode, res.stderr) == (0, "")
         assert [row["value"] for row in rows_of(res.stdout)] == ["0.0"]
 
     def test_correlation_has_a_degenerate_variance(self):
-        res = run("correlation", "--r", "1", "--alpha", "3", "--t", "1e160", "--d", "1",
-                  env_extra=self.STRICT)
+        res = run("correlation", "--r", "1", "--alpha", "3", "--t", "1e160", "--d", "1")
         assert (res.returncode, res.stdout) == (3, "")
         assert res.stderr.startswith("error: variance degenerate at t=1e+160")
 
@@ -455,6 +457,59 @@ class TestInfiniteSpectrum:
         assert err.startswith("error: spectrum gives infinite variance c_2; ")
 
 
+class TestDoubleRange:
+    """A large r, or c_l = 1e308, takes a series, a bound or a sample moment
+    past the double range.  Each command then prints finite values, or exits
+    3 with empty stdout and a message naming what overflowed; a child that
+    warns fails, as conftest makes a RuntimeWarning an error."""
+
+    @pytest.mark.parametrize("r, f0", [("170", "exponential"), ("200", "exponential"),
+                                       ("345", "gaussian")])
+    def test_kernel_series_is_numeric_failure(self, r, f0):
+        # r = 170 printed 2.7e306 from a truncation chosen on an overflowed
+        # scan; r = 200 and the gaussian's r = 345 printed nan, all exiting 0
+        res = run("kernel", "--r", r, "--f0", f0, "--t", "0.1", "--theta", "1")
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr == (f"error: series at t=0.1 for r={r} leaves the double range: "
+                              "its terms f (2l+1) sum to inf\n")
+
+    def test_correlation_bound_constant_is_numeric_failure(self):
+        # t^-139 overflowed a float power: a traceback and exit 1
+        res = run("correlation", "--r", "35", "--alpha", "3", "--t", "0.003125", "--d", "1")
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr.startswith("error: bound constant at t=0.003125, d=0.9999999999999999 "
+                                     "for r=35 leaves the double range")
+
+    def test_simulate_moments_stay_finite(self):
+        # the jackknife's products of sample moments overflowed, its stderr
+        # read 0, and z divided by it: a traceback and exit 1
+        res = run("simulate", "--r", "60", "--alpha", "3", "--t", "0.2", "--d", "0.5",
+                  "--replicas", "100")
+        assert (res.returncode, res.stderr) == (0, "")
+        (row,) = rows_of(res.stdout)
+        values = [float(row[k]) for k in ("estimate", "stderr", "analytic", "z")]
+        assert all(map(math.isfinite, values)) and values[1] > 0
+
+    @pytest.mark.parametrize("command", [("correlation",), ("simulate", "--replicas", "100")],
+                             ids=lambda c: c[0])
+    def test_huge_spectrum_variance_is_numeric_failure(self, tmp_path, command):
+        # this exited 3 only after RuntimeWarnings, as a "degenerate" variance
+        path = huge_table(tmp_path / "huge.csv")
+        res = run(command[0], "--r", "1", "--spectrum", path, "--alpha", "3", "--t", "0.2",
+                  "--d", "1", *command[1:])
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr == ("error: variance at t=0.2 for r=1 leaves the double range: "
+                              "the terms c_l f^2 (2l+1) sum to inf\n")
+
+    def test_localization_sup_is_numeric_failure(self):
+        # (theta/t)^200 overflowed with a RuntimeWarning, and the report
+        # failed as "report value 'sups' is inf", which names no check
+        res = run("verify", "--r", "1", "--alpha", "3", "--loc-exponent", "200")
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr == ("error: localization sup at t=0.05 is inf: t^2 |K_t| "
+                              "(theta/t)^200 leaves the double range\n")
+
+
 class TestStrictJson:
     def test_infinite_ratio_is_null(self):
         doc = cli._json_doc({"ratio": math.inf, "growth_ratios": [1.0, math.inf]})
@@ -502,10 +557,8 @@ class TestVerifyCommand:
     def test_overflowing_series_bound_is_numeric_failure(self, tmp_path, capsys):
         # c_l = 1e308 and mu = 4r - alpha = -1.9: the growth constant of the
         # series bound overflows, which used to print sups of 0.0 and exit 1
-        path = tmp_path / "huge.csv"
-        path.write_text("l,c_l\n" + "".join(f"{l},1e308\n" for l in range(1, 4000)))
-        with np.errstate(all="ignore"):
-            code = cli.main(["verify", "--r", "1", "--spectrum", str(path), "--alpha", "5.9"])
+        path = huge_table(tmp_path / "huge.csv")
+        code = cli.main(["verify", "--r", "1", "--spectrum", path, "--alpha", "5.9"])
         out, err = capsys.readouterr()
         assert code == 3
         assert out == ""
@@ -514,13 +567,13 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("alpha", ["3", "4"])
     def test_overflowing_variance_is_numeric_failure(self, tmp_path, alpha):
         # mu = 4r - alpha >= 0 keeps the series bound finite; the variances
-        # and envelope overflow, which used to print NaN and Infinity
-        path = tmp_path / "huge.csv"
-        path.write_text("l,c_l\n" + "".join(f"{l},1e308\n" for l in range(1, 4000)))
-        res = run("verify", "--r", "1", "--spectrum", str(path), "--alpha", alpha)
+        # and envelope overflow, which used to print NaN and Infinity, and
+        # then to be reported as a NaN variance after RuntimeWarnings
+        path = huge_table(tmp_path / "huge.csv")
+        res = run("verify", "--r", "1", "--spectrum", path, "--alpha", alpha)
         assert res.returncode == 3
         assert res.stdout == ""
-        assert "error: scaled variance at t=0.2 is nan" in res.stderr
+        assert "error: scaled variance at t=0.2 is inf" in res.stderr
 
     def test_broken_spectrum_fails_envelope(self, tmp_path):
         path = tmp_path / "bad.json"

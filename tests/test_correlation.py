@@ -1,10 +1,10 @@
 """Analytic covariance/correlation and the decay machinery around them."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy.special import eval_legendre
 
 import needlets.correlation as correlation_module
 from needlets import (
@@ -34,6 +34,7 @@ from needlets import (
     zonal_series,
 )
 from needlets.legendre import X_DOMAIN_TOL, _check_x
+from oracles import direct_correlation, direct_series
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -42,14 +43,6 @@ from hypothesis import strategies as st  # noqa: E402
 RNG = np.random.default_rng(20240815)
 PROFILE = NeedletProfile(1)
 SPECTRUM = power_spectrum(3.0)
-
-
-def brute_force_covariance(r, alpha, t, cos_gamma, lmax=6000):
-    ls = np.arange(1, lmax + 1, dtype=float)
-    s = t * t * ls * (ls + 1.0)
-    f2 = (s ** r * np.exp(-s)) ** 2
-    return math.fsum(f2 * ls ** -alpha * (2 * ls + 1)
-                     * eval_legendre(ls.astype(int), cos_gamma))
 
 
 class TestLeastIntegerAbove:
@@ -80,7 +73,7 @@ class TestCovariance:
 
     def test_against_brute_force(self):
         q = CorrelationQuery(PROFILE, SPECTRUM, 0.2, 0.0)
-        ref = brute_force_covariance(1, 3.0, 0.2, 0.0)
+        ref = direct_series(1, 0.2, 0.0, 2, 6000, alpha=3.0)
         assert analytic_covariance(q) == pytest.approx(ref, rel=1e-10)
 
     def test_degenerate_variance_raises_where_the_correlation_does(self):
@@ -184,8 +177,8 @@ class TestCorrelation:
 
     def test_ratio_against_brute_force(self):
         q = CorrelationQuery(PROFILE, SPECTRUM, 0.1, 0.0)
-        ref = (brute_force_covariance(1, 3.0, 0.1, 0.0)
-               / brute_force_covariance(1, 3.0, 0.1, 1.0))
+        ref = (direct_series(1, 0.1, 0.0, 2, 6000, alpha=3.0)
+               / direct_series(1, 0.1, 1.0, 2, 6000, alpha=3.0))
         assert analytic_correlation(q) == pytest.approx(ref, rel=1e-10)
 
     def test_degenerate_variance_raises(self):
@@ -236,6 +229,15 @@ class TestCorrelationSeries:
         # |P_l| <= 1 and every coefficient is positive, so |Cov(t, x)| <= Cov(t, 1)
         _, cors = correlation_series(NeedletProfile(r, f0), power_spectrum(alpha), t, xs)
         assert np.all(np.abs(cors) <= 1.0)
+
+    def test_variance_past_the_double_range_is_numeric_failure(self):
+        # c_l f^2 (2l+1) overflowed inside the series, which warned and then
+        # reported a NaN variance as a "degenerate" one
+        huge = tabulated_spectrum(range(1, 4000), [1e308] * 3999, 3.0)
+        with pytest.raises(NumericFailure, match=re.escape(
+                "variance at t=0.2 for r=1 leaves the double range: "
+                "the terms c_l f^2 (2l+1) sum to inf")):
+            correlation_series(PROFILE, huge, 0.2, [0.5])
 
     def test_degenerate_variance_only_when_a_point_is_apart(self):
         # at t = 50 every retained coefficient underflows, so Cov(t, 1) = 0
@@ -378,9 +380,8 @@ class TestZonalDecayBound:
         # degree 0 stays out of the growth constant but enters the series
         seq = CoeffSequence(0, np.array([bad, 1.0, 0.5]))
         with pytest.raises(NumericFailure, match="series bound of sequence 1 is not finite"):
-            with np.errstate(invalid="ignore"):
-                correlation_module.zonal_decay_bounds(
-                    [CoeffSequence(1, np.array([1.0, 0.5])), seq], 1.0)
+            correlation_module.zonal_decay_bounds(
+                [CoeffSequence(1, np.array([1.0, 0.5])), seq], 1.0)
 
 
 class TestVarianceScaling:
@@ -400,18 +401,32 @@ class TestVarianceScaling:
         # the coefficients c_l f^2 (2l+1) overflow and the series sums to NaN,
         # which used to be reported as the scaled variances
         huge = tabulated_spectrum(range(1, 4000), [1e308] * 3999, 3.0)
-        with np.errstate(all="ignore"), pytest.raises(NumericFailure, match="scaled variance at t=0.2"):
+        with pytest.raises(NumericFailure, match="scaled variance at t=0.2 is inf"):
             variance_scaling_check(PROFILE, huge, [0.2, 0.1])
 
 
+    def test_scale_factor_past_the_double_range_is_numeric_failure(self):
+        # t^(2 - alpha) = 40^198 raised OverflowError, a traceback in `verify`
+        ones = tabulated_spectrum(range(1, 4000), [1.0] * 3999, 200.0)
+        with pytest.raises(NumericFailure, match="^scaled variance at t=0.025 is inf$"):
+            variance_scaling_check(NeedletProfile(50), ones, [0.2, 0.025])
+
+
 class TestCorrelationDecay:
+    def test_bound_constant_past_the_double_range_is_numeric_failure(self):
+        # t^-139 at t = 0.003125 overflowed with a RuntimeWarning
+        with pytest.raises(NumericFailure, match=re.escape(
+                "bound constant at t=0.003125, d=0.9999999999999999 for r=35 leaves")):
+            fit_correlation_decay(NeedletProfile(35), SPECTRUM, math.cos(1.0),
+                                  [0.00625, 0.003125], [1e-16, 1e-16])
+
     def test_exponent_arithmetic(self):
         rep = correlation_decay_check(PROFILE, SPECTRUM, 0.0, [0.2, 0.1])
         assert rep.predicted_exponent == 3.0
         assert rep.n_exponent == 2
 
     def test_slope_on_reference_grid_frozen_value(self):
-        # frozen from two independent computations (library and the 40-digit
+        # frozen from two independent computations (library and the 50-digit
         # mpmath sum in TestMpmathOracle); the coarse 0.4 endpoint drags it below 3
         rep = correlation_decay_check(PROFILE, SPECTRUM, 0.0, [0.4, 0.2, 0.1, 0.05])
         assert rep.fitted_slope == pytest.approx(2.3641171409, abs=1e-6)
@@ -488,45 +503,20 @@ class TestCorrelationDecay:
         assert rep.t_grid == (0.2, 0.2, 0.1)
 
 
-def mpmath_correlation(mpmath, r, alpha, t):
-    """Cor(t, 0) as a direct 40-digit sum over l, independent of the library.
-
-    P_l(0) vanishes for odd l and follows P_l(0) = -(l-1)/l P_{l-2}(0) for
-    even l; the variance uses P_l(1) = 1.  Terms carry exp(-2s), so stopping
-    at 2s > 130 drops less than 1e-50 of either sum.
-    """
-    with mpmath.workdps(40):
-        t = mpmath.mpf(t)
-        cov = var = mpmath.mpf(0)
-        p_at_zero = mpmath.mpf(1)
-        l = 1
-        while 2 * t * t * l * (l + 1) <= 130:
-            s = t * t * l * (l + 1)
-            w = (s ** r * mpmath.exp(-s)) ** 2 * mpmath.mpf(l) ** -alpha * (2 * l + 1)
-            var += w
-            if l % 2 == 0:
-                p_at_zero *= -mpmath.mpf(l - 1) / l
-                cov += w * p_at_zero
-            l += 1
-        return cov / var
-
-
 class TestMpmathOracle:
     T_GRID = (0.4, 0.2, 0.1, 0.05, 0.025)
 
     @pytest.mark.parametrize("r, alpha", [(1, 3.0), (2, 4.0)])
     def test_correlation_matches_direct_sum(self, r, alpha):
-        mpmath = pytest.importorskip("mpmath")
         for t in self.T_GRID:
-            ref = float(mpmath_correlation(mpmath, r, alpha, t))
+            ref = float(direct_correlation(r, alpha, t, 0.0))
             q = CorrelationQuery(NeedletProfile(r), power_spectrum(alpha), t, 0.0)
             assert analytic_correlation(q) == pytest.approx(ref, rel=0, abs=1e-14)
 
     def test_reference_grid_slope_is_the_series_own(self):
         # the 2.364 of the (0.4, 0.2, 0.1, 0.05) fit belongs to the series
         # itself, not to the library's truncation or summation
-        mpmath = pytest.importorskip("mpmath")
         ts = self.T_GRID[:4]
-        cors = [abs(float(mpmath_correlation(mpmath, 1, 3.0, t))) for t in ts]
+        cors = [abs(float(direct_correlation(1, 3.0, t, 0.0))) for t in ts]
         slope = np.polyfit(np.log(ts), np.log(cors), 1)[0]
         assert slope == pytest.approx(2.3641171409, abs=1e-6)

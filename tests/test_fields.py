@@ -258,6 +258,15 @@ class TestNeedletCoefficient:
 
 
 class TestMonteCarloCorrelation:
+    def test_jackknife_keeps_its_bits_under_power_of_two_scaling(self):
+        # the scaling is exact, so it moves no bit; at 2^500 the unscaled
+        # moment products leave the double range
+        bx, by = RNG.standard_normal(300), RNG.standard_normal(300) + 0.5
+        base = fields_module._jackknife_correlation(bx, by)
+        for k in (-500, -40, 40, 500):
+            scaled = fields_module._jackknife_correlation(np.ldexp(bx, k), by * 2.0 ** 7)
+            assert list(map(float.hex, scaled)) == list(map(float.hex, base))
+
     def test_same_point_exact(self):
         est, se = monte_carlo_correlation(PROFILE, SPECTRUM, 0.25,
                                           (0.9, 0.1), (0.9, 0.1), 200, seed=0)

@@ -12,6 +12,7 @@ import pytest
 
 from needlets import (
     DegreeCapExceeded,
+    NumericFailure,
     NeedletProfile,
     SphHarmPoint,
     build_grid,
@@ -183,6 +184,11 @@ class TestFrameCoefficients:
 
 
 class TestFrameBounds:
+    def test_weights_past_the_double_range_are_numeric_failure(self):
+        # the coverage sum of f^2 overflowed with a RuntimeWarning
+        with pytest.raises(NumericFailure, match="frame weights for r=100 leave the double range"):
+            estimate_frame_bounds(NeedletProfile(100), 2.0, (-4, 0), 8, oversample=1.0)
+
     def test_ordered_and_positive(self):
         est = estimate_frame_bounds(PROFILE, 2.0, (-6, 0), 16, oversample=2.0)
         assert 0 < est.a_hat <= est.b_hat

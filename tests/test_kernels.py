@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_legendre
 
 from needlets import (
     DegreeCapExceeded,
+    NumericFailure,
     KernelSpec,
     NeedletProfile,
     calderon_bounds,
@@ -30,15 +30,9 @@ from needlets.kernels import check_scale_grid, spread
 from needlets.correlation import covariance_coefficients
 from needlets.spectra import spectrum_eval
 from needlets.defaults import DEFAULTS, DEGREE_CAP_ENV, degree_cap
+from oracles import direct_series
 
 RNG = np.random.default_rng(20240814)
-
-
-def brute_force_kernel(r, t, cos_gamma, lmax):
-    ls = np.arange(1, lmax + 1, dtype=float)
-    s = t * t * ls * (ls + 1.0)
-    f = s ** r * np.exp(-s)
-    return math.fsum(f * (2 * ls + 1) * eval_legendre(ls.astype(int), cos_gamma))
 
 
 class TestProfile:
@@ -151,6 +145,23 @@ class TestSpectralWeights:
 
 
 class TestChooseLmax:
+    @pytest.mark.parametrize("r, f0, squared", [(170, "exponential", False),
+                                                (100, "exponential", True),
+                                                (345, "gaussian", False)])
+    def test_scan_past_the_double_range_is_numeric_failure(self, r, f0, squared):
+        # the scan's total overflowed, and a truncation chosen on it gave a
+        # wrong value (r = 170) or nan (r = 345 gaussian)
+        power = "f^2" if squared else "f"
+        with pytest.raises(NumericFailure, match=re.escape(
+                f"series at t=0.1 for r={r} leaves the double range: "
+                f"its terms {power} (2l+1) sum to inf")):
+            choose_lmax(NeedletProfile(r, f0), 0.1, squared=squared)
+
+    def test_profile_past_the_double_range_is_inf(self):
+        # e^(-s) s^r at s = r leaves the double range from r = 172
+        assert profile_eval(NeedletProfile(171), 171.0) < math.inf
+        assert profile_eval(NeedletProfile(172), 172.0) == math.inf
+
     def test_monotone_in_eps(self):
         p = NeedletProfile(1)
         assert choose_lmax(p, 0.1, 1e-12) >= choose_lmax(p, 0.1, 1e-8)
@@ -302,7 +313,7 @@ class TestKernelEval:
 
     def test_against_brute_force_oracle(self):
         spec = make_kernel(NeedletProfile(1), 0.5)
-        ref = brute_force_kernel(1, 0.5, 0.9, 2 * spec.lmax)
+        ref = direct_series(1, 0.5, 0.9, 1, 2 * spec.lmax)
         assert kernel_eval(spec, 0.9) == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("r,t", [(1, 0.4), (1, 0.1), (2, 0.2), (3, 0.3)])
@@ -431,6 +442,12 @@ class TestLocalization:
         rep = localization_check(NeedletProfile(1), [0.4, 0.2, 0.1, 0.05], 3)
         assert rep.passed
         assert rep.ratio <= 10.0
+
+    def test_sup_past_the_double_range_is_numeric_failure(self):
+        # (theta/t)^200 overflows at t = 0.05 only
+        with pytest.raises(NumericFailure, match=re.escape(
+                "localization sup at t=0.05 is inf: t^2 |K_t| (theta/t)^200 leaves")):
+            localization_check(NeedletProfile(1), [0.4, 0.2, 0.1, 0.05], 200)
 
     def test_larger_exponent_grows_but_stays_uniform(self):
         rep3 = localization_check(NeedletProfile(1), [0.4, 0.2, 0.1, 0.05], 3)

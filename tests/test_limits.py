@@ -48,6 +48,7 @@ from needlets import (
     power_spectrum,
     variance_scaling_check,
 )
+from oracles import direct_correlation
 
 T_GRID = (0.05, 0.0125, 0.003125)  # each a quarter of the one before
 US = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
@@ -205,25 +206,6 @@ def correlation_limit(r: int, alpha: float, gamma: float, terms: int = 300,
         return float(total / (x - 1) ** n) / variance_floor("exponential", r, alpha)
 
 
-@functools.cache
-def direct_scaled_correlation(r: int, alpha: float, t: float, gamma: float) -> float:
-    """Cor(t, cos gamma) / t^p for the exponential f0 and c_l = l^(-alpha),
-    as a 50-digit sum over every degree with t^2 l(l+1) <= 80, past which
-    the squared profile has dropped below 1e-50 of its peak."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        x, tm = mpmath.mpf(math.cos(gamma)), mpmath.mpf(t)
-        cov = var = mpmath.mpf(0)
-        p_prev, p_l = mpmath.mpf(1), x
-        for l in range(1, int(math.sqrt(80.0) / t) + 2):
-            s = tm * tm * l * (l + 1)
-            w = s ** (2 * r) * mpmath.exp(-2 * s) * mpmath.mpf(l) ** -alpha * (2 * l + 1)
-            cov += w * p_l
-            var += w
-            p_prev, p_l = p_l, ((2 * l + 1) * x * p_l - l * p_prev) / (l + 1)
-        return float(cov / var / tm ** (4 * r + 2 - alpha))
-
-
 class TestCorrelationTendsToItsLimit:
     # C(pi/2) as first measured, to the digits given
     RIGHT_ANGLE = {(1, 3.0): -11.1101, (2, 4.0): 14.3848, (3, 4.0): 1305.94}
@@ -242,9 +224,12 @@ class TestCorrelationTendsToItsLimit:
     @pytest.mark.parametrize("r, alpha", sorted(RIGHT_ANGLE))
     def test_direct_sum_approaches_the_limit(self, r, alpha):
         # no library call: each halving of t brings Cor / t^p closer to C
+        mpmath = pytest.importorskip("mpmath")
         limit = correlation_limit(r, alpha, math.pi / 2)
-        gaps = [abs(direct_scaled_correlation(r, alpha, t, math.pi / 2) - limit)
-                for t in (0.0125, 0.00625, 0.003125)]
+        with mpmath.workdps(50):  # Cor / t^p at the oracle's precision
+            gaps = [abs(float(direct_correlation(r, alpha, t, math.cos(math.pi / 2))
+                              / mpmath.mpf(t) ** (4 * r + 2 - alpha)) - limit)
+                    for t in (0.0125, 0.00625, 0.003125)]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert fine < coarse
 
