@@ -212,7 +212,7 @@ def cmd_correlation(args) -> int:
     if args.fit:
         reports = []
         for k, cg in enumerate(cos_gammas):
-            if cg == 1.0:
+            if xs[k] == 1.0:  # checked: a cos gamma just past 1 reads 1, as in the table
                 continue
             rep = fit_correlation_decay(profile, spectrum, cg, ts, [c[k] for c in cors_by_t])
             reports.append({"cos_gamma": cg, **asdict(rep)})

@@ -11,14 +11,14 @@ power-law envelope l^(-alpha) and profiles f(s) = s^r f0(s) with
 4r + 2 > alpha, the correlation at fixed geodesic distance d = arccos(cos
 gamma) is bounded by C t^(4r - alpha + 2) / d^(2N), N the least positive
 integer above 2r - alpha/2 + 1.  `covariance_sequence` is the one place
-that truncates the series: one scan of the squared profile per scale.
-`correlation_series`, the one per-scale entry for Cov and Cor, sums it in
-one series call over all of the scale's points and divides by the variance.
-`correlation_decay_check` verifies the rate empirically on a scale grid
-(`fit_correlation_decay` fits correlations already at hand);
-`zonal_decay_bound` estimates the constant of the underlying series bound;
-`variance_scaling_check` confirms the variance floor Cov(t, 1) ~ t^(alpha - 2)
-that the ratio rests on.
+that truncates the series (one scan of the squared profile per scale) and
+refuses a variance past the double range.  `correlation_series`, the one
+per-scale entry for Cov and Cor, sums it in one series call over all of the
+scale's points and divides by the variance.  `correlation_decay_check`
+verifies the rate empirically on a scale grid (`fit_correlation_decay` fits
+correlations already at hand); `zonal_decay_bound` estimates the constant of
+the underlying series bound; `variance_scaling_check` confirms the variance
+floor Cov(t, 1) ~ t^(alpha - 2) that the ratio rests on.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .differences import CoeffSequence, multiply_cos_minus_one_power
 from .errors import DecayHypothesisError, NumericFailure
 from .kernels import (
     NeedletProfile,
+    _truncate,
     check_scale,
     check_scale_grid,
-    choose_lmax,
     spectral_weights,
     spread,
 )
@@ -145,10 +145,17 @@ def covariance_coefficients(profile: NeedletProfile, spectrum: PowerSpectrum,
 
 def covariance_sequence(profile: NeedletProfile, spectrum: PowerSpectrum, t: float,
                         eps_tail: float | None = None) -> CoeffSequence:
-    """`covariance_coefficients` at the degree of one truncation scan of the
-    squared profile: the covariance series of scale t as every check sums it."""
-    return covariance_coefficients(profile, spectrum, t,
-                                   choose_lmax(profile, t, eps_tail, squared=True))
+    """`covariance_coefficients` from the weights of one truncation scan of the
+    squared profile: the covariance series of scale t as every check sums it,
+    refused (NumericFailure) where its variance leaves the double range."""
+    f = _truncate(profile, t, eps_tail, True)
+    with np.errstate(over="ignore"):  # an inf term makes the mass inf
+        seq = CoeffSequence(1, f * f * positive_spectrum(spectrum, f.size))
+    # the terms are positive, so their mass is the variance
+    if not math.isfinite(_zonal_mass(seq)):
+        raise NumericFailure(f"variance at t={t} for r={profile.r} leaves the double range: "
+                             "the terms c_l f^2 (2l+1) sum to inf")
+    return seq
 
 
 def correlation_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: float, cos_gammas,
@@ -158,16 +165,12 @@ def correlation_series(profile: NeedletProfile, spectrum: PowerSpectrum, t: floa
     One truncation scan and one series call serve every point and the
     variance Cov(t, 1); the series is elementwise in x, so each value has the
     bits of a one-point call.  Cor is exactly 1 where x == 1 and
-    Cov(t, x) / Cov(t, 1) elsewhere; a variance past the double range is
-    refused before the series runs, and one that is not positive unless
-    every x is 1.
+    Cov(t, x) / Cov(t, 1) elsewhere; a variance that is not positive is
+    refused unless every x is 1, and `covariance_sequence` refuses one past
+    the double range before the series runs.
     """
     xs = np.asarray(cos_gammas, dtype=float)
     seq = covariance_sequence(profile, spectrum, t, eps_tail)
-    # the terms are positive, so their mass is the variance
-    if not math.isfinite(_zonal_mass(seq)):
-        raise NumericFailure(f"variance at t={t} for r={profile.r} leaves the double range: "
-                             "the terms c_l f^2 (2l+1) sum to inf")
     values = zonal_series(seq.values, np.append(xs, 1.0), offset=seq.offset)
     covs, variance = values[:-1], float(values[-1])
     cors = np.ones_like(covs)
@@ -269,14 +272,10 @@ def variance_scaling_check(profile: NeedletProfile, spectrum: PowerSpectrum,
 
     The variances Cov(t, 1) of every scale come from one series call, all
     rows at the one point x = 1.  A scaled variance that is not finite raises
-    NumericFailure, before that call where the variance itself overflows.
+    NumericFailure, as `covariance_sequence` does for a variance that is not.
     """
     t_grid = check_scale_grid(t_grid)
     seqs = [covariance_sequence(profile, spectrum, t, eps_tail) for t in t_grid]
-    for t, seq in zip(t_grid, seqs):
-        if not math.isfinite(_zonal_mass(seq)):  # the variance, its terms being positive
-            raise NumericFailure(f"scaled variance at t={t} is inf: the variance series "
-                                 "leaves the double range")
     variances = zonal_series_rows(seqs, [1.0])[:, 0].tolist()
     scaled = [var * _power(t, 2.0 - spectrum.alpha) for t, var in zip(t_grid, variances)]
     for t, value in zip(t_grid, scaled):

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .kernels import NeedletProfile, choose_lmax, spectral_weights
+from .kernels import NeedletProfile, _truncate, choose_lmax, spectral_weights
 from .legendre import (
     _check_degree,
     _check_x,
@@ -210,12 +210,11 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
     for t, point_x, point_y in queries:
         keys.setdefault((t, point_x), len(keys))
         keys.setdefault((t, point_y), len(keys))
-    degrees = {t: choose_lmax(profile, t, eps_tail) for t in dict.fromkeys(t for t, _ in keys)}
-    weights = {t: sph_harm_flat_repeat(spectral_weights(profile, t * t, L))
-               for t, L in degrees.items()}
-    projections = [weights[t] * sph_harm_matrix(degrees[t], [theta], [phi])[0]
+    weights = {t: _truncate(profile, t, eps_tail) for t in dict.fromkeys(t for t, _ in keys)}
+    projections = [sph_harm_flat_repeat(weights[t])
+                   * sph_harm_matrix(weights[t].size, [theta], [phi])[0]
                    for t, (theta, phi) in keys]
-    sigma = _sigma_per_coefficient(spectrum, max(degrees.values()))
+    sigma = _sigma_per_coefficient(spectrum, max(f.size for f in weights.values()))
     chunk = max(1, _BLOCK_BYTES // (sigma.size * sigma.itemsize))
 
     samples = np.empty((len(keys), replicas))

@@ -153,6 +153,12 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
     raises NumericFailure: the series of every window it bounds, such as the
     kernel's f (2l+1), could then overflow.
     """
+    return _truncate(profile, t, eps_tail, squared).size
+
+
+def _truncate(profile: NeedletProfile, t: float, eps_tail: float | None,
+              squared: bool = False) -> np.ndarray:
+    """The weights f(t^2 l(l+1)), l = 1..L, that `choose_lmax`'s scan evaluated."""
     check_scale(t)
     eps = DEFAULTS["eps_tail"] if eps_tail is None else float(eps_tail)
     if not 0.0 < eps < 1.0:
@@ -189,14 +195,13 @@ def choose_lmax(profile: NeedletProfile, t: float, eps_tail: float | None = None
     if lmax > cap:
         raise DegreeCapExceeded(
             f"t={t} needs lmax={lmax}, above the configured cap {cap}")
-    return lmax
+    return f[:lmax]
 
 
 def make_kernel(profile: NeedletProfile, t: float, eps_tail: float | None = None) -> KernelSpec:
     """Build the truncated kernel coefficient vector for scale t."""
-    lmax = choose_lmax(profile, t, eps_tail)
-    return KernelSpec(profile=profile, t=float(t), lmax=lmax,
-                      coeffs=_zonal_coeffs(spectral_weights(profile, t * t, lmax), 1))
+    f = _truncate(profile, t, eps_tail)
+    return KernelSpec(profile=profile, t=float(t), lmax=f.size, coeffs=_zonal_coeffs(f, 1))
 
 
 def kernel_eval(spec: KernelSpec, cos_gamma):

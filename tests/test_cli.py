@@ -67,6 +67,11 @@ def huge_table(path):
     return str(path)
 
 
+# what every command reports for the table of `huge_table` at r = 1, t = 0.2
+VARIANCE_OVERFLOW = ("variance at t=0.2 for r=1 leaves the double range: "
+                     "the terms c_l f^2 (2l+1) sum to inf")
+
+
 class TestKernelCommand:
     def test_shape_and_positivity(self):
         res = run("kernel", "--r", "1", "--t", "0.2", "--theta", "0:3.14159:256")
@@ -166,6 +171,18 @@ class TestCorrelationCommand:
         assert float(rows[0]["correlation"]) == 1.0
         assert res.returncode == 0
 
+    @pytest.mark.parametrize("cos_gamma", ["1.0", "1.0000000000001"])
+    def test_fit_skips_every_coincident_row(self, capsys, cos_gamma):
+        # a cos gamma just past 1 is checked to x = 1 and its rows print 1.0,
+        # but the fit skipped only a literal 1.0 and refused this one as too
+        # close to coincidence (exit 2)
+        code = cli.main(["correlation", "--r", "1", "--alpha", "3", "--t", "0.2,0.1",
+                         f"--cos-gamma={cos_gamma},0", "--fit"])
+        table, blob = capsys.readouterr().out.split("\n\n", 1)
+        assert code == 0
+        assert [float(row["correlation"]) for row in rows_of(table)][::2] == [1.0, 1.0]
+        assert [rep["cos_gamma"] for rep in strict_json(blob)["reports"]] == [0.0]
+
     def test_fit_report_has_slope_and_defaults(self):
         res = run("correlation", "--r", "1", "--alpha", "3",
                   "--t", "0.4,0.2,0.1,0.05", "--d", "1.5707963267948966", "--fit")
@@ -218,7 +235,7 @@ class TestCorrelationCommand:
                               "the scale is too large for every retained coefficient\n")
 
     def test_one_scan_and_one_series_per_scale(self, count_calls, capsys):
-        scans = count_calls(correlation_module, "choose_lmax")
+        scans = count_calls(correlation_module, "_truncate")
         series = count_calls(correlation_module, "zonal_series")
         code = cli.main(["correlation", "--r", "1", "--alpha", "3", "--t", "0.2,0.1,0.05",
                          "--cos-gamma=-0.5,0,0.5,1", "--fit"])
@@ -343,7 +360,7 @@ class TestSimulateCommand:
 
     def test_one_squared_scan_and_one_series_per_scale(self, count_calls, capsys):
         # every truncation scan of the correlation module is of the squared profile
-        scans = count_calls(correlation_module, "choose_lmax")
+        scans = count_calls(correlation_module, "_truncate")
         series = count_calls(correlation_module, "zonal_series")
         code = cli.main(["simulate", "--r", "1", "--alpha", "3", "--t", "0.2,0.1",
                          "--d", "0.3,0.785,1.571", "--replicas", "100"])
@@ -353,7 +370,7 @@ class TestSimulateCommand:
 
     def test_analytic_column_is_the_one_point_correlation(self, count_calls, capsys):
         # a repeated scale is evaluated once; coincident rows read exactly 1
-        scans = count_calls(correlation_module, "choose_lmax")
+        scans = count_calls(correlation_module, "_truncate")
         code = cli.main(["simulate", "--r", "1", "--alpha", "3", "--t", "0.2,0.1,0.2",
                          "--d", "0,0.3,1.571", "--replicas", "100"])
         assert code == 0
@@ -498,8 +515,16 @@ class TestDoubleRange:
         res = run(command[0], "--r", "1", "--spectrum", path, "--alpha", "3", "--t", "0.2",
                   "--d", "1", *command[1:])
         assert (res.returncode, res.stdout) == (3, "")
-        assert res.stderr == ("error: variance at t=0.2 for r=1 leaves the double range: "
-                              "the terms c_l f^2 (2l+1) sum to inf\n")
+        assert res.stderr == f"error: {VARIANCE_OVERFLOW}\n"
+
+    def test_huge_spectrum_coefficient_is_numeric_failure(self, tmp_path):
+        # at r = 3 a coefficient f^2 c_l itself overflowed, with a
+        # RuntimeWarning before the variance was checked: a traceback, exit 1
+        path = huge_table(tmp_path / "huge.csv")
+        res = run("correlation", "--r", "3", "--spectrum", path, "--alpha", "3", "--t", "0.2",
+                  "--d", "1")
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr == f"error: {VARIANCE_OVERFLOW.replace('r=1', 'r=3')}\n"
 
     def test_localization_sup_is_numeric_failure(self):
         # (theta/t)^200 overflowed with a RuntimeWarning, and the report
@@ -556,13 +581,14 @@ class TestVerifyCommand:
 
     def test_overflowing_series_bound_is_numeric_failure(self, tmp_path, capsys):
         # c_l = 1e308 and mu = 4r - alpha = -1.9: the growth constant of the
-        # series bound overflows, which used to print sups of 0.0 and exit 1
+        # series bound overflows, which used to print sups of 0.0 and exit 1;
+        # the variance of its covariance series is refused first
         path = huge_table(tmp_path / "huge.csv")
         code = cli.main(["verify", "--r", "1", "--spectrum", path, "--alpha", "5.9"])
         out, err = capsys.readouterr()
         assert code == 3
         assert out == ""
-        assert "growth constant of sequence 1 is inf" in err
+        assert err == f"error: {VARIANCE_OVERFLOW}\n"
 
     @pytest.mark.parametrize("alpha", ["3", "4"])
     def test_overflowing_variance_is_numeric_failure(self, tmp_path, alpha):
@@ -573,7 +599,7 @@ class TestVerifyCommand:
         res = run("verify", "--r", "1", "--spectrum", path, "--alpha", alpha)
         assert res.returncode == 3
         assert res.stdout == ""
-        assert "error: scaled variance at t=0.2 is inf" in res.stderr
+        assert res.stderr == f"error: {VARIANCE_OVERFLOW}\n"
 
     def test_broken_spectrum_fails_envelope(self, tmp_path):
         path = tmp_path / "bad.json"

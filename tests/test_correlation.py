@@ -43,6 +43,10 @@ from hypothesis import strategies as st  # noqa: E402
 RNG = np.random.default_rng(20240815)
 PROFILE = NeedletProfile(1)
 SPECTRUM = power_spectrum(3.0)
+# c_l = 1e308, and the error for it at r = 1, t = 0.2, whichever check sums the series
+HUGE = tabulated_spectrum(range(1, 4000), [1e308] * 3999, 3.0)
+VARIANCE_OVERFLOW = ("variance at t=0.2 for r=1 leaves the double range: "
+                     "the terms c_l f^2 (2l+1) sum to inf")
 
 
 class TestLeastIntegerAbove:
@@ -103,7 +107,7 @@ class TestCovarianceSeries:
             assert value == analytic_covariance(CorrelationQuery(profile, spectrum, t, x))
 
     def test_one_scan_and_one_series_per_call(self, count_calls):
-        scans = count_calls(correlation_module, "choose_lmax")
+        scans = count_calls(correlation_module, "_truncate")
         series = count_calls(correlation_module, "zonal_series")
         correlation_series(PROFILE, SPECTRUM, 0.1, self.XS)
         assert (len(scans), len(series)) == (1, 1)
@@ -214,7 +218,7 @@ class TestCorrelationSeries:
         assert cors[1] < 1.0
 
     def test_one_scan_and_one_series(self, count_calls):
-        scans = count_calls(correlation_module, "choose_lmax")
+        scans = count_calls(correlation_module, "_truncate")
         series = count_calls(correlation_module, "zonal_series")
         correlation_series(PROFILE, SPECTRUM, 0.1, self.XS)
         assert (len(scans), len(series)) == (1, 1)
@@ -233,11 +237,8 @@ class TestCorrelationSeries:
     def test_variance_past_the_double_range_is_numeric_failure(self):
         # c_l f^2 (2l+1) overflowed inside the series, which warned and then
         # reported a NaN variance as a "degenerate" one
-        huge = tabulated_spectrum(range(1, 4000), [1e308] * 3999, 3.0)
-        with pytest.raises(NumericFailure, match=re.escape(
-                "variance at t=0.2 for r=1 leaves the double range: "
-                "the terms c_l f^2 (2l+1) sum to inf")):
-            correlation_series(PROFILE, huge, 0.2, [0.5])
+        with pytest.raises(NumericFailure, match=re.escape(VARIANCE_OVERFLOW)):
+            correlation_series(PROFILE, HUGE, 0.2, [0.5])
 
     def test_degenerate_variance_only_when_a_point_is_apart(self):
         # at t = 50 every retained coefficient underflows, so Cov(t, 1) = 0
@@ -261,9 +262,14 @@ class TestCovarianceSequence:
         assert seq.values.tobytes() == ref.values.tobytes()
 
     def test_one_scan_per_call(self, count_calls):
-        scans = count_calls(correlation_module, "choose_lmax")
+        scans = count_calls(correlation_module, "_truncate")
         covariance_sequence(PROFILE, SPECTRUM, 0.1)
-        assert scans == [(PROFILE, 0.1, None)]
+        assert scans == [(PROFILE, 0.1, None, True)]
+
+    def test_variance_past_the_double_range_is_numeric_failure(self):
+        # the one check of it: every sum of the series sits below its variance
+        with pytest.raises(NumericFailure, match=re.escape(VARIANCE_OVERFLOW)):
+            covariance_sequence(PROFILE, HUGE, 0.2)
 
 
 class TestShortTable:
@@ -400,9 +406,8 @@ class TestVarianceScaling:
     def test_overflowing_variance_is_numeric_failure(self):
         # the coefficients c_l f^2 (2l+1) overflow and the series sums to NaN,
         # which used to be reported as the scaled variances
-        huge = tabulated_spectrum(range(1, 4000), [1e308] * 3999, 3.0)
-        with pytest.raises(NumericFailure, match="scaled variance at t=0.2 is inf"):
-            variance_scaling_check(PROFILE, huge, [0.2, 0.1])
+        with pytest.raises(NumericFailure, match=re.escape(VARIANCE_OVERFLOW)):
+            variance_scaling_check(PROFILE, HUGE, [0.2, 0.1])
 
 
     def test_scale_factor_past_the_double_range_is_numeric_failure(self):

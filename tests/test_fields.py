@@ -406,9 +406,11 @@ class TestBatchedMonteCarlo:
         assert hexes(a) == hexes(b)
 
     def test_one_truncation_scan_per_scale(self, count_calls):
-        scans = count_calls(fields_module, "choose_lmax")
+        scans = count_calls(fields_module, "_truncate")
+        weights = count_calls(fields_module, "spectral_weights")
         monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 100, seed=0)
         assert sorted(args[1] for args in scans) == [0.1, 0.2]
+        assert weights == []  # the projections weigh with the weights of the scan
 
     def test_one_projection_per_coefficient(self, count_calls):
         # 6 queries on 2 scales share point_x: 8 distinct beta_{t,x}, not 12

@@ -25,9 +25,10 @@ from needlets import (
     spectral_weights,
     sph_harm_flat_repeat,
 )
+import needlets.correlation as correlation_module
 import needlets.kernels as kernels_module
 from needlets.kernels import check_scale_grid, spread
-from needlets.correlation import covariance_coefficients
+from needlets.correlation import covariance_coefficients, covariance_sequence
 from needlets.spectra import spectrum_eval
 from needlets.defaults import DEFAULTS, DEGREE_CAP_ENV, degree_cap
 from oracles import direct_series
@@ -230,6 +231,38 @@ class TestChooseLmax:
             choose_lmax(NeedletProfile(1), t)
         with pytest.raises(ValueError, match="scale t must be finite and > 0"):
             make_kernel(NeedletProfile(1), t)
+
+
+class TestWeightsOnlyInTheScan:
+    """make_kernel and covariance_sequence take f(t^2 l(l+1)) from their
+    truncation scan; each used to evaluate the L kept weights once more."""
+
+    @pytest.mark.parametrize("r, f0, t", [(1, "exponential", 0.2), (1, "exponential", 0.01),
+                                          (3, "gaussian", 0.05), (1, "exponential", 100.0)])
+    def test_only_the_scan_evaluates_weights(self, count_calls, r, f0, t):
+        profile = NeedletProfile(r, f0)
+        counted = [count_calls(module, "spectral_weights")
+                   for module in (kernels_module, correlation_module)]
+
+        def calls(fn, *args, **kwargs):
+            for c in counted:
+                c.clear()
+            fn(*args, **kwargs)
+            return [call for c in counted for call in c]
+
+        assert calls(make_kernel, profile, t) == calls(choose_lmax, profile, t)
+        assert (calls(covariance_sequence, profile, power_spectrum(3.0), t)
+                == calls(choose_lmax, profile, t, squared=True))
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("r, f0, t", [(1, "exponential", 0.2), (2, "exponential", 0.0125),
+                                          (4, "gaussian", 0.003), (1, "exponential", 100.0)])
+    def test_scan_weights_have_the_bits_of_their_own_evaluation(self, r, f0, t, squared):
+        # the scan's window is wider than L; its first L weights are the ones
+        # a call at width L gives
+        profile = NeedletProfile(r, f0)
+        f = kernels_module._truncate(profile, t, None, squared)
+        assert f.tobytes() == spectral_weights(profile, t * t, f.size).tobytes()
 
 
 def log_uniform(lo: float, hi: float):
