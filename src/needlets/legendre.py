@@ -30,7 +30,7 @@ import numpy as np
 
 from .defaults import degree_cap
 from .differences import CoeffSequence
-from .errors import DegreeCapExceeded
+from .errors import DegreeCapExceeded, NumericFailure
 
 __all__ = [
     "SphHarmPoint",
@@ -141,7 +141,9 @@ def _series_rows(seqs: list, x: np.ndarray) -> np.ndarray:
     offset; those zero terms leave its sum and carry at +0.0, so each row
     takes the float operations of a lone evaluation.  The compensation is
     TwoSum (Ogita, Rump & Oishi 2005): it yields the exact rounding error
-    of each addition, the same value Neumaier's branch gives.
+    of each addition, the same value Neumaier's branch gives.  A window
+    whose mass sum |a_l| is not finite is refused: a finite mass bounds
+    every partial sum, as |P_l(x)| <= 1.
     """
     n, npts = len(seqs), x.shape[-1]
     out = np.zeros((n, npts))
@@ -153,45 +155,73 @@ def _series_rows(seqs: list, x: np.ndarray) -> np.ndarray:
     table = np.zeros((top + 1, n, 1))  # coefficient of degree l for sorted row j
     for j, i in enumerate(order):
         table[seqs[i].offset:tops[i] + 1, j, 0] = seqs[i].values
+    with np.errstate(over="ignore"):
+        mass = np.sum(np.abs(table[:, :, 0]), axis=0)
+    if not np.all(np.isfinite(mass)):
+        j = int(np.argmin(np.isfinite(mass)))
+        raise NumericFailure(f"series row {order[j]} has coefficient mass {float(mass[j])!r}")
+    if np.all(x == 1.0):
+        out[order] = _series_at_one(table[:, :, 0], tops[order] + 1)[:, None]
+        return out
     # live[l]: how many sorted rows still hold a degree-l term
-    live = np.searchsorted(-tops[order], -np.arange(top + 2), side="right")
+    live = np.searchsorted(-tops[order], -np.arange(top + 2), side="right").tolist()
 
     # shared points are one row that broadcasts against every coefficient row;
     # a prefix [:k] of it is that row, so one loop serves both shapes
-    x = x[order] if x.ndim == 2 else x[None]
+    k, j = n, live[0]  # rows past live[0] have empty windows
+    x = x[order[:j]] if x.ndim == 2 else x[None]
     total, new, carry, term, err = (np.zeros((n, npts)) for _ in range(5))
     p, p_prev = np.ones(x.shape), np.zeros(x.shape)
     work = err[:len(x)]  # free between one step's sum and the next
-    k = n
-    tv, sv, cv, bv, ev = total, new, carry, term, err
+    # per degree, the ufuncs are local names, each writes its last operand,
+    # and the factors 2l+1, l and l+1 are 0-d float64 views of one vector
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+    factor = np.arange(2 * top + 2, dtype=float)
+    tv, sv, cv, bv, ev, coeffs = total, new, carry, term, err, table
     for l in range(top + 1):
         if live[l] < k:  # these rows ended at degree l - 1
             out[order[live[l]:k]] = total[live[l]:k] + carry[live[l]:k]
-            k = int(live[l])
+            k = live[l]
             tv, sv, cv, bv, ev = total[:k], new[:k], carry[:k], term[:k], err[:k]
-        np.multiply(table[l, :k], p[:k], out=bv)
+            coeffs = table[:, :k]
+        multiply(coeffs[l], p, bv)
         # TwoSum: sv = tv + bv and ev = its rounding error, exactly
-        np.add(tv, bv, out=sv)
-        np.subtract(sv, tv, out=ev)
-        np.subtract(bv, ev, out=bv)
-        np.subtract(sv, ev, out=ev)
-        np.subtract(tv, ev, out=ev)
-        np.add(ev, bv, out=ev)
-        np.add(cv, ev, out=cv)
+        add(tv, bv, sv)
+        subtract(sv, tv, ev)
+        subtract(bv, ev, bv)
+        subtract(sv, ev, ev)
+        subtract(tv, ev, ev)
+        add(ev, bv, ev)
+        add(cv, ev, cv)
         total, new, tv, sv = new, total, sv, tv
         if l == top:
             break
         # (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, for the rows that go on
-        j = live[l + 1]
-        xj, pj, qj, wj = x[:j], p[:j], p_prev[:j], work[:j]
-        np.multiply(xj, 2 * l + 1, out=wj)
-        np.multiply(wj, pj, out=wj)
-        np.multiply(qj, l, out=qj)
-        np.subtract(wj, qj, out=wj)
-        np.divide(wj, l + 1, out=qj)
+        if live[l + 1] < j:
+            j = live[l + 1]
+            x, work, p, p_prev = x[:j], work[:j], p[:j], p_prev[:j]
+        multiply(x, factor[2 * l + 1, ...], work)
+        multiply(work, p, work)
+        multiply(p_prev, factor[l, ...], p_prev)
+        subtract(work, p_prev, work)
+        divide(work, factor[l + 1, ...], p_prev)
         p, p_prev = p_prev, p
     out[order[:k]] = total[:k] + carry[:k]
     return out
+
+
+def _series_at_one(coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The series loop's values where every point is 1, with no degree loop:
+    there its P_l are exactly 1, so column j of `coeffs` (a row per degree)
+    is its TwoSum in degree order from +0.0, read after at[j] terms.
+    `np.add.accumulate` adds sequentially, as the loop does: same bits."""
+    terms = np.concatenate([np.zeros((1, coeffs.shape[1])), coeffs])
+    sums = np.add.accumulate(terms)
+    a, s = sums[:-1], sums[1:]
+    bb = s - a
+    terms[1:] = (a - (s - bb)) + (terms[1:] - bb)  # each addition's exact error
+    cols = np.arange(at.size)
+    return sums[at, cols] + np.add.accumulate(terms)[at, cols]
 
 
 def zonal_eval(l: int, x: float) -> float:
@@ -202,10 +232,11 @@ def zonal_eval(l: int, x: float) -> float:
 
 
 def _zonal_coeffs(values, offset: int) -> np.ndarray:
-    """a_l (2l+1) for the window a_offset .. a_top."""
+    """a_l (2l+1) for the window a_offset .. a_top, inf past the double range."""
     values = np.asarray(values, dtype=float)
     ls = np.arange(offset, offset + values.size)
-    return values * (2 * ls + 1)
+    with np.errstate(over="ignore"):
+        return values * (2 * ls + 1)
 
 
 def _zonal_mass(seq: CoeffSequence) -> float:

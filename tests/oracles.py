@@ -3,6 +3,8 @@ exponential profile f(s) = s^r e^(-s) and c_l = l^(-alpha), computed without
 the library: nothing here comes from `needlets`.  `direct_series` is the
 kernel K_t(x) (power 1, no alpha) or the covariance Cov(t, x) (power 2) in
 double precision; `direct_correlation` is Cor(t, x) at 50 digits.
+`series_rows_reference` is a frozen copy of the library's series loop, one
+step per degree for every row, that its bits are compared against.
 """
 
 import functools
@@ -40,3 +42,67 @@ def direct_correlation(r, alpha, t, x):
             var += w
             p_prev, p_l = p_l, ((2 * l + 1) * x * p_l - l * p_prev) / (l + 1)
         return cov / var
+
+
+def series_rows_reference(seqs: list, x: np.ndarray) -> np.ndarray:
+    """The series loop: one degree recurrence for every `CoeffSequence`.
+
+    `x` is a checked 1-d array shared by all windows, or 2-d with a row of
+    points per window; each window was checked when it was built.  Rows are
+    ordered by descending top degree, so the rows still inside their window
+    form a prefix and each step works on that prefix only, in preallocated
+    buffers.  A row reads zero below its
+    offset; those zero terms leave its sum and carry at +0.0, so each row
+    takes the float operations of a lone evaluation.  The compensation is
+    TwoSum (Ogita, Rump & Oishi 2005): it yields the exact rounding error
+    of each addition, the same value Neumaier's branch gives.
+    """
+    n, npts = len(seqs), x.shape[-1]
+    out = np.zeros((n, npts))
+    tops = np.array([s.top for s in seqs], dtype=int)
+    order = np.argsort(-tops, kind="stable")
+    if n == 0 or tops[order[0]] < 0:
+        return out
+    top = int(tops[order[0]])
+    table = np.zeros((top + 1, n, 1))  # coefficient of degree l for sorted row j
+    for j, i in enumerate(order):
+        table[seqs[i].offset:tops[i] + 1, j, 0] = seqs[i].values
+    # live[l]: how many sorted rows still hold a degree-l term
+    live = np.searchsorted(-tops[order], -np.arange(top + 2), side="right")
+
+    # shared points are one row that broadcasts against every coefficient row;
+    # a prefix [:k] of it is that row, so one loop serves both shapes
+    x = x[order] if x.ndim == 2 else x[None]
+    total, new, carry, term, err = (np.zeros((n, npts)) for _ in range(5))
+    p, p_prev = np.ones(x.shape), np.zeros(x.shape)
+    work = err[:len(x)]  # free between one step's sum and the next
+    k = n
+    tv, sv, cv, bv, ev = total, new, carry, term, err
+    for l in range(top + 1):
+        if live[l] < k:  # these rows ended at degree l - 1
+            out[order[live[l]:k]] = total[live[l]:k] + carry[live[l]:k]
+            k = int(live[l])
+            tv, sv, cv, bv, ev = total[:k], new[:k], carry[:k], term[:k], err[:k]
+        np.multiply(table[l, :k], p[:k], out=bv)
+        # TwoSum: sv = tv + bv and ev = its rounding error, exactly
+        np.add(tv, bv, out=sv)
+        np.subtract(sv, tv, out=ev)
+        np.subtract(bv, ev, out=bv)
+        np.subtract(sv, ev, out=ev)
+        np.subtract(tv, ev, out=ev)
+        np.add(ev, bv, out=ev)
+        np.add(cv, ev, out=cv)
+        total, new, tv, sv = new, total, sv, tv
+        if l == top:
+            break
+        # (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, for the rows that go on
+        j = live[l + 1]
+        xj, pj, qj, wj = x[:j], p[:j], p_prev[:j], work[:j]
+        np.multiply(xj, 2 * l + 1, out=wj)
+        np.multiply(wj, pj, out=wj)
+        np.multiply(qj, l, out=qj)
+        np.subtract(wj, qj, out=wj)
+        np.divide(wj, l + 1, out=qj)
+        p, p_prev = p_prev, p
+    out[order[:k]] = total[:k] + carry[:k]
+    return out

@@ -28,6 +28,7 @@ from needlets import (
     correlation_decay_check,
     points_cos_angle,
     power_spectrum,
+    variance_scaling_check,
 )
 from needlets.defaults import DEGREE_CAP_ENV
 
@@ -622,12 +623,16 @@ class TestVerifyCommand:
         assert res.stderr == "error: spectrum evaluated to a non-positive value\n"
 
     def test_one_series_loop_per_check(self, count_calls, capsys):
-        # series bound: near and far angles; variance; localization
-        loops = count_calls(legendre_module, "_series_rows")
+        # series bound: near and far angles; variance; localization.  The
+        # variance series has every point at x = 1 and runs no degree loop
+        series = count_calls(legendre_module, "_series_rows")
+        at_one = count_calls(legendre_module, "_series_at_one")
         code = cli.main(["verify", "--r", "1", "--alpha", "3"])
         assert code == 0
         assert strict_json(capsys.readouterr().out)["passed"]
-        assert len(loops) == 4
+        assert (len(series), len(at_one)) == (4, 1)  # three degree loops
+        variance_scaling_check(NeedletProfile(2), power_spectrum(4.0), [0.2, 0.1, 0.05])
+        assert (len(series), len(at_one)) == (5, 2)  # and none here
 
     def test_series_bound_hypothesis_is_config_error(self):
         res = run("verify", "--r", "1", "--alpha", "7")

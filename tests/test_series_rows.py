@@ -1,9 +1,10 @@
 """The batched Legendre series: one recurrence for many coefficient rows.
 
 Properties: every (row, point) value of `legendre_series_rows` has the bits
-of the one-row `legendre_series` call, and the list forms of the verify
-checks equal their one-scale results bit for bit.  An mpmath oracle bounds
-the series near x = +-1 at degrees up to `degree_cap`.
+of the one-row `legendre_series` call and of a frozen copy of the series
+loop, and the list forms of the verify checks equal their one-scale results
+bit for bit.  An mpmath oracle bounds the series near x = +-1 at degrees up
+to `degree_cap`.
 """
 
 import math
@@ -31,6 +32,7 @@ from needlets import (  # noqa: E402
 from needlets.defaults import degree_cap  # noqa: E402
 from needlets.errors import NumericFailure  # noqa: E402
 from needlets.legendre import _legendre_p  # noqa: E402
+from oracles import series_rows_reference  # noqa: E402
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 # interior points plus the edges, where P_l(+-1) = (+-1)^l exactly
@@ -43,6 +45,9 @@ ROW = st.one_of(
     FINITE.map(lambda c: [c]),
 ).map(np.array)
 OFFSET = st.sampled_from([0, 1])
+# points, often all exactly 1, where the series is its compensated window sum
+POINTS = st.one_of(st.lists(POINT, min_size=1, max_size=9),
+                   st.integers(1, 9).map(lambda n: [1.0] * n))
 
 
 def hexes(values):
@@ -102,6 +107,51 @@ class TestRowsMatchOneRowCalls:
                      lambda: legendre_series(1.0, 0.5)):
             with pytest.raises(ValueError, match="^each coefficient row must be 1-d$"):
                 call()
+
+
+class TestFrozenReference:
+    """The engine against `oracles.series_rows_reference`, which keeps one
+    loop step per degree: a change that moves the engine's bits fails here,
+    even where it moves the one-row calls with them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(ROW, OFFSET), min_size=1, max_size=6), POINTS, st.booleans())
+    # a term larger than the running sum: Fast2Sum (b - (s - a)) loses 1e-11
+    @example(rows=[(np.array([1e-11, 1e6, -1e6]), 0)], xs=[1.0], per_row=False)
+    # ten terms of 0.1: a pairwise total, not the sequential one, reads 1 ulp high
+    @example(rows=[(np.full(10, 0.1), 0)], xs=[1.0], per_row=False)
+    def test_bits_of_the_reference_loop(self, rows, xs, per_row):
+        # per-row points are rotations of xs, one per window
+        seqs = [CoeffSequence(o, c) for c, o in rows]
+        x = np.array(xs)
+        if per_row:
+            x = np.array([np.roll(x, i) for i in range(len(seqs))])
+        assert hexes(legendre_series_rows(seqs, x)) == hexes(series_rows_reference(seqs, x))
+
+
+class TestNonFiniteWindow:
+    """A window whose mass sum |a_l| is not finite is refused, never summed:
+    TwoSum turned an overflowed partial sum into inf - inf = NaN."""
+
+    # (call, index of the refused row): the row forms put a good row first
+    ENTRIES = {
+        "legendre_series": (legendre_series, 0),
+        "zonal_series": (zonal_series, 0),
+        "legendre_series_rows": (lambda v, x: legendre_series_rows(
+            [CoeffSequence(0, [1.0]), CoeffSequence(0, v)], x), 1),
+        "zonal_series_rows": (lambda v, x: zonal_series_rows(
+            [CoeffSequence(1, []), CoeffSequence(0, v)], x), 1),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1.0, math.nan], [math.inf, 1.0]],
+                             ids=["overflowing", "nan", "inf"])
+    @pytest.mark.parametrize("x", [[1.0, 0.5], [1.0]], ids=["loop", "at-one"])
+    def test_is_numeric_failure(self, entry, values, x):
+        call, row = self.ENTRIES[entry]
+        with pytest.raises(NumericFailure, match=f"^series row {row} has coefficient mass "
+                                                 r"(inf|nan)$"):
+            call(np.array(values), np.array(x))
 
 
 PROFILE, SPECTRUM = NeedletProfile(1), power_spectrum(3.0)
