@@ -18,13 +18,17 @@ never depend on evaluation order and replicas can run on any schedule.  The
 Monte-Carlo loop uses that: each of two threads owns one contiguous half of
 the replicas and streams it through its own small buffer, drawing each
 replica once and projecting it onto one weighted harmonic row per distinct
-coefficient beta_{t,x}, however many query pairs share it.
+coefficient beta_{t,x}, however many query pairs share it.  That row,
+f_l Y_{l,m}(x) over the scale's truncation window, is also the one
+`needlet_coefficient` reads, so a replica's sample and the coefficient of
+the same draw are the same float.
 Longitudes are reduced modulo 2 pi on entry, so any finite point is usable.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .kernels import NeedletProfile, _truncate, choose_lmax, spectral_weights
+from .kernels import NeedletProfile, _truncate
 from .legendre import (
     _check_degree,
     _check_x,
@@ -71,7 +75,16 @@ class AlmSet:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if not (self.L >= 1 and np.ndim(self.coeffs) == 1
+                and np.size(self.coeffs) == self.L * (self.L + 2)):
+            raise ValueError(f"a field to degree L >= 1 holds L(L+2) coefficients in a 1-d "
+                             f"array; got L={self.L} and shape {np.shape(self.coeffs)}")
+
     def get(self, l: int, m: int) -> float:
+        if not (isinstance(l, numbers.Integral) and isinstance(m, numbers.Integral)
+                and 1 <= l <= self.L):
+            raise ValueError(f"(l, m) = ({l}, {m}) is not an integer pair with 1 <= l <= {self.L}")
         return float(self.coeffs[sph_harm_flat_index(l, m)])
 
 
@@ -155,17 +168,22 @@ def needlet_coefficient(alm: AlmSet, profile: NeedletProfile, t: float,
                         eps_tail: float | None = None) -> float:
     """beta_{t,x} = sum_{l,m} f(t^2 l(l+1)) a_{l,m} Y_{l,m}(x).
 
-    Refuses to run when the stored degree L cannot carry the scale's
-    spectral support, since the result would be silently biased.
+    The sum runs over the scale's truncation window 1..L_t with the
+    Monte-Carlo engine's row, so `sample_alm(spectrum, L, seed, stream=i)`
+    gives the engine's replica i bit for bit; coefficients past L_t (a tail
+    below eps_tail) are not read.  A field stored below L_t is refused.
     """
-    required = choose_lmax(profile, t, eps_tail)
-    if alm.L < required:
+    weights = _truncate(profile, t, eps_tail)
+    if alm.L < weights.size:
         raise ValueError(
-            f"coefficients stored to degree {alm.L} but scale t={t} needs {required}")
-    theta, phi = _point(point)
-    y = sph_harm_matrix(alm.L, [theta], [phi])[0]
-    w = sph_harm_flat_repeat(spectral_weights(profile, t * t, alm.L))
-    return float(np.sum(alm.coeffs * w * y))
+            f"coefficients stored to degree {alm.L} but scale t={t} needs {weights.size}")
+    row = _weighted_row(weights, *_point(point))
+    return float(np.sum(alm.coeffs[:row.size] * row))
+
+
+def _weighted_row(weights: np.ndarray, theta: float, phi: float) -> np.ndarray:
+    """f_l Y_{l,m}(theta, phi), flat layout, over the window f_1..f_L of `_truncate`."""
+    return sph_harm_flat_repeat(weights) * sph_harm_matrix(weights.size, [theta], [phi])[0]
 
 
 def monte_carlo_correlation(profile: NeedletProfile, spectrum: PowerSpectrum,
@@ -211,9 +229,7 @@ def monte_carlo_correlations(profile: NeedletProfile, spectrum: PowerSpectrum,
         keys.setdefault((t, point_x), len(keys))
         keys.setdefault((t, point_y), len(keys))
     weights = {t: _truncate(profile, t, eps_tail) for t in dict.fromkeys(t for t, _ in keys)}
-    projections = [sph_harm_flat_repeat(weights[t])
-                   * sph_harm_matrix(weights[t].size, [theta], [phi])[0]
-                   for t, (theta, phi) in keys]
+    projections = [_weighted_row(weights[t], *point) for t, point in keys]
     sigma = _sigma_per_coefficient(spectrum, max(f.size for f in weights.values()))
     chunk = max(1, _BLOCK_BYTES // (sigma.size * sigma.itemsize))
 

@@ -32,6 +32,7 @@ from needlets import (
 )
 from needlets import sph_harm_flat_index
 import needlets.fields as fields_module
+import needlets.kernels as kernels_module
 from needlets.defaults import DEGREE_CAP_ENV
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -66,6 +67,19 @@ def set_block_rows(monkeypatch, rows, ts):
     degree of scales ts."""
     L = max(choose_lmax(PROFILE, t) for t in ts)
     monkeypatch.setattr(fields_module, "_BLOCK_BYTES", rows * ((L + 1) ** 2 - 1) * 8)
+
+
+def extra_weight_rows(count_calls, ts, call):
+    """Rows of f that `call` evaluates beyond the truncation scans of scales
+    ts; every weight row, whoever imports it, goes through
+    kernels.profile_eval."""
+    rows = count_calls(kernels_module, "profile_eval")
+    for t in ts:
+        kernels_module._truncate(PROFILE, t, None)
+    in_scans = len(rows)
+    rows.clear()
+    call()
+    return len(rows) - in_scans
 
 
 def old_counter_normals(seed, stream, count):
@@ -197,6 +211,24 @@ class TestSampleAlm:
             sph_harm_matrix(60, [0.5], [0.0])
         assert sample_alm(SPECTRUM, 50, seed=0).coeffs.size == 50 * 52
 
+    @pytest.mark.parametrize("L, shape", [(40, (10,)), (5, (36,)), (2, (2, 4)), (0, (0,))])
+    def test_malformed_field_rejected(self, L, shape):
+        # a short vector was accepted, and needlet_coefficient then failed
+        # with numpy's broadcast error
+        with pytest.raises(ValueError, match=rf"L\(L\+2\) coefficients.*L={L} and shape"):
+            AlmSet(L=L, coeffs=np.zeros(shape), seed=0)
+
+    @pytest.mark.parametrize("l, m", [(6, 0), (5.5, 0), (3.0, 1), (3, 0.5), (0, 0)])
+    def test_accessor_outside_the_field_rejected(self, l, m):
+        # (6, 0) and (5.5, 0) raised numpy's IndexError
+        alm = sample_alm(SPECTRUM, 5, seed=0)
+        with pytest.raises(ValueError, match=r"not an integer pair with 1 <= l <= 5"):
+            alm.get(l, m)
+
+    def test_accessor_takes_numpy_integers(self):
+        alm = sample_alm(SPECTRUM, 5, seed=0)
+        assert alm.get(np.int64(5), np.int32(-5)) == alm.coeffs[-11]
+
     @pytest.mark.parametrize("L", [0, -3])
     def test_one_band_limit_rule(self, L):
         # the draws, the harmonics and the frame estimate each had their own
@@ -245,6 +277,37 @@ class TestNeedletCoefficient:
         sample_var = np.mean(vals ** 2)
         se = target * math.sqrt(2.0 / replicas)
         assert abs(sample_var - target) <= 4 * se
+
+    @pytest.mark.parametrize("stored", ["scale", 55])
+    def test_equals_the_monte_carlo_sample_bit_for_bit(self, monkeypatch, stored):
+        # both APIs weigh the same draw with one row over the scale's window;
+        # the coefficient used to take its own weights and harmonics to the
+        # stored degree, 5e-15 (L_t) and 1e-12 (55) off in the estimate
+        t, x, y, replicas = 0.2, EQUATOR_X, (math.pi / 2, 0.785), 200
+        L = choose_lmax(PROFILE, t) if stored == "scale" else stored
+        alms = [sample_alm(SPECTRUM, L, seed=3, stream=i) for i in range(replicas)]
+        bx, by = (np.array([needlet_coefficient(alm, PROFILE, t, p) for alm in alms])
+                  for p in (x, y))
+        engine_samples = []
+        jackknife = fields_module._jackknife_correlation
+
+        def recorded(sx, sy):
+            engine_samples.append((sx.copy(), sy.copy()))
+            return jackknife(sx, sy)
+
+        monkeypatch.setattr(fields_module, "_jackknife_correlation", recorded)
+        got = monte_carlo_correlation(PROFILE, SPECTRUM, t, x, y, replicas, seed=3)
+        assert [s.tobytes() for s in engine_samples[0]] == [bx.tobytes(), by.tobytes()]
+        assert hexes([got]) == hexes([jackknife(bx, by)])
+
+    def test_one_truncation_scan_and_no_second_weight_row(self, count_calls):
+        # the coefficient used to scan through choose_lmax and then weigh
+        # every stored degree again; a second scan would add weight rows too
+        alm = sample_alm(SPECTRUM, 55, seed=1)
+        scans = count_calls(fields_module, "_truncate")
+        assert extra_weight_rows(count_calls, [0.2], lambda: needlet_coefficient(
+            alm, PROFILE, 0.2, (1.1, 0.4))) == 0
+        assert [args[1:] for args in scans] == [(0.2, None)]
 
     def test_rotation_equivariance_about_pole(self):
         alm = sample_alm(SPECTRUM, choose_lmax(PROFILE, 0.3), seed=9)
@@ -407,10 +470,10 @@ class TestBatchedMonteCarlo:
 
     def test_one_truncation_scan_per_scale(self, count_calls):
         scans = count_calls(fields_module, "_truncate")
-        weights = count_calls(fields_module, "spectral_weights")
-        monte_carlo_correlations(PROFILE, SPECTRUM, GRID_QUERIES, 100, seed=0)
+        # the projections weigh with the weights of the scans
+        assert extra_weight_rows(count_calls, GRID_SCALES, lambda: monte_carlo_correlations(
+            PROFILE, SPECTRUM, GRID_QUERIES, 100, seed=0)) == 0
         assert sorted(args[1] for args in scans) == [0.1, 0.2]
-        assert weights == []  # the projections weigh with the weights of the scan
 
     def test_one_projection_per_coefficient(self, count_calls):
         # 6 queries on 2 scales share point_x: 8 distinct beta_{t,x}, not 12

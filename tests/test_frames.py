@@ -523,6 +523,39 @@ class TestGramProperties:
         assert est.a_hat <= est.b_hat
 
 
+class TestExactCubatureLimit:
+    """(A_hat, B_hat) against (min g_L, max g_L), g_L(l) = sum_j f_j(l)^2.
+
+    A grid that integrated every product of harmonics of degree <= L exactly
+    would make the frame operator diagonal with entries g_L(l), since the
+    grid weights are area-normalized.  For r = 1, a = 2, j = -6..0 and L = 16
+    the gaps below were measured to be positive and to shrink with every
+    doubling of the grid.  These are measured facts, not theorems: Rayleigh
+    quotients only give A_hat <= min diag(M^T M) and B_hat >= max diag(M^T M).
+    """
+
+    # measured gaps at oversample 8: 1.97e-4 below and 1.74e-4 above; each
+    # bound is 25 % over its measurement rounded to two digits
+    LOWER_GAP_AT_8 = 1.25 * 2.0e-4
+    UPPER_GAP_AT_8 = 1.25 * 1.7e-4
+
+    def test_gaps_positive_and_shrinking_to_the_bounds(self):
+        a, j_range, L = 2.0, (-6, 0), 16
+        weights = frames._scale_weights(PROFILE, a, range(j_range[0], j_range[1] + 1), L)
+        g = sum(f * f for f in weights.values())
+        assert len(weights) == 7
+        gaps = []
+        for oversample in (1.0, 2.0, 4.0, 8.0):
+            est = estimate_frame_bounds(PROFILE, a, j_range, L, oversample)
+            gaps.append((float(np.min(g)) - est.a_hat, est.b_hat - float(np.max(g))))
+        lower, upper = zip(*gaps)
+        for side in (lower, upper):
+            assert all(gap > 0 for gap in side), gaps
+            assert all(later < earlier for earlier, later in zip(side, side[1:])), gaps
+        assert lower[-1] < self.LOWER_GAP_AT_8, gaps
+        assert upper[-1] < self.UPPER_GAP_AT_8, gaps
+
+
 class TestOneThreadEigensolver:
     def test_bundled_openblas_thread_functions_found(self):
         threads = frames._openblas_threads()
