@@ -43,19 +43,6 @@ class CoeffSequence:
     def top(self) -> int:
         return self.offset + self.values.size - 1
 
-    def __getitem__(self, l: int) -> float:
-        if self.offset <= l <= self.top:
-            return float(self.values[l - self.offset])
-        return 0.0
-
-    def dense(self, top: int) -> np.ndarray:
-        """Values a_0 .. a_top as a contiguous array."""
-        out = np.zeros(top + 1)
-        hi = min(top, self.top)
-        if hi >= self.offset:
-            out[self.offset:hi + 1] = self.values[:hi - self.offset + 1]
-        return out
-
 
 def first_difference_weight(l):
     """S(l) = 1/(2l+1), the weight on the backward difference."""
@@ -73,25 +60,25 @@ def multiply_cos_minus_one(s: CoeffSequence) -> CoeffSequence:
     The result is stored densely from degree 0 and its support extends one
     degree above the input's.
     """
-    if s.values.size == 0:
-        raise ValueError("empty coefficient sequence")
-    top = s.top + 1
-    a = s.dense(top + 1)  # one slot of zero padding above the new top
-    ls = np.arange(top + 1, dtype=float)
-    prev = np.concatenate(([0.0], a[:top]))        # a_{l-1}, a_{-1} = 0
-    here = a[:top + 1]
-    nxt = a[1:top + 2]
-    out = (second_difference_weight(ls) * (prev - 2.0 * here + nxt)
-           + first_difference_weight(ls) * (nxt - here))
-    return CoeffSequence(0, out)
+    return multiply_cos_minus_one_power(s, 1)
 
 
 def multiply_cos_minus_one_power(s: CoeffSequence, n: int) -> CoeffSequence:
-    """n-fold application of `multiply_cos_minus_one`."""
+    """n-fold application of `multiply_cos_minus_one`.
+
+    All n steps work in one array that holds a_l at index l + 1, with zeros
+    at a_{-1} and above the top, so a_{l-1}, a_l and a_{l+1} are three views.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = s
-    for _ in range(n):
-        out = multiply_cos_minus_one(out)
-    return out
-
+    if s.values.size == 0:
+        raise ValueError("empty coefficient sequence")
+    last = s.top + n  # each step extends the support by one degree
+    a = np.zeros(last + 3)
+    a[s.offset + 1:s.top + 2] = s.values
+    ls = np.arange(last + 1, dtype=float)
+    r, q = second_difference_weight(ls), first_difference_weight(ls)
+    for top in range(s.top + 1, last + 1):
+        prev, here, nxt = a[:top + 1], a[1:top + 2], a[2:top + 3]
+        a[1:top + 2] = r[:top + 1] * (prev - 2.0 * here + nxt) + q[:top + 1] * (nxt - here)
+    return CoeffSequence(0, a[1:last + 2])

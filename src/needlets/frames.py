@@ -38,6 +38,9 @@ __all__ = [
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # points in one grid at most, and in one block of harmonics
 _POINT_CAP = 2_000_000
+# points over all grids of one j-range at most, by `_range_points`; at a >= sqrt(2)
+# every range whose finest grid is within `_POINT_CAP` stays within it
+_RANGE_POINT_CAP = 2 * _POINT_CAP
 _GRAM_BLOCK = 4096
 # bytes the Gram stage of one frame estimate may hold, by `_gram_bytes`; L = 64
 # needs about 0.6e9 and L = 128 about 7.2e9
@@ -163,8 +166,9 @@ def estimate_frame_bounds(profile: NeedletProfile, a: float, j_range, L: int,
     scales.  Degrees must have spectral coverage somewhere
     in j_range; the estimate is flagged ill-conditioned when the smallest
     squared singular value drops below 1e-12 of the largest.  A run whose
-    Gram stage would hold more than `_GRAM_BYTE_CAP` bytes is refused with
-    ValueError before any grid is built.
+    Gram stage would hold more than `_GRAM_BYTE_CAP` bytes, or whose grids
+    would hold more than `_RANGE_POINT_CAP` points in all, is refused with
+    ValueError before any scale's weights are computed.
     """
     a = check_dilation(a)
     j_min, j_max = int(j_range[0]), int(j_range[1])
@@ -215,18 +219,24 @@ def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: in
                 oversample: float) -> np.ndarray:
     """The Gram matrix M^T M of the analysis matrix on degrees 1..L.
 
-    The spectral weights of each scale are computed once, by `_scale_weights`,
-    for its coverage check and the Gram.  Then a Gram stage that `_gram_bytes`
-    puts above `_GRAM_BYTE_CAP` is refused (ValueError) before any grid is
-    built.  Each grid adds its blocks in the paired layout of `_paired_layout`
-    (the + by - block only above the diagonal); the matrix is completed and
-    put in the flat layout once, at the end.
+    The run is sized first, with no per-scale work: ValueError for a finest
+    grid above `_POINT_CAP`, a Gram stage that `_gram_bytes` puts above
+    `_GRAM_BYTE_CAP`, or grids that `_range_points` puts above
+    `_RANGE_POINT_CAP` in all.  Then the spectral weights of each scale are
+    computed once, by `_scale_weights`, for its coverage check and the Gram.
+    Each grid adds its blocks in the paired layout of `_paired_layout` (the
+    + by - block only above the diagonal); the matrix is completed and put in
+    the flat layout once, at the end.
     """
-    weights = _scale_weights(profile, a, range(j_min, j_max + 1), L)
     need = _gram_bytes(L, _grid_size(a, j_min, oversample))
     if need > _GRAM_BYTE_CAP:
         raise ValueError(f"the frame Gram at L={L} needs up to {need:.3g} bytes, "
                          f"above the cap {_GRAM_BYTE_CAP:.3g}")
+    points = _range_points(a, j_min, j_max, oversample)
+    if points > _RANGE_POINT_CAP:
+        raise ValueError(f"the grids of j_range {j_min}..{j_max} need {points:.6g} points "
+                         f"in all, above the cap {_RANGE_POINT_CAP}")
+    weights = _scale_weights(profile, a, range(j_min, j_max + 1), L)
     flat, n_plus = _paired_layout(L)
     ls = sph_harm_flat_repeat(np.arange(1, L + 1))[flat]
     ms = flat + 1 - ls * ls - ls
@@ -236,6 +246,16 @@ def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: in
     gram[n_plus:, :n_plus] = gram[:n_plus, n_plus:].T
     order = np.argsort(flat)
     return gram[np.ix_(order, order)]
+
+
+def _range_points(a: float, j_min: int, j_max: int, oversample: float) -> float:
+    """The points of the grids j_min..j_max before rounding up, a lower bound
+    on their count, in closed form: the finest grid's times
+    (1 - a^(-2n)) / (1 - a^(-2)) over n scales.  Neither factor overflows once
+    the finest grid is within `_POINT_CAP`."""
+    ln_q = 2.0 * math.log(a)
+    finest = float(oversample) * DEFAULTS["grid_area_constant"] * a ** (-2 * j_min)
+    return finest * math.expm1(-(j_max - j_min + 1) * ln_q) / math.expm1(-ln_q)
 
 
 def _gram_bytes(L: int, points: int) -> int:

@@ -37,6 +37,9 @@ __all__ = [
     "calderon_bounds",
 ]
 
+# dilation terms one `calderon_g` walk may sum; r = 1 reaches it near a = 1 + 9e-6
+_CALDERON_TERM_CAP = 1_000_000
+
 # name -> log f0; profiles must decay fast enough to kill any power of s
 _LOG_F0 = {
     "exponential": lambda s: -s,
@@ -254,9 +257,17 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
     The sum is invariant under lam -> a^2 lam, so each lam is first brought
     into the period [1, a^2), where it keeps its bits if it lies there
     already; j then runs outward from the spectral peak until terms fall
-    below the configured floor relative to the largest term seen.
+    below the configured floor relative to the largest term seen.  As f0 does
+    not increase, f(s)^2 stays above floor * f(s_peak)^2 for s down to
+    s_peak * floor^(1/(2r)), so the walk takes at least ln(1/floor) / (4 r ln a)
+    terms; past `_CALDERON_TERM_CAP` of them it raises ValueError unstarted.
     """
     a = check_dilation(a)
+    floor = DEFAULTS["calderon_term_floor"]
+    terms = -math.log(floor) / (4.0 * profile.r * math.log(a))
+    if terms > _CALDERON_TERM_CAP:
+        raise ValueError(f"the dilation sum at a={a!r} needs at least {terms:.3g} terms, "
+                         f"above the cap {_CALDERON_TERM_CAP}")
     lv = np.asarray(lam, dtype=float)
     scalar = lv.ndim == 0
     lv = np.atleast_1d(lv)
@@ -268,7 +279,6 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
     lv = np.where((lv >= 1.0) & (lv < period), lv,
                   lv / period ** np.ceil(k / 2) / period ** np.floor(k / 2))
 
-    floor = DEFAULTS["calderon_term_floor"]
     j_center = int(round(math.log(profile.r) / (2.0 * math.log(a))))
     total = np.zeros_like(lv)
     peak = 0.0

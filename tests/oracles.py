@@ -4,7 +4,9 @@ the library: nothing here comes from `needlets`.  `direct_series` is the
 kernel K_t(x) (power 1, no alpha) or the covariance Cov(t, x) (power 2) in
 double precision; `direct_correlation` is Cor(t, x) at 50 digits.
 `series_rows_reference` is a frozen copy of the library's series loop, one
-step per degree for every row, that its bits are compared against.
+step per degree for every row, and `cos_minus_one_reference` of its
+(cos theta - 1) transform, one step on a zero-padded copy of the window;
+the library's bits are compared against both.
 """
 
 import functools
@@ -106,3 +108,22 @@ def series_rows_reference(seqs: list, x: np.ndarray) -> np.ndarray:
         p, p_prev = p_prev, p
     out[order[:k]] = total[:k] + carry[:k]
     return out
+
+
+def cos_minus_one_reference(offset: int, values: np.ndarray) -> np.ndarray:
+    """Coefficients a_0 .. a_{top+1} of (cos theta - 1) times the zonal series
+    of the window a_offset .. a_top held in `values`:
+
+        out_l = R(l) (a_{l-1} - 2 a_l + a_{l+1}) + S(l) (a_{l+1} - a_l)
+
+    with R(l) = l/(2l+1), S(l) = 1/(2l+1) and a_{-1} = 0.
+    """
+    top = offset + values.size  # the window's top degree, plus one
+    a = np.zeros(top + 2)  # a_0 .. a_top and one slot of zero padding above it
+    a[offset:top] = values
+    ls = np.arange(top + 1, dtype=float)
+    prev = np.concatenate(([0.0], a[:top]))  # a_{l-1}, a_{-1} = 0
+    here = a[:top + 1]
+    nxt = a[1:top + 2]
+    return (ls / (2.0 * ls + 1.0) * (prev - 2.0 * here + nxt)
+            + 1.0 / (2.0 * ls + 1.0) * (nxt - here))

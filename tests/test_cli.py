@@ -712,6 +712,21 @@ class TestFrameCommand:
         assert out == ""
         assert "above the cap" in err
 
+    @pytest.mark.parametrize("a, j_range", [
+        ("1.0001", "-100000:0"),  # the finest grid: 1.9e9 points
+        ("1.0001", "-10000000:0"),
+        ("1.000000002", "-1000000000:0"),  # a finest grid of 219 points, 5.4e10 in all
+    ])
+    def test_oversized_range_is_refused_before_any_work(self, a, j_range):
+        # the weights of every scale were computed before the size checks:
+        # about 240 bytes and 17 us a scale before the same refusal
+        res = subprocess.run(CMD + ["frame", "--r", "1", "--a", a, "--L", "2",
+                                    f"--j-range={j_range}", "--oversample", "1"],
+                             capture_output=True, text=True, timeout=10)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "above the cap" in res.stderr
+
     def test_degree_cap_bounds_only_the_evaluated_degrees(self, monkeypatch, capsys):
         # the finest scale, 1/16, truncates its own series at degree 89, above
         # a cap of 64, but the Gram evaluates degrees 1..8; this used to exit 3

@@ -3,15 +3,34 @@
 import numpy as np
 import pytest
 
-from needlets import (
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from needlets import (  # noqa: E402
     CoeffSequence,
     multiply_cos_minus_one,
     multiply_cos_minus_one_power,
     zonal_series,
 )
-from needlets.differences import first_difference_weight, second_difference_weight
+from needlets.differences import (  # noqa: E402
+    first_difference_weight,
+    second_difference_weight,
+)
+from oracles import cos_minus_one_reference  # noqa: E402
 
 RNG = np.random.default_rng(20240812)
+
+# signed zeros, and magnitudes from 1e-30 to 1e30 of either sign
+COEFF = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, m, e: sign * m * 10.0 ** e,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0), st.integers(-30, 29)),
+)
+WINDOW = st.one_of(
+    st.lists(COEFF, min_size=1, max_size=200),
+    st.integers(1, 200).map(lambda n: [0.0] * n),
+).map(np.array)
 
 
 def series_value(seq: CoeffSequence, x: float) -> float:
@@ -31,7 +50,7 @@ class TestMultiplyCosMinusOne:
         out = multiply_cos_minus_one(CoeffSequence(0, values))
         # both differences vanish on the constant stretch away from the edges
         assert np.max(np.abs(out.values[2:9])) == 0.0
-        assert out[0] != 0.0 or out[1] != 0.0
+        assert out.values[0] != 0.0 or out.values[1] != 0.0
 
     def test_identity_sequence_gives_first_difference_weight(self):
         seq = CoeffSequence(0, np.arange(12, dtype=float))
@@ -76,6 +95,51 @@ class TestMultiplyCosMinusOne:
         out = multiply_cos_minus_one_power(seq, 2)
         slope = loglog_slope(out.values, out.offset, 100, 1000)
         assert slope == pytest.approx(-5.0, abs=0.2)
+
+
+class TestFrozenReference:
+    """The transform against `oracles.cos_minus_one_reference`, one step on
+    a zero-padded copy of the window, applied n times."""
+
+    @staticmethod
+    def reference_power(offset, values, n):
+        out = cos_minus_one_reference(offset, values)
+        for _ in range(n - 1):
+            out = cos_minus_one_reference(0, out)
+        return out
+
+    def assert_bits_of_reference(self, seq, n):
+        out = multiply_cos_minus_one_power(seq, n)
+        assert out.offset == 0
+        ref = self.reference_power(seq.offset, seq.values, n)
+        np.testing.assert_array_equal(out.values.view(np.int64), ref.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(WINDOW, st.integers(0, 6), st.integers(1, 6))
+    def test_bits_of_the_reference_step(self, values, offset, n):
+        self.assert_bits_of_reference(CoeffSequence(offset, values), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("offset", [0, 3])
+    def test_one_element_window(self, offset, n):
+        self.assert_bits_of_reference(CoeffSequence(offset, [-2.5e-7]), n)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_all_zero_window(self, n):
+        seq = CoeffSequence(2, np.zeros(7))
+        self.assert_bits_of_reference(seq, n)
+        assert multiply_cos_minus_one_power(seq, n).values.size == 2 + 7 + n
+
+    @pytest.mark.parametrize("transform", [multiply_cos_minus_one,
+                                           lambda s: multiply_cos_minus_one_power(s, 3)])
+    def test_empty_window_is_refused(self, transform):
+        with pytest.raises(ValueError, match=r"^empty coefficient sequence$"):
+            transform(CoeffSequence(4, []))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_power_below_one_is_refused(self, n):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            multiply_cos_minus_one_power(CoeffSequence(0, [1.0]), n)
 
 
 class TestRecursionWeights:

@@ -238,17 +238,18 @@ class TestFrameBounds:
             estimate_frame_bounds(PROFILE, 2.0, (0, 0), 16)
 
     def test_coverage_is_checked_before_any_grid(self, count_calls):
-        # the finest scale alone resolves degree 256 but leaves degree 1 at
-        # f^2 below 1e-8 of the largest
+        # at r = 4 the scale 1/4 alone resolves degree 8 but leaves degree 1 at
+        # f^2 below 1e-8 of the largest; the run is within every size cap
         grids = count_calls(frames, "build_grid")
         with pytest.raises(ValueError, match="degree 1 has no spectral coverage in "
-                                             "j_range -8..-8"):
-            estimate_frame_bounds(PROFILE, 2.0, (-8, -8), 256)
+                                             "j_range -2..-2"):
+            estimate_frame_bounds(NeedletProfile(4), 2.0, (-2, -2), 8)
         assert grids == []
 
     def test_every_band_the_finest_scale_cannot_resolve_is_uncovered(self, count_calls):
         # frame used to refuse L above choose_lmax at the finest scale as a
-        # second rule; the coverage check refuses each such L before any grid.
+        # second rule; the coverage check refuses each such L, and every run
+        # with one is refused before any grid, by it or by a size cap first.
         # L runs to the degree cap; the three cases whose finest scale needs
         # more than the cap are left out, as that scan refused them with
         # DegreeCapExceeded.
@@ -264,6 +265,9 @@ class TestFrameBounds:
             for j_max, L in itertools.product({j_min, 0},
                                               {resolvable + 1, min(2 * resolvable, 4096)}):
                 with pytest.raises(ValueError, match="has no spectral coverage in j_range"):
+                    frames._scale_weights(profile, a, range(j_min, j_max + 1), L)
+                with pytest.raises(ValueError, match="has no spectral coverage in j_range"
+                                                     "|above the cap"):
                     estimate_frame_bounds(profile, a, (j_min, j_max), L)
                 cases += 1
         assert cases == 612

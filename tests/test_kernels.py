@@ -2,6 +2,8 @@
 
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -531,6 +533,27 @@ class TestCalderon:
     def test_dilation_must_exceed_one(self):
         with pytest.raises(ValueError):
             calderon_bounds(NeedletProfile(1), 1.0)
+
+    def test_walk_longer_than_the_cap_is_refused_unstarted(self):
+        # at a = 1 + 2e-9 the walk over j would sum about 5e9 terms, for hours
+        code = ("import sys\n"
+                "from needlets import NeedletProfile, calderon_bounds\n"
+                "try:\n"
+                "    calderon_bounds(NeedletProfile(1), 1 + 2e-9)\n"
+                "except ValueError as exc:\n"
+                "    sys.exit(str(exc))\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=10)
+        assert res.returncode == 1
+        assert res.stderr == ("the dilation sum at a=1.000000002 needs at least 4.61e+09 "
+                              "terms, above the cap 1000000\n")
+
+    @pytest.mark.parametrize("r, terms", [(1, "4.61e+06"), (4, "1.15e+06")])
+    def test_walk_is_sized_from_r_and_a(self, r, terms):
+        # ln(1/floor) / (4 r ln a), a lower bound on the terms the walk would take
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"the dilation sum at a=1.000002 needs at least {terms} terms")):
+            calderon_g(NeedletProfile(r), 1 + 2e-6, 1.0)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, 1.0, 0.5])
     def test_dilation_must_be_finite_and_exceed_one(self, a):
