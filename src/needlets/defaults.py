@@ -32,7 +32,8 @@ DEFAULTS = {
     "series_bound_theta_split": 0.1,
     # lambda samples per multiplicative period in Calderon sums
     "calderon_grid_points": 512,
-    # dilation terms below this fraction of the peak are dropped
+    # Calderon sums keep the dilation terms f(s)^2 >= this fraction of max f^2;
+    # the range of j they span is fixed before the sum starts
     "calderon_term_floor": 1e-16,
     # base points-per-area constant for sphere grids (n_j = ceil(oversample * C0 * a^(-2j)))
     "grid_area_constant": 4.0,

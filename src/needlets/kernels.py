@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .defaults import DEFAULTS, degree_cap
 from .differences import CoeffSequence
@@ -37,14 +38,11 @@ __all__ = [
     "calderon_bounds",
 ]
 
-# dilation terms one `calderon_g` walk may sum; r = 1 reaches it near a = 1 + 9e-6
+# dilation terms one `calderon_g` sum may take; r = 1 reaches it near a = 1 + 1.13e-5
 _CALDERON_TERM_CAP = 1_000_000
 
-# name -> log f0; profiles must decay fast enough to kill any power of s
-_LOG_F0 = {
-    "exponential": lambda s: -s,
-    "gaussian": lambda s: -s * s,
-}
+# name -> p in f0(s) = exp(-s^p); any p > 0 decays fast enough to kill any power of s
+_F0_POWER = {"exponential": 1, "gaussian": 2}
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,8 @@ class NeedletProfile:
         if int(self.r) != self.r or self.r < 1:
             raise ValueError("profile exponent r must be a positive integer")
         object.__setattr__(self, "r", int(self.r))
-        if self.f0 not in _LOG_F0:
-            raise ValueError(f"unknown f0 family {self.f0!r}; choose from {sorted(_LOG_F0)}")
+        if self.f0 not in _F0_POWER:
+            raise ValueError(f"unknown f0 family {self.f0!r}; choose from {sorted(_F0_POWER)}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ def spread(values, cap: float) -> tuple[float, float, float, bool]:
 
 
 def profile_eval(profile: NeedletProfile, s):
-    """f(s) = s^r f0(s), computed as exp(r log s + log f0(s)) to dodge overflow;
+    """f(s) = s^r exp(-s^p), computed as exp(r log s - s^p) to dodge overflow;
     a value past the double range (e^(-s) s^r is, at s = r, from r = 172) reads inf."""
     sv = np.asarray(s, dtype=float)
     scalar = sv.ndim == 0
@@ -103,10 +101,9 @@ def profile_eval(profile: NeedletProfile, s):
     out = np.zeros_like(sv)
     pos = sv > 0
     sp = sv[pos]
-    # log f0 may overflow to -inf (the gaussian's s * s past 1.3e154): f is 0 there
+    # s^p may overflow to inf (the gaussian's past s = 1.3e154): f is 0 there
     with np.errstate(over="ignore"):
-        logf = profile.r * np.log(sp) + _LOG_F0[profile.f0](sp)
-        out[pos] = np.exp(logf)
+        out[pos] = np.exp(profile.r * np.log(sp) - sp ** _F0_POWER[profile.f0])
     return float(out[0]) if scalar else out
 
 
@@ -256,17 +253,27 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
 
     The sum is invariant under lam -> a^2 lam, so each lam is first brought
     into the period [1, a^2), where it keeps its bits if it lies there
-    already; j then runs outward from the spectral peak until terms fall
-    below the configured floor relative to the largest term seen.  As f0 does
-    not increase, f(s)^2 stays above floor * f(s_peak)^2 for s down to
-    s_peak * floor^(1/(2r)), so the walk takes at least ln(1/floor) / (4 r ln a)
-    terms; past `_CALDERON_TERM_CAP` of them it raises ValueError unstarted.
+    already.  The terms kept are those with f(s)^2 >= floor * max f^2 (floor
+    is `calderon_term_floor`): with q = r/p and v = s^p/q that reads
+    ln v - v + 1 >= ln(floor) / (2q), whose two ends are branches 0 and -1 of
+    the Lambert W function.  j runs over every j for which a^(2j) lam lies in
+    [s_lo, s_hi] for some lam in the period, and one more scale on each side:
+    where that window is narrower than a step a^2, a lam can have no term in
+    it, and its two terms nearest the peak are still summed.  The range is
+    fixed before the sum starts; past `_CALDERON_TERM_CAP` terms it raises
+    ValueError unstarted.
     """
     a = check_dilation(a)
-    floor = DEFAULTS["calderon_term_floor"]
-    terms = -math.log(floor) / (4.0 * profile.r * math.log(a))
+    p = _F0_POWER[profile.f0]
+    q = profile.r / p
+    w = -math.exp(-1.0 + math.log(DEFAULTS["calderon_term_floor"]) / (2.0 * q))
+    log_a2 = 2.0 * math.log(a)
+    s_lo, s_hi = ((-q * lambertw(w, k).real) ** (1.0 / p) for k in (0, -1))
+    j_lo = math.ceil(math.log(s_lo) / log_a2) - 2
+    j_hi = math.floor(math.log(s_hi) / log_a2) + 1
+    terms = j_hi - j_lo + 1
     if terms > _CALDERON_TERM_CAP:
-        raise ValueError(f"the dilation sum at a={a!r} needs at least {terms:.3g} terms, "
+        raise ValueError(f"the dilation sum at a={a!r} needs {terms:.3g} terms, "
                          f"above the cap {_CALDERON_TERM_CAP}")
     lv = np.asarray(lam, dtype=float)
     scalar = lv.ndim == 0
@@ -278,23 +285,11 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
     k = np.floor(np.log(lv) / math.log(period))
     lv = np.where((lv >= 1.0) & (lv < period), lv,
                   lv / period ** np.ceil(k / 2) / period ** np.floor(k / 2))
-
-    j_center = int(round(math.log(profile.r) / (2.0 * math.log(a))))
     total = np.zeros_like(lv)
-    peak = 0.0
-    for direction in (1, -1):
-        j = j_center if direction == 1 else j_center - 1
-        while True:
-            f = profile_eval(profile, (a ** (2 * j)) * lv)
-            term = f * f
-            tmax = float(np.max(term))
-            peak = max(peak, tmax)
-            if tmax < floor * max(peak, 1e-300):
-                break
-            total += term
-            j += direction
-    out = total
-    return float(out[0]) if scalar else out
+    for j in range(j_lo, j_hi + 1):
+        f = profile_eval(profile, (a ** (2 * j)) * lv)
+        total += f * f
+    return float(total[0]) if scalar else total
 
 
 def calderon_bounds(profile: NeedletProfile, a: float) -> tuple[float, float]:

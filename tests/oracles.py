@@ -4,9 +4,11 @@ the library: nothing here comes from `needlets`.  `direct_series` is the
 kernel K_t(x) (power 1, no alpha) or the covariance Cov(t, x) (power 2) in
 double precision; `direct_correlation` is Cor(t, x) at 50 digits.
 `series_rows_reference` is a frozen copy of the library's series loop, one
-step per degree for every row, and `cos_minus_one_reference` of its
-(cos theta - 1) transform, one step on a zero-padded copy of the window;
-the library's bits are compared against both.
+step per degree for every row, `cos_minus_one_reference` of its
+(cos theta - 1) transform, one step on a zero-padded copy of the window, and
+`profile_reference` of its profile f(s) = s^r f0(s) with one log f0 per
+family; the library's bits are compared against all three.
+`dilation_sum` is the Calderon sum g(lam) at 40 digits.
 """
 
 import functools
@@ -15,6 +17,26 @@ import math
 import numpy as np
 import pytest
 from scipy.special import eval_legendre
+
+
+# name -> log f0, as the library once held them
+_LOG_F0 = {
+    "exponential": lambda s: -s,
+    "gaussian": lambda s: -s * s,
+}
+
+
+def profile_reference(r: int, f0: str, s: np.ndarray) -> np.ndarray:
+    """f(s) = exp(r log s + log f0(s)) for a 1-d array of finite s >= 0, and
+    0 at s = 0; log f0 overflowing to -inf gives 0, r log s + log f0 past the
+    double range gives inf."""
+    out = np.zeros_like(s)
+    pos = s > 0
+    sp = s[pos]
+    with np.errstate(over="ignore"):
+        logf = r * np.log(sp) + _LOG_F0[f0](sp)
+        out[pos] = np.exp(logf)
+    return out
 
 
 def direct_series(r, t, x, power, lmax, alpha=None):
@@ -127,3 +149,31 @@ def cos_minus_one_reference(offset: int, values: np.ndarray) -> np.ndarray:
     nxt = a[1:top + 2]
     return (ls / (2.0 * ls + 1.0) * (prev - 2.0 * here + nxt)
             + 1.0 / (2.0 * ls + 1.0) * (nxt - here))
+
+
+def dilation_sum(r: int, p: int, a: float, lam: float):
+    """sum over integer j of f(a^(2j) lam)^2 for f(s) = s^r exp(-s^p), as a
+    40-digit mpmath number.  f rises to its peak at s* = (r/p)^(1/p) and
+    falls past it, so j walks up from the scale nearest s* and down from the
+    one below it, each way until a term below 1e-50 of f(s*)^2 lies on the
+    far side of s*: every later term is smaller."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        am, lm, rm = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(r)
+        s_peak = (rm / p) ** (mpmath.mpf(1) / p)
+
+        def term(s):
+            return s ** (2 * r) * mpmath.exp(-2 * s ** p)
+
+        floor = mpmath.mpf(10) ** -50 * term(s_peak)
+        j_peak = int(mpmath.nint(mpmath.log(s_peak / lm) / (2 * mpmath.log(am))))
+        total = mpmath.mpf(0)
+        for j, step in ((j_peak, 1), (j_peak - 1, -1)):
+            while True:
+                s = am ** (2 * j) * lm
+                t = term(s)
+                total += t
+                if t < floor and (s - s_peak) * step > 0:
+                    break
+                j += step
+        return total

@@ -532,22 +532,18 @@ class TestExactCubatureLimit:
 
     A grid that integrated every product of harmonics of degree <= L exactly
     would make the frame operator diagonal with entries g_L(l), since the
-    grid weights are area-normalized.  For r = 1, a = 2, j = -6..0 and L = 16
-    the gaps below were measured to be positive and to shrink with every
-    doubling of the grid.  These are measured facts, not theorems: Rayleigh
-    quotients only give A_hat <= min diag(M^T M) and B_hat >= max diag(M^T M).
+    grid weights are area-normalized.  For r = 1 and each configuration below
+    the gaps were measured to be positive and to shrink with every doubling
+    of the grid.  These are measured facts, not theorems: Rayleigh quotients
+    only give A_hat <= min diag(M^T M) and B_hat >= max diag(M^T M).
     """
 
-    # measured gaps at oversample 8: 1.97e-4 below and 1.74e-4 above; each
-    # bound is 25 % over its measurement rounded to two digits
-    LOWER_GAP_AT_8 = 1.25 * 2.0e-4
-    UPPER_GAP_AT_8 = 1.25 * 1.7e-4
-
-    def test_gaps_positive_and_shrinking_to_the_bounds(self):
-        a, j_range, L = 2.0, (-6, 0), 16
+    def gaps_at_8(self, a, j_range, L, scales):
+        """The two gaps at oversample 8, once both are positive and shrinking
+        along oversample 1, 2, 4, 8."""
         weights = frames._scale_weights(PROFILE, a, range(j_range[0], j_range[1] + 1), L)
         g = sum(f * f for f in weights.values())
-        assert len(weights) == 7
+        assert len(weights) == scales
         gaps = []
         for oversample in (1.0, 2.0, 4.0, 8.0):
             est = estimate_frame_bounds(PROFILE, a, j_range, L, oversample)
@@ -556,8 +552,23 @@ class TestExactCubatureLimit:
         for side in (lower, upper):
             assert all(gap > 0 for gap in side), gaps
             assert all(later < earlier for earlier, later in zip(side, side[1:])), gaps
-        assert lower[-1] < self.LOWER_GAP_AT_8, gaps
-        assert upper[-1] < self.UPPER_GAP_AT_8, gaps
+        return lower[-1], upper[-1]
+
+    # Each bound at oversample 8 is 25 % over its measurement rounded to two
+    # digits.  Measured gaps below and above: 1.97e-4 and 1.74e-4 (a = 2,
+    # j = -6..0, L = 16), 8.32e-5 and 1.12e-4 (a = 3, j = -4..0, L = 16),
+    # 1.01e-4 and 1.80e-4 (a = 2, j = -6..0, L = 24).
+    def test_gaps_positive_and_shrinking_to_the_bounds(self):
+        lower, upper = self.gaps_at_8(2.0, (-6, 0), 16, 7)
+        assert lower < 1.25 * 2.0e-4 and upper < 1.25 * 1.7e-4, (lower, upper)
+
+    def test_dilation_3(self):
+        lower, upper = self.gaps_at_8(3.0, (-4, 0), 16, 5)
+        assert lower < 1.25 * 8.3e-5 and upper < 1.25 * 1.1e-4, (lower, upper)
+
+    def test_band_limit_24(self):
+        lower, upper = self.gaps_at_8(2.0, (-6, 0), 24, 7)
+        assert lower < 1.25 * 1.0e-4 and upper < 1.25 * 1.8e-4, (lower, upper)
 
 
 class TestOneThreadEigensolver:

@@ -33,7 +33,7 @@ from needlets.kernels import check_scale_grid, spread
 from needlets.correlation import covariance_coefficients, covariance_sequence
 from needlets.spectra import spectrum_eval
 from needlets.defaults import DEFAULTS, DEGREE_CAP_ENV, degree_cap
-from oracles import direct_series
+from oracles import dilation_sum, direct_series, profile_reference
 
 RNG = np.random.default_rng(20240814)
 
@@ -72,6 +72,26 @@ class TestProfile:
     def test_non_finite_argument(self, s):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             profile_eval(NeedletProfile(1), s)
+
+    # 0, subnormals, 1e-300..1e300 (the gaussian's s^2 overflows past 1.3e154),
+    # and arguments near the peak, where r log s - s^p overflows exp at large r
+    _ARGUMENTS = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.3e154,
+                         1.35e154, 1e300, 1.7976931348623157e308]),
+        st.floats(0.0, 2.3e-308),
+        st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-300, 299)),
+        st.floats(0.0, 1000.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.integers(1, 400), f0=st.sampled_from(["exponential", "gaussian"]),
+           s=st.lists(_ARGUMENTS, min_size=1, max_size=40))
+    def test_bits_are_the_log_f0_formula(self, r, f0, s):
+        # f0(s) = exp(-s^p) with one exponent per family gives the bits of
+        # r log s + log f0(s) with log f0 = -s and -s * s
+        s = np.array(s)
+        want = profile_reference(r, f0, s)
+        got = profile_eval(NeedletProfile(r, f0), s)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # The expressions each call site wrote out before `spectral_weights` and
@@ -509,11 +529,28 @@ class TestCalderon:
                                    calderon_g(p, a, 1.7), rtol=1e-12)
 
     def test_scalar_is_its_entry_in_an_array(self):
-        # the walk's stopping peak was shared across the array
-        p = NeedletProfile(1)
-        lams = np.array([1.0, 1.5e3, 1e-200])
-        np.testing.assert_allclose([calderon_g(p, 2.0, lam) for lam in lams],
-                                   calderon_g(p, 2.0, lams), rtol=1e-12)
+        # the walk's stopping peak was shared across the array: at r = 4 it
+        # changed 12 of the 512 period-grid entries in their last bits
+        grid = np.geomspace(1.0, 4.0, DEFAULTS["calderon_grid_points"], endpoint=False)
+        for r, lams in ((1, np.array([1.0, 1.5e3, 1e-200])), (4, grid)):
+            p = NeedletProfile(r)
+            one_by_one = np.array([calderon_g(p, 2.0, lam) for lam in lams])
+            assert np.array_equal(one_by_one.view(np.int64),
+                                  calderon_g(p, 2.0, lams).view(np.int64)), r
+
+    # the worst error measured over the grid below is 1.09e-14 (r = 20,
+    # a = 3, lam = 1): the terms' exp(2 (r log s - s^p)) amplifies the
+    # rounding of an exponent near 60; the bound is 1.8 times that
+    ORACLE_RTOL = 2e-14
+
+    @pytest.mark.parametrize("r", [1, 4, 20])
+    @pytest.mark.parametrize("f0, p", [("exponential", 1), ("gaussian", 2)])
+    @pytest.mark.parametrize("a", [1.2, 2.0, 3.0])
+    def test_matches_a_40_digit_sum(self, r, f0, p, a):
+        for lam in (1.0, 1.37, 0.999 * a * a):
+            want = dilation_sum(r, p, a, lam)
+            got = calderon_g(NeedletProfile(r, f0), a, lam)
+            assert abs(got - want) <= self.ORACLE_RTOL * want, (lam, got, float(want))
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
     def test_lambda_must_be_finite_and_positive(self, lam):
@@ -534,8 +571,26 @@ class TestCalderon:
         with pytest.raises(ValueError):
             calderon_bounds(NeedletProfile(1), 1.0)
 
+    # the worst error measured below is 9.23e-14 (exponential, r = 96,
+    # lam = 1): the exponents r log s - s^p reach the hundreds here; the
+    # bound is 1.6 times that
+    LARGE_R_RTOL = 1.5e-13
+
+    @pytest.mark.parametrize("r, f0, p, a", [(128, "gaussian", 2, 2.0),
+                                             (96, "exponential", 1, 4.0)])
+    def test_matches_a_40_digit_sum_at_large_r(self, r, f0, p, a):
+        # here the window [s_lo, s_hi] is narrower than a step a^2, so a lam
+        # can have no term inside it; its neighbours outside must still count.
+        # The exponential r stays below 128, where max f^2 leaves the double
+        # range.  A walk from the exponential family's peak s = r found only
+        # zeros of the gaussian f at r = 128
+        for lam in (1.0, 1.37, 0.999 * a * a):
+            want = dilation_sum(r, p, a, lam)
+            got = calderon_g(NeedletProfile(r, f0), a, lam)
+            assert abs(got - want) <= self.LARGE_R_RTOL * want, (lam, got, float(want))
+
     def test_walk_longer_than_the_cap_is_refused_unstarted(self):
-        # at a = 1 + 2e-9 the walk over j would sum about 5e9 terms, for hours
+        # at a = 1 + 2e-9 the sum over j would take 5.63e9 terms, for hours
         code = ("import sys\n"
                 "from needlets import NeedletProfile, calderon_bounds\n"
                 "try:\n"
@@ -545,14 +600,25 @@ class TestCalderon:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, timeout=10)
         assert res.returncode == 1
-        assert res.stderr == ("the dilation sum at a=1.000000002 needs at least 4.61e+09 "
+        assert res.stderr == ("the dilation sum at a=1.000000002 needs 5.63e+09 "
                               "terms, above the cap 1000000\n")
 
-    @pytest.mark.parametrize("r, terms", [(1, "4.61e+06"), (4, "1.15e+06")])
+    def test_large_r_is_counted_exactly(self):
+        # a lower bound on the count, ln(1/floor) / (4 r ln a), read 9.2e5 here
+        # and admitted a sum of about 2.9e6 terms, about a minute of work
+        code = ("from needlets import NeedletProfile, calderon_bounds\n"
+                "calderon_bounds(NeedletProfile(20), 1 + 5e-7)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=10)
+        assert res.returncode == 1
+        assert res.stderr.endswith("ValueError: the dilation sum at a=1.0000005 needs "
+                                   "2.86e+06 terms, above the cap 1000000\n")
+
+    @pytest.mark.parametrize("r, terms", [(1, "5.63e+06"), (4, "1.91e+06")])
     def test_walk_is_sized_from_r_and_a(self, r, terms):
-        # ln(1/floor) / (4 r ln a), a lower bound on the terms the walk would take
+        # the scales j that bring a^(2j) lam, lam in [1, a^2), into [s_lo, s_hi]
         with pytest.raises(ValueError, match="^" + re.escape(
-                f"the dilation sum at a=1.000002 needs at least {terms} terms")):
+                f"the dilation sum at a=1.000002 needs {terms} terms")):
             calderon_g(NeedletProfile(r), 1 + 2e-6, 1.0)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, 1.0, 0.5])
