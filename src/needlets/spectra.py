@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,35 +279,73 @@ def verify_derivative_decay(ps: PowerSpectrum, k_max: int, window) -> Derivative
                                  passed=all(order_ok))
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a double: an int or a float, not a
+    bool, and not an integer literal past the double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
 def load_spectrum_json(path) -> PowerSpectrum:
     """Read a spectrum definition file.
 
     Schema: {"family": "power"|"rational_log", "alpha": number, and for the
     rational-log family "beta": number, "P": [coeffs], "Q": [coeffs],
-    "F": name}.  Structural consistency of rational-log parameters is not
-    enforced here; run `verify_envelope` (the `verify` CLI command does) to
-    flag a declared alpha that contradicts the actual decay.
+    "F": name}.  A file that breaks the schema (a top level that is not an
+    object, a missing key, a field of the wrong type) is refused with a
+    ValueError naming the file and the field.  Structural consistency of
+    rational-log parameters is not enforced here; run `verify_envelope` (the
+    `verify` CLI command does) to flag a declared alpha that contradicts the
+    actual decay.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the top level must be an object, got {json.dumps(cfg)}")
+    cfg = {"F": "one", **cfg}
+
+    def field(key, check, kind):
+        if key not in cfg:
+            raise ValueError(f"{path}: missing key {key!r}")
+        if not check(cfg[key]):
+            raise ValueError(f"{path}: {key} must be {kind}, got {json.dumps(cfg[key])}")
+        return cfg[key]
+
     family = cfg.get("family")
     if family == "power":
-        return power_spectrum(cfg["alpha"])
+        return power_spectrum(field("alpha", _is_number, "a number"))
     if family == "rational_log":
-        return rational_log_spectrum(cfg["alpha"], cfg["beta"], cfg["P"], cfg["Q"],
-                                     f_name=cfg.get("F", "one"), validate=False)
+        return rational_log_spectrum(
+            field("alpha", _is_number, "a number"), field("beta", _is_number, "a number"),
+            field("P", _is_number_list, "a list of numbers"),
+            field("Q", _is_number_list, "a list of numbers"),
+            f_name=field("F", lambda v: isinstance(v, str), "a string"), validate=False)
     raise ValueError(f"unknown spectrum family {family!r} in {path}")
 
 
 def load_spectrum_csv(path, alpha) -> PowerSpectrum:
-    """Read a tabulated spectrum from two-column CSV rows (l, c_l)."""
+    """Read a tabulated spectrum from two-column CSV rows (l, c_l); a row with
+    fewer than two fields, or one the csv reader refuses, is refused with a
+    ValueError naming its line."""
     ls, cs = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if row[0].strip().lower() in ("l", "degree"):
-                continue
-            ls.append(int(row[0]))
-            cs.append(float(row[1]))
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if not row or row[0].strip().startswith("#"):
+                    continue
+                if row[0].strip().lower() in ("l", "degree"):
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"{path} line {reader.line_num}: "
+                                     f"a row needs two fields, l and c_l; got {row!r}")
+                ls.append(int(row[0]))
+                cs.append(float(row[1]))
+        except csv.Error as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return tabulated_spectrum(ls, cs, alpha)

@@ -8,7 +8,10 @@ step per degree for every row, `cos_minus_one_reference` of its
 (cos theta - 1) transform, one step on a zero-padded copy of the window, and
 `profile_reference` of its profile f(s) = s^r f0(s) with one log f0 per
 family; the library's bits are compared against all three.
-`dilation_sum` is the Calderon sum g(lam) at 40 digits.
+`dilation_sum` is the Calderon sum g(lam) at 40 digits; `profile_oracle`
+is f(s) = s^r exp(-s^p) and `rational_log_oracle` the spectrum
+u(l) = F(log l) P(l) / (l^beta Q(l)), both at 60 digits, compared through
+`worst_relative_error`.
 """
 
 import functools
@@ -177,3 +180,31 @@ def dilation_sum(r: int, p: int, a: float, lam: float):
                     break
                 j += step
         return total
+
+
+def profile_oracle(r: int, p: int, s: float):
+    """f(s) = s^r exp(-s^p) for a double s as a 60-digit mpmath number; p = 1
+    is the exponential family, p = 2 the gaussian."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        sm = mpmath.mpf(s)
+        return sm ** r * mpmath.exp(-sm ** p)
+
+
+def rational_log_oracle(beta: float, p_coeffs, q_coeffs, f_name: str, l: int):
+    """u(l) = F(log l) P(l) / (l^beta Q(l)) as a 60-digit mpmath number, with P
+    and Q in ascending powers and F = 1 ("one") or 2 + sin ("two_plus_sin")."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        lm = mpmath.mpf(l)
+        f = {"one": 1, "two_plus_sin": 2 + mpmath.sin(mpmath.log(lm))}[f_name]
+        p = sum(mpmath.mpf(c) * lm ** k for k, c in enumerate(p_coeffs))
+        q = sum(mpmath.mpf(c) * lm ** k for k, c in enumerate(q_coeffs))
+        return f * p / (lm ** mpmath.mpf(beta) * q)
+
+
+def worst_relative_error(got, refs) -> float:
+    """max |g - ref| / |ref| over doubles g and mpmath references, taken exactly
+    and rounded once."""
+    mpmath = pytest.importorskip("mpmath")
+    return max(abs(float((mpmath.mpf(g) - ref) / ref)) for g, ref in zip(got, refs))

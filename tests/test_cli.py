@@ -475,6 +475,43 @@ class TestInfiniteSpectrum:
         assert err.startswith("error: spectrum gives infinite variance c_2; ")
 
 
+class TestMalformedSpectrumFile:
+    # each of these exited 1 with a traceback (IndexError, csv.Error,
+    # AttributeError, TypeError or OverflowError), except "P": "12", read as
+    # P = [1, 2] with exit 0, and the missing key, refused as "error: 'alpha'"
+    FILES = [
+        ("short-row.csv", "l,c_l\n1,1.0\n2\n",
+         " line 3: a row needs two fields, l and c_l; got ['2']"),
+        ("long-field.csv", "l,c_l\n1," + "0" * 200_000 + "\n",
+         " line 2: field larger than field limit (131072)"),
+        ("array.json", "[1, 2]", ": the top level must be an object, got [1, 2]"),
+        ("string.json", '"power"', ': the top level must be an object, got "power"'),
+        ("p-number.json", '{"family": "rational_log", "alpha": 3, "beta": 3, "P": 5, "Q": [1]}',
+         ": P must be a list of numbers, got 5"),
+        ("p-string.json", '{"family": "rational_log", "alpha": 3, "beta": 2, "P": "12", "Q": [1]}',
+         ': P must be a list of numbers, got "12"'),
+        ("alpha-null.json", '{"family": "power", "alpha": null}',
+         ": alpha must be a number, got null"),
+        ("alpha-huge.json", f'{{"family": "power", "alpha": {10 ** 400}}}',
+         f": alpha must be a number, got {10 ** 400}"),
+        ("beta-null.json", '{"family": "rational_log", "alpha": 3, "beta": null, "P": [1],'
+         ' "Q": [1]}', ": beta must be a number, got null"),
+        ("f-list.json", '{"family": "rational_log", "alpha": 3, "beta": 3, "P": [1], "Q": [1],'
+         ' "F": ["x"]}', ': F must be a string, got ["x"]'),
+        ("alpha-missing.json", '{"family": "power"}', ": missing key 'alpha'"),
+    ]
+
+    @pytest.mark.parametrize("name, text, message", FILES, ids=[name for name, _, _ in FILES])
+    def test_is_config_error_naming_the_file(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        alpha = ["--alpha", "3"] if name.endswith(".csv") else []
+        code = cli.main(["correlation", "--r", "1", "--t", "0.1", "--d", "1",
+                         "--spectrum", str(path), *alpha])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {path}{message}\n")
+
+
 class TestDoubleRange:
     """A large r, or c_l = 1e308, takes a series, a bound or a sample moment
     past the double range.  Each command then prints finite values, or exits

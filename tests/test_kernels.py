@@ -33,7 +33,8 @@ from needlets.kernels import check_scale_grid, spread
 from needlets.correlation import covariance_coefficients, covariance_sequence
 from needlets.spectra import spectrum_eval
 from needlets.defaults import DEFAULTS, DEGREE_CAP_ENV, degree_cap
-from oracles import dilation_sum, direct_series, profile_reference
+from oracles import (dilation_sum, direct_series, profile_oracle, profile_reference,
+                     worst_relative_error)
 
 RNG = np.random.default_rng(20240814)
 
@@ -92,6 +93,19 @@ class TestProfile:
         want = profile_reference(r, f0, s)
         got = profile_eval(NeedletProfile(r, f0), s)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("r", [1, 3, 20])
+    @pytest.mark.parametrize("f0, p, s_max", [("exponential", 1, 60.0), ("gaussian", 2, 8.0)],
+                             ids=["exponential", "gaussian"])
+    def test_matches_a_60_digit_oracle(self, f0, p, s_max, r):
+        # exp(r log s - s^p) carries the rounding of its argument, about an ulp
+        # of |r log s - s^p|; the bound is two ulps of the grid's largest
+        # argument, 6.14e-14 at r = 20, 1.77 times the worst measured there
+        # (gaussian: 3.47e-14)
+        s = np.geomspace(1e-3, s_max, 2001)
+        worst = worst_relative_error(profile_eval(NeedletProfile(r, f0), s),
+                                     (profile_oracle(r, p, x) for x in s))
+        assert worst <= 2 * np.finfo(float).eps * np.max(np.abs(r * np.log(s) - s ** p))
 
 
 # The expressions each call site wrote out before `spectral_weights` and

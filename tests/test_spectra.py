@@ -18,6 +18,7 @@ from needlets import (
     verify_envelope,
 )
 from needlets.spectra import positive_spectrum
+from oracles import rational_log_oracle, worst_relative_error
 
 RNG = np.random.default_rng(20240813)
 
@@ -60,6 +61,20 @@ class TestEvaluation:
         ls = np.arange(1, 50)
         vec = spectrum_eval(ps, ls)
         assert all(vec[i] == spectrum_eval(ps, int(l)) for i, l in enumerate(ls))
+
+    # the three rational-log spectra of demos/spectrum_checks.py
+    @pytest.mark.parametrize("alpha, beta, p, q, f_name", [
+        (3.0, 3.0, [1.0], [1.0], "two_plus_sin"),
+        (4.0, 3.0, [1.0, 2.0], [1.0, 0.0, 3.0], "two_plus_sin"),
+        (3.0, 2.0, [1.0], [1.0], "one"),
+    ], ids=["log-modulated", "heavier", "mis-declared"])
+    def test_rational_log_matches_a_60_digit_oracle(self, alpha, beta, p, q, f_name):
+        # the bound, 4 ulps, is 2.2 times the worst measured: 4.03e-16 (heavier)
+        ps = rational_log_spectrum(alpha, beta, p, q, f_name=f_name, validate=False)
+        worst = worst_relative_error(spectrum_eval(ps, np.arange(1, 4001)),
+                                     (rational_log_oracle(beta, p, q, f_name, l)
+                                      for l in range(1, 4001)))
+        assert worst <= 4 * np.finfo(float).eps
 
 
 class TestEnvelope:
