@@ -150,7 +150,7 @@ def _defaults_in_effect() -> dict:
 
 def _resolve_spectrum(args):
     if getattr(args, "spectrum", None):
-        if args.spectrum.endswith(".csv"):
+        if args.spectrum.lower().endswith(".csv"):
             if args.alpha is None:
                 raise ValueError("tabulated CSV spectra need --alpha for the declared decay")
             return load_spectrum_csv(args.spectrum, args.alpha)

@@ -41,9 +41,10 @@ _POINT_CAP = 2_000_000
 # points over all grids of one j-range at most, by `_range_points`; at a >= sqrt(2)
 # every range whose finest grid is within `_POINT_CAP` stays within it
 _RANGE_POINT_CAP = 2 * _POINT_CAP
-_GRAM_BLOCK = 4096
+# points in one block of harmonic rows, for the Gram and `frame_coefficients`
+_GRAM_BLOCK = 2048
 # bytes the Gram stage of one frame estimate may hold, by `_gram_bytes`; L = 64
-# needs about 0.6e9 and L = 128 about 7.2e9
+# needs about 0.5e9 and L = 128 about 6.9e9
 _GRAM_BYTE_CAP = 2_000_000_000
 
 
@@ -83,12 +84,21 @@ def build_grid(a: float, j: int, oversample: float = 1.0) -> SphereGrid:
     a = check_dilation(a)
     j = int(j)
     n = _grid_size(a, j, oversample)
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n  # inside (-1, 1) for every i
-    theta = np.arccos(z)
-    phi = np.mod(i * _GOLDEN_ANGLE, 2.0 * math.pi)
+    theta, phi = _fibonacci_points(n, 0, n)
     weights = np.full(n, math.sqrt(4.0 * math.pi / n))
     return SphereGrid(j=j, a=a, theta=theta, phi=phi, weights=weights)
+
+
+def _fibonacci_points(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of points start..stop-1 of the n-point Fibonacci lattice.
+
+    Each coordinate is elementwise in the point index, so a slice of the
+    lattice has the bits of the same slice of the whole.
+    """
+    i = np.arange(start, stop)
+    theta = np.arccos(1.0 - (2.0 * i + 1.0) / n)  # z inside (-1, 1) for every i
+    phi = np.mod(i * _GOLDEN_ANGLE, 2.0 * math.pi)
+    return theta, phi
 
 
 def _grid_size(a: float, j: int, oversample: float) -> int:
@@ -228,7 +238,8 @@ def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: in
     + by - block only above the diagonal); the matrix is completed and put in
     the flat layout once, at the end.
     """
-    need = _gram_bytes(L, _grid_size(a, j_min, oversample))
+    _grid_size(a, j_min, oversample)  # the finest grid within `_POINT_CAP`
+    need = _gram_bytes(L)
     if need > _GRAM_BYTE_CAP:
         raise ValueError(f"the frame Gram at L={L} needs up to {need:.3g} bytes, "
                          f"above the cap {_GRAM_BYTE_CAP:.3g}")
@@ -242,7 +253,7 @@ def _frame_gram(profile: NeedletProfile, a: float, j_min: int, j_max: int, L: in
     ms = flat + 1 - ls * ls - ls
     gram = np.zeros((flat.size, flat.size))
     for j, f in weights.items():
-        _add_grid_gram(gram, flat, n_plus, build_grid(a, j, oversample), f[ls - 1], ms)
+        _add_grid_gram(gram, flat, n_plus, _grid_size(a, j, oversample), f[ls - 1], ms)
     gram[n_plus:, :n_plus] = gram[:n_plus, n_plus:].T
     order = np.argsort(flat)
     return gram[np.ix_(order, order)]
@@ -258,19 +269,20 @@ def _range_points(a: float, j_min: int, j_max: int, oversample: float) -> float:
     return finest * math.expm1(-(j_max - j_min + 1) * ln_q) / math.expm1(-ln_q)
 
 
-def _gram_bytes(L: int, points: int) -> int:
-    """An upper bound on the bytes `_frame_gram` holds at once on degrees 1..L
-    when its finest grid has `points` points.
+def _gram_bytes(L: int) -> int:
+    """An upper bound on the bytes `_frame_gram` holds at once on degrees 1..L.
 
     It adds the Gram and its reordered copy, the + and - half-width blocks
     with two temporaries of the larger one's size (an outer product and a
-    product with it), one harmonic block of `_GRAM_BLOCK` points with the
-    five order-by-point buffers of its recurrence, and five point arrays of
-    the finest grid as `build_grid` makes it.
+    product with it), and one harmonic block of `_GRAM_BLOCK` points: its
+    rows, the five order-by-point buffers of their recurrence, and twelve
+    point arrays (the block's theta and psi, the recurrence's per-point
+    buffers and their temporaries).  Grids are made a block at a time, so no
+    term grows with the grid.
     """
     n = (L + 1) ** 2 - 1
     half = L * (L + 1) // 2 + (L + 1) // 2
-    return 8 * (2 * n * n + 4 * half * half + (n + 5 * (L + 1)) * _GRAM_BLOCK + 5 * points)
+    return 8 * (2 * n * n + 4 * half * half + (n + 5 * (L + 1) + 12) * _GRAM_BLOCK)
 
 
 def _paired_layout(lmax: int) -> tuple[np.ndarray, int]:
@@ -293,9 +305,10 @@ def _paired_layout(lmax: int) -> tuple[np.ndarray, int]:
     return np.concatenate([plus, minus]), plus.size
 
 
-def _add_grid_gram(gram: np.ndarray, flat: np.ndarray, n_plus: int, grid: SphereGrid,
+def _add_grid_gram(gram: np.ndarray, flat: np.ndarray, n_plus: int, n: int,
                    weights: np.ndarray, ms: np.ndarray) -> None:
-    """Add (4 pi / n) times the sum of y y^T over one grid's points to `gram`.
+    """Add (4 pi / n) times the sum of y y^T over the points of the n-point
+    Fibonacci grid to `gram`.
 
     y holds the harmonics at a point in the paired layout (flat-layout column
     flat[i] in row i, the first n_plus of them +), row i scaled by
@@ -305,30 +318,32 @@ def _add_grid_gram(gram: np.ndarray, flat: np.ndarray, n_plus: int, grid: Sphere
     psi = phi - c/2 the mirror is psi -> -psi, which keeps the + rows and
     negates the - rows, so a point and its image add twice the + by + and
     - by - blocks of y y^T and cancel the rest.  Only the first n // 2 points
-    are evaluated, into the half-width products A+ and A-; the middle point of
-    an odd grid, its own image, enters at half weight.  Going back from psi to
-    phi turns pair k, + row k = (l, m) and - row k = (l, -m), by m c / 2:
+    are evaluated, a block at a time from their indices, into the half-width
+    products A+ and A-; the middle point of an odd grid, its own image, enters
+    at half weight.  Going back from psi to phi turns pair k, + row k = (l, m)
+    and - row k = (l, -m), by m c / 2:
     + row k becomes cos(m c/2) (+ row k) - sin(m c/2) (- row k) and - row k
     becomes sin(m c/2) (+ row k) + cos(m c/2) (- row k).  With the weights and
     sqrt(8 pi / n) folded into the cos and sin, that is a few elementwise
     products of quarter-size blocks.
     """
     npair = int(np.count_nonzero(ms[:n_plus]))  # + rows of nonzero order, one per pair
-    c = math.fmod((grid.n - 1) * _GOLDEN_ANGLE, 2.0 * math.pi)
-    count = (grid.n + 1) // 2
-    psi = grid.phi[:count] - 0.5 * c
+    c = math.fmod((n - 1) * _GOLDEN_ANGLE, 2.0 * math.pi)
+    count = (n + 1) // 2
     plus = np.zeros((n_plus, n_plus))
     minus = np.zeros((gram.shape[0] - n_plus,) * 2)
     for start in range(0, count, _GRAM_BLOCK):
         stop = min(start + _GRAM_BLOCK, count)
-        rows = _sph_harm_rows(flat, grid.theta[start:stop], psi[start:stop])
-        if grid.n % 2 and stop == count:
+        theta, psi = _fibonacci_points(n, start, stop)
+        psi -= 0.5 * c
+        rows = _sph_harm_rows(flat, theta, psi)
+        if n % 2 and stop == count:
             rows[:, -1] *= math.sqrt(0.5)
         plus += rows[:n_plus] @ rows[:n_plus].T
         minus += rows[n_plus:] @ rows[n_plus:].T
         del rows  # free this block before the next one is built
 
-    g = math.sqrt(8.0 * math.pi / grid.n) * weights
+    g = math.sqrt(8.0 * math.pi / n) * weights
     turn = ms * (0.5 * c)
     cos, sin = g * np.cos(turn), (g * np.sin(turn))[:npair]
     d_plus, d_minus = cos[:n_plus], cos[n_plus:]

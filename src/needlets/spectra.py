@@ -152,13 +152,20 @@ def rational_log_spectrum(alpha, beta, p_coeffs, q_coeffs, f_name="one",
 
 
 def tabulated_spectrum(ls, cs, alpha) -> PowerSpectrum:
-    """Spectrum read from explicit (l, c_l) pairs with a declared alpha."""
+    """Spectrum read from explicit (l, c_l) pairs with a declared alpha.
+
+    ValueError for a degree below 1 or past the double range, where
+    `spectrum_eval` could not convert it.
+    """
     ls = tuple(int(l) for l in ls)
     cs = tuple(float(c) for c in cs)
     if len(ls) != len(cs):
         raise ValueError("degree and value lists differ in length")
     if any(l < 1 for l in ls):
         raise ValueError("tabulated degrees must be >= 1")
+    for l in ls:
+        if l > sys.float_info.max:
+            raise ValueError(f"tabulated degree {l} is past the double range")
     return PowerSpectrum(family="tabulated", alpha=_check_alpha(alpha),
                          table_l=ls, table_c=cs)
 
@@ -304,7 +311,10 @@ def load_spectrum_json(path) -> PowerSpectrum:
     actual decay.
     """
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # a syntax error, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: the top level must be an object, got {json.dumps(cfg)}")
     cfg = {"F": "one", **cfg}
@@ -330,8 +340,8 @@ def load_spectrum_json(path) -> PowerSpectrum:
 
 def load_spectrum_csv(path, alpha) -> PowerSpectrum:
     """Read a tabulated spectrum from two-column CSV rows (l, c_l); a row with
-    fewer than two fields, or one the csv reader refuses, is refused with a
-    ValueError naming its line."""
+    fewer than two fields, a field that does not convert, or a row the csv
+    reader refuses, is refused with a ValueError naming the file and line."""
     ls, cs = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -342,10 +352,9 @@ def load_spectrum_csv(path, alpha) -> PowerSpectrum:
                 if row[0].strip().lower() in ("l", "degree"):
                     continue
                 if len(row) < 2:
-                    raise ValueError(f"{path} line {reader.line_num}: "
-                                     f"a row needs two fields, l and c_l; got {row!r}")
+                    raise ValueError(f"a row needs two fields, l and c_l; got {row!r}")
                 ls.append(int(row[0]))
                 cs.append(float(row[1]))
-        except csv.Error as exc:
+        except (csv.Error, ValueError) as exc:
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return tabulated_spectrum(ls, cs, alpha)

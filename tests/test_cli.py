@@ -499,17 +499,36 @@ class TestMalformedSpectrumFile:
         ("f-list.json", '{"family": "rational_log", "alpha": 3, "beta": 3, "P": [1], "Q": [1],'
          ' "F": ["x"]}', ': F must be a string, got ["x"]'),
         ("alpha-missing.json", '{"family": "power"}', ": missing key 'alpha'"),
+        # these three named neither the file nor the line; the upper-case
+        # suffix was read as JSON ("Extra data: line 1 column 2")
+        ("syntax.json", '{"family": "power", "alpha": 3,}',
+         ": Expecting property name enclosed in double quotes: line 1 column 32 (char 31)"),
+        ("float-degree.csv", "l,c_l\n1,1.0\n3.0,1e-3\n",
+         " line 3: invalid literal for int() with base 10: '3.0'"),
+        ("upper.CSV", "l,c_l\n1,1.0\n2\n", " line 3: a row needs two fields, l and c_l; got ['2']"),
     ]
 
     @pytest.mark.parametrize("name, text, message", FILES, ids=[name for name, _, _ in FILES])
     def test_is_config_error_naming_the_file(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_text(text)
-        alpha = ["--alpha", "3"] if name.endswith(".csv") else []
+        alpha = ["--alpha", "3"] if name.lower().endswith(".csv") else []
         code = cli.main(["correlation", "--r", "1", "--t", "0.1", "--d", "1",
                          "--spectrum", str(path), *alpha])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", f"error: {path}{message}\n")
+
+    def test_degree_past_the_double_range_is_config_error(self, tmp_path, capsys):
+        # exited 1 with OverflowError: int too large to convert to float
+        path = tmp_path / "huge-degree.csv"
+        power_table(path, 3999)
+        with path.open("a") as fh:
+            fh.write(f"{10 ** 400},1.0\n")
+        code = cli.main(["correlation", "--r", "1", "--t", "0.1", "--d", "1", "--alpha", "3",
+                         "--spectrum", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: tabulated degree {10 ** 400} is past the double range\n"
 
 
 class TestDoubleRange:

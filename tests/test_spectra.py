@@ -1,6 +1,7 @@
 """Power-spectrum families and their regularity conditions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -279,6 +280,14 @@ class TestTabulatedAndFiles:
         ps = tabulated_spectrum([1, 2, 3], [1.0, 0.125, 0.037], 3.0)
         with pytest.raises(ValueError, match="finite degrees"):
             spectrum_eval(ps, np.array([2.0, bad]))
+
+    def test_degree_past_the_double_range_rejected(self):
+        # it reached spectrum_eval, whose float conversion raised OverflowError
+        with pytest.raises(ValueError, match=f"^tabulated degree {10 ** 400} is past "
+                                             "the double range$"):
+            tabulated_spectrum([1, 2, 10 ** 400], [1.0, 0.125, 1.0], 3.0)
+        largest = int(sys.float_info.max)  # an exact double: kept
+        assert tabulated_spectrum([largest], [1.0], 3.0).table_l == (largest,)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "spec.csv"
