@@ -227,18 +227,16 @@ def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
         raise ValueError("decay exponent N must be >= 1")
     t_list = check_scale_grid(t_list)
     specs = [make_kernel(profile, t, eps_tail) for t in t_list]
-    thetas = [np.unique(np.concatenate([np.linspace(t, math.pi, 1536),
-                                        np.geomspace(t, math.pi, 512)]))
-              for t in t_list]
-    # one series call for every scale; a row's points past its own count are
-    # padding, which is exact because the series is elementwise in x
-    xs = np.ones((len(t_list), max(th.size for th in thetas)))
-    for row, th in zip(xs, thetas):
-        row[:th.size] = np.cos(th)
-    vals = legendre_series_rows([CoeffSequence(1, spec.coeffs) for spec in specs], xs)
+    # one row of angles per scale, all of one width, in one series call; t and
+    # pi appear twice in a row, which leaves its max as it is
+    thetas = np.array([np.concatenate([np.linspace(t, math.pi, 1536),
+                                       np.geomspace(t, math.pi, 512)])
+                       for t in t_list])
+    vals = legendre_series_rows([CoeffSequence(1, spec.coeffs) for spec in specs],
+                                np.cos(thetas))
+    ts = np.array(t_list)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        sups = [float(np.max((t * t) * np.abs(v[:th.size]) * (th / t) ** n_exponent))
-                for t, th, v in zip(t_list, thetas, vals)]
+        sups = np.max((ts * ts) * np.abs(vals) * (thetas / ts) ** n_exponent, axis=1).tolist()
     for t, sup in zip(t_list, sups):
         if not math.isfinite(sup):
             raise NumericFailure(f"localization sup at t={t} is {sup!r}: t^2 |K_t| "
@@ -246,6 +244,16 @@ def localization_check(profile: NeedletProfile, t_list, n_exponent: int,
     _, _, ratio, passed = spread(sups, DEFAULTS["stability_ratio"])
     return LocalizationReport(t_list=t_list, n_exponent=int(n_exponent),
                               sups=tuple(sups), ratio=ratio, passed=passed)
+
+
+def _calderon_period(a) -> tuple[float, float]:
+    """The dilation a, checked, and its period a^2 in the dilation sum; an a
+    whose square leaves the double range is refused."""
+    a = check_dilation(a)
+    if not math.isfinite(a * a):
+        raise ValueError(f"dilation a={a!r} is too large: its square a^2 "
+                         "leaves the double range")
+    return a, a ** 2
 
 
 def calderon_g(profile: NeedletProfile, a: float, lam):
@@ -261,9 +269,10 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
     where that window is narrower than a step a^2, a lam can have no term in
     it, and its two terms nearest the peak are still summed.  The range is
     fixed before the sum starts; past `_CALDERON_TERM_CAP` terms it raises
-    ValueError unstarted.
+    ValueError unstarted.  A term's argument past the double range reads as
+    the largest double, where f is 0, its limit, as in `spectral_weights`.
     """
-    a = check_dilation(a)
+    a, period = _calderon_period(a)
     p = _F0_POWER[profile.f0]
     q = profile.r / p
     w = -math.exp(-1.0 + math.log(DEFAULTS["calderon_term_floor"]) / (2.0 * q))
@@ -281,20 +290,21 @@ def calderon_g(profile: NeedletProfile, a: float, lam):
     if not np.all((lv > 0) & np.isfinite(lv)):
         raise ValueError("lambda must be finite and > 0")
     # lam / period^k in two half steps: neither factor leaves the double range
-    period = a ** 2
     k = np.floor(np.log(lv) / math.log(period))
     lv = np.where((lv >= 1.0) & (lv < period), lv,
                   lv / period ** np.ceil(k / 2) / period ** np.floor(k / 2))
     total = np.zeros_like(lv)
     for j in range(j_lo, j_hi + 1):
-        f = profile_eval(profile, (a ** (2 * j)) * lv)
+        with np.errstate(over="ignore"):
+            s = (a ** (2 * j)) * lv
+        f = profile_eval(profile, np.minimum(s, np.finfo(float).max))
         total += f * f
     return float(total[0]) if scalar else total
 
 
 def calderon_bounds(profile: NeedletProfile, a: float) -> tuple[float, float]:
     """(A_a, B_a) = extremes of the dilation sum g over one period [1, a^2]."""
-    a = check_dilation(a)
-    lam = np.geomspace(1.0, a ** 2, DEFAULTS["calderon_grid_points"], endpoint=False)
+    a, period = _calderon_period(a)
+    lam = np.geomspace(1.0, period, DEFAULTS["calderon_grid_points"], endpoint=False)
     g = calderon_g(profile, a, lam)
     return float(np.min(g)), float(np.max(g))

@@ -11,14 +11,15 @@ family; the library's bits are compared against all three.
 `dilation_sum` is the Calderon sum g(lam) at 40 digits; `profile_oracle`
 is f(s) = s^r exp(-s^p) and `rational_log_oracle` the spectrum
 u(l) = F(log l) P(l) / (l^beta Q(l)), both at 60 digits, compared through
-`worst_relative_error`.
+`worst_relative_error`; `mpmath.diff` of `rational_log_oracle` is also the
+reference derivative u'(l) for the spectra's first differences.
 """
 
 import functools
 import math
 
+import mpmath
 import numpy as np
-import pytest
 from scipy.special import eval_legendre
 
 
@@ -57,7 +58,6 @@ def direct_correlation(r, alpha, t, x):
     """Cov(t, x) / Cov(t, 1) as a 50-digit mpmath number, over every degree
     with t^2 l(l+1) <= 80, past which the squared profile has dropped below
     1e-50 of its peak; P_l(x) by (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         x, tm = mpmath.mpf(x), mpmath.mpf(t)
         cov = var = mpmath.mpf(0)
@@ -160,7 +160,6 @@ def dilation_sum(r: int, p: int, a: float, lam: float):
     falls past it, so j walks up from the scale nearest s* and down from the
     one below it, each way until a term below 1e-50 of f(s*)^2 lies on the
     far side of s*: every later term is smaller."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         am, lm, rm = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(r)
         s_peak = (rm / p) ** (mpmath.mpf(1) / p)
@@ -185,16 +184,14 @@ def dilation_sum(r: int, p: int, a: float, lam: float):
 def profile_oracle(r: int, p: int, s: float):
     """f(s) = s^r exp(-s^p) for a double s as a 60-digit mpmath number; p = 1
     is the exponential family, p = 2 the gaussian."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         sm = mpmath.mpf(s)
         return sm ** r * mpmath.exp(-sm ** p)
 
 
-def rational_log_oracle(beta: float, p_coeffs, q_coeffs, f_name: str, l: int):
+def rational_log_oracle(beta: float, p_coeffs, q_coeffs, f_name: str, l):
     """u(l) = F(log l) P(l) / (l^beta Q(l)) as a 60-digit mpmath number, with P
     and Q in ascending powers and F = 1 ("one") or 2 + sin ("two_plus_sin")."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         lm = mpmath.mpf(l)
         f = {"one": 1, "two_plus_sin": 2 + mpmath.sin(mpmath.log(lm))}[f_name]
@@ -206,5 +203,4 @@ def rational_log_oracle(beta: float, p_coeffs, q_coeffs, f_name: str, l: int):
 def worst_relative_error(got, refs) -> float:
     """max |g - ref| / |ref| over doubles g and mpmath references, taken exactly
     and rounded once."""
-    mpmath = pytest.importorskip("mpmath")
     return max(abs(float((mpmath.mpf(g) - ref) / ref)) for g, ref in zip(got, refs))

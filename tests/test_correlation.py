@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import needlets.correlation as correlation_module
 from needlets import (
@@ -35,10 +37,6 @@ from needlets import (
 )
 from needlets.legendre import X_DOMAIN_TOL, _check_x
 from oracles import direct_correlation, direct_series
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 RNG = np.random.default_rng(20240815)
 PROFILE = NeedletProfile(1)

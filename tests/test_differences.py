@@ -2,22 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from needlets import (  # noqa: E402
+from needlets import (
     CoeffSequence,
     multiply_cos_minus_one,
     multiply_cos_minus_one_power,
     zonal_series,
 )
-from needlets.differences import (  # noqa: E402
+from needlets.differences import (
     first_difference_weight,
     second_difference_weight,
 )
-from oracles import cos_minus_one_reference  # noqa: E402
+from oracles import cos_minus_one_reference
 
 RNG = np.random.default_rng(20240812)
 

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from needlets import (
@@ -34,10 +36,6 @@ from needlets import sph_harm_flat_index
 import needlets.fields as fields_module
 import needlets.kernels as kernels_module
 from needlets.defaults import DEGREE_CAP_ENV
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 RNG = np.random.default_rng(20240816)
 PROFILE = NeedletProfile(1)

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needlets import (
     DegreeCapExceeded,
@@ -29,10 +31,6 @@ from needlets import (
 from needlets import frames
 from needlets.frames import _paired_layout
 from needlets.legendre import _sph_harm_rows
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 RNG = np.random.default_rng(20240817)
 PROFILE = NeedletProfile(1)

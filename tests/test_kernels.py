@@ -559,7 +559,9 @@ class TestCalderon:
 
     @pytest.mark.parametrize("r", [1, 4, 20])
     @pytest.mark.parametrize("f0, p", [("exponential", 1), ("gaussian", 2)])
-    @pytest.mark.parametrize("a", [1.2, 2.0, 3.0])
+    # past a = 1.2e77 the top term's a^(2j) lam leaves the double range near
+    # the top of the period, where f is 0
+    @pytest.mark.parametrize("a", [1.2, 2.0, 3.0, 1e78, 1e150])
     def test_matches_a_40_digit_sum(self, r, f0, p, a):
         for lam in (1.0, 1.37, 0.999 * a * a):
             want = dilation_sum(r, p, a, lam)
@@ -584,6 +586,13 @@ class TestCalderon:
     def test_dilation_must_exceed_one(self):
         with pytest.raises(ValueError):
             calderon_bounds(NeedletProfile(1), 1.0)
+
+    def test_dilation_whose_square_leaves_the_double_range_is_refused(self):
+        for call in (lambda a: calderon_g(NeedletProfile(1), a, 1.0),
+                     lambda a: calderon_bounds(NeedletProfile(1), a)):
+            with pytest.raises(ValueError, match=r"^dilation a=1e\+200 is too large: "
+                                                 r"its square a\^2 leaves the double range$"):
+                call(1e200)
 
     # the worst error measured below is 9.23e-14 (exponential, r = 96,
     # lam = 1): the exponents r log s - s^p reach the hundreds here; the

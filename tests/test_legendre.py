@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,7 +86,6 @@ def jacobi_real_sph_harm(l, m, theta, phi):
     """Y_{l,m} at 40 digits through P_l^m(cos t) = (-1)^m (l+m)!/(2^m l!)
     sin(t)^m P^(m,m)_{l-m}(cos t), with P^(m,m)_n(-x) = (-1)^n P^(m,m)_n(x)
     keeping the hypergeometric argument (1 - |x|)/2 at or below 1/2."""
-    mp = pytest.importorskip("mpmath")
     am = abs(m)
     with mp.workdps(40):
         t = mp.mpf(theta)
@@ -454,7 +454,6 @@ class TestHighDegree:
 
     @pytest.mark.parametrize("l", [1000, 2000])
     def test_against_mpmath(self, l):
-        mp = pytest.importorskip("mpmath")
         orders = (0, 1, -1, l // 2 - 1, l // 2, -(l // 2), l - 1, l, -l)
         checked = 0
         for theta in (0.05, 0.3, 1.0, math.pi - 0.2):
@@ -470,7 +469,6 @@ class TestHighDegree:
     def test_jacobi_oracle_matches_legenp(self):
         # the Jacobi form is used because legenp needs a limit at integer
         # order and takes 10-60 s per value at m ~ l/2 and l = 1000
-        mp = pytest.importorskip("mpmath")
         for l, m, theta in ((1000, 0, 0.3), (2000, 1, 1.0), (300, 150, 0.3)):
             with mp.workdps(40):
                 x = mp.cos(mp.mpf(theta))

@@ -36,6 +36,7 @@ as well.
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
@@ -64,8 +65,6 @@ def hankel_limit(r: int, power: int) -> np.ndarray:
     """int 2 v^(2r+1) e^(-v^power) J0(u v) dv at every u in US, by mpmath
     quadrature at 30 digits: the limit of t^2 K_t(cos(t u)) for the gaussian
     f0 with power 4, and for the exponential f0 with power 2."""
-    mpmath = pytest.importorskip("mpmath")
-
     def integral(u):
         def integrand(v):
             return 2 * v ** (2 * r + 1) * mpmath.exp(-v ** power) * mpmath.besselj(0, u * v)
@@ -189,7 +188,6 @@ def correlation_limit(r: int, alpha: float, gamma: float, terms: int = 300,
     the n passes of the three-term rule (default n = 2r + 2) is exact up to
     degree `terms`; the series of Delta^n b is summed there at 80 digits.
     """
-    mpmath = pytest.importorskip("mpmath")
     n = 2 * r + 2 if n is None else n
     with mpmath.workdps(80):
         x = mpmath.mpf(math.cos(gamma))
@@ -224,7 +222,6 @@ class TestCorrelationTendsToItsLimit:
     @pytest.mark.parametrize("r, alpha", sorted(RIGHT_ANGLE))
     def test_direct_sum_approaches_the_limit(self, r, alpha):
         # no library call: each halving of t brings Cor / t^p closer to C
-        mpmath = pytest.importorskip("mpmath")
         limit = correlation_limit(r, alpha, math.pi / 2)
         with mpmath.workdps(50):  # Cor / t^p at the oracle's precision
             gaps = [abs(float(direct_correlation(r, alpha, t, math.cos(math.pi / 2))

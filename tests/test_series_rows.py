@@ -9,14 +9,13 @@ to `degree_cap`.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from needlets import (  # noqa: E402
+from needlets import (
     CoeffSequence,
     NeedletProfile,
     legendre_series,
@@ -29,10 +28,10 @@ from needlets import (  # noqa: E402
     zonal_series,
     zonal_series_rows,
 )
-from needlets.defaults import degree_cap  # noqa: E402
-from needlets.errors import NumericFailure  # noqa: E402
-from needlets.legendre import _legendre_p  # noqa: E402
-from oracles import series_rows_reference  # noqa: E402
+from needlets.defaults import degree_cap
+from needlets.errors import NumericFailure
+from needlets.legendre import _legendre_p
+from oracles import series_rows_reference
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 # interior points plus the edges, where P_l(+-1) = (+-1)^l exactly
@@ -258,7 +257,6 @@ class TestSeriesMpmathOracle:
 
     @pytest.mark.parametrize("x", POINTS)
     def test_series_within_summation_bound(self, x):
-        mpmath = pytest.importorskip("mpmath")
         top = degree_cap()
         p = self.recurrence(x, top)
         with mpmath.workprec(300):
@@ -274,7 +272,6 @@ class TestSeriesMpmathOracle:
     def test_recurrence_against_mpmath(self, x):
         # near the poles the P_l carry the l(l+1)/2 ulps of x that
         # |P_l'| <= P_l'(1) = l(l+1)/2 allows (ROADMAP item 3); at +-1 they are exact
-        mpmath = pytest.importorskip("mpmath")
         top = degree_cap()
         p = self.recurrence(x, top)
         ls = np.arange(top + 1, dtype=float)
