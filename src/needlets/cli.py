@@ -1,8 +1,9 @@
 """Command-line interface: every verification and computation as a
 reproducible, scriptable run.
 
-Subcommands emit CSV tables for sweeps and JSON for structured reports; JSON
-reports embed the defaults table so a run is reproducible from its output.
+Every CSV table and JSON report goes to stdout; redirect it to keep it.
+`frame --export-grid FILE` is the one file the CLI writes.  JSON reports
+embed the defaults table so a run is reproducible from its output.
 Exit codes: 0 success, 1 verification FAIL, 2 config error, 3 numeric
 failure, 4 hypothesis violation.
 """
@@ -108,14 +109,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _table(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -177,7 +170,7 @@ def cmd_kernel(args) -> int:
     for t in _scales(args.t):
         values = kernel_eval(make_kernel(profile, t, args.eps_tail), xs)
         rows.extend((t, th, float(v)) for th, v in zip(thetas, values))
-    _emit(_table(["t", "theta", "value"], rows), args.output)
+    sys.stdout.write(_table(["t", "theta", "value"], rows))
     return EXIT_OK
 
 
@@ -217,7 +210,7 @@ def cmd_correlation(args) -> int:
             rep = fit_correlation_decay(profile, spectrum, cg, ts, [c[k] for c in cors_by_t])
             reports.append({"cos_gamma": cg, **asdict(rep)})
         out += "\n" + _json_doc({"defaults": _defaults_in_effect(), "reports": reports})
-    _emit(out, args.output)
+    sys.stdout.write(out)
     return EXIT_OK
 
 
@@ -247,8 +240,8 @@ def cmd_simulate(args) -> int:
                                  f"(estimate {est!r}, stderr {se!r}, z {z!r})")
         worst = max(worst, abs(z))
         rows.append((t, d, args.replicas, args.seed, est, se, true, z))
-    _emit(_table(["t", "d", "replicas", "seed", "estimate", "stderr",
-                  "analytic", "z"], rows), args.output)
+    sys.stdout.write(_table(["t", "d", "replicas", "seed", "estimate", "stderr",
+                             "analytic", "z"], rows))
     if worst > 5.0:
         print(f"FAIL: |z| = {worst:.2f} > 5; estimator and analytic value disagree "
               "beyond statistics", file=sys.stderr)
@@ -309,7 +302,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "passed": passed,
     }
-    _emit(_json_doc(report), args.output)
+    sys.stdout.write(_json_doc(report))
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -324,20 +317,21 @@ def cmd_frame(args) -> int:
         any_ill = any_ill or est.ill_conditioned
         rows.append((args.a, ov, args.L, est.a_hat, est.b_hat, est.ratio,
                      est.ill_conditioned))
-    outputs = [(_table(["a", "oversample", "L", "A_hat", "B_hat", "ratio",
-                        "ill_conditioned"], rows), args.output)]
+    out = _table(["a", "oversample", "L", "A_hat", "B_hat", "ratio", "ill_conditioned"], rows)
     if args.export_grid:
         grid_rows = []
         for j in range(j_range[0], j_range[1] + 1):
             grid = build_grid(args.a, j, oversamples[0])
             for k in range(grid.n):
                 grid_rows.append((j, k, grid.theta[k], grid.phi[k], grid.weights[k]))
-        outputs.append((_table(["j", "k", "theta", "phi", "weight"], grid_rows),
-                        args.export_grid))
-    # files first, so a path that cannot be written fails before stdout gets a
-    # byte; the sort is stable, so on stdout the table still precedes the grid
-    for text, path in sorted(outputs, key=lambda out: out[1] in (None, "-")):
-        _emit(text, path)
+        grid_table = _table(["j", "k", "theta", "phi", "weight"], grid_rows)
+        if args.export_grid == "-":
+            out += grid_table
+        else:
+            # before stdout gets a byte, so a path that cannot be written leaves it empty
+            with open(args.export_grid, "w", newline="", encoding="utf-8") as fh:
+                fh.write(grid_table)
+    sys.stdout.write(out)
     if any_ill:
         print("FAIL: analysis matrix is ill-conditioned on the requested subspace",
               file=sys.stderr)
@@ -379,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True,
                    help="theta grid: start:stop:count or comma list "
                         "(values below theta_min are clamped)")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("correlation",
@@ -392,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--d", default=None, help="comma list of geodesic distances")
     p.add_argument("--fit", action="store_true",
                    help="append the decay report as JSON (needs 4r + 2 > alpha)")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_correlation)
 
     p = sub.add_parser("simulate",
@@ -403,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="comma list of geodesic distances")
     p.add_argument("--replicas", type=int, default=4000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify",
@@ -420,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="10:2000",
                    help="degree window for the derivative-decay check")
     p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("frame", help="frame-bound estimates over an oversample sweep")
@@ -431,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-range", default="-6:0", help="scale index range min:max")
     p.add_argument("--export-grid", default=None,
                    help="write the point sets (first oversample) as CSV here")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_frame)
 
     return parser
@@ -451,7 +440,7 @@ def main(argv=None) -> int:
     except (DegreeCapExceeded, NumericFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

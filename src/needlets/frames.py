@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-# points in one grid at most, and in one block of harmonics
+# points in one grid at most, and in a `kernel` theta grid given as start:stop:count
 _POINT_CAP = 2_000_000
 # points over all grids of one j-range at most, by `_range_points`; at a >= sqrt(2)
 # every range whose finest grid is within `_POINT_CAP` stays within it

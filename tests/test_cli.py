@@ -94,6 +94,14 @@ class TestKernelCommand:
         res = run("kernel", "--r", "1", "--t", "0.2", "--theta", "0:1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("t, theta, message", [
+        ("abc", "0.1,0.5", "bad numeric list 'abc'"),
+        ("0.2", "1:0:5", "bad grid spec '1:0:5'"),
+    ], ids=["scale", "theta"])
+    def test_malformed_scale_or_theta_is_config_error(self, capsys, t, theta, message):
+        assert cli.main(["kernel", "--r", "1", "--t", t, "--theta", theta]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_degree_cap_is_numeric_error(self):
         res = run("kernel", "--r", "1", "--t", "0.0001", "--theta", "0.1,0.2")
         assert res.returncode == 3
@@ -267,6 +275,16 @@ class TestCorrelationCommand:
         assert res.returncode == 2
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("spectrum, message", [
+        (["--spectrum", "table.csv"],
+         "tabulated CSV spectra need --alpha for the declared decay"),
+        ([], "give either --alpha (power law) or --spectrum FILE"),
+    ], ids=["csv-without-alpha", "none"])
+    def test_missing_spectrum_is_config_error(self, capsys, spectrum, message):
+        argv = ["correlation", "--r", "1", *spectrum, "--t", "0.2", "--cos-gamma", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_spectrum_file(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text('{"family": "power", "alpha": 3.0}')
@@ -420,6 +438,29 @@ class TestSimulateCommand:
         assert code == cli.EXIT_NUMERIC
         assert out == ""
         assert err.startswith("error: Monte-Carlo estimate at t=0.2, d=0.3 is not a number")
+
+    def test_estimates_six_standard_errors_off_fail(self, monkeypatch, capsys):
+        # the whole table is printed, then the FAIL line
+        def six_off(profile, spectrum, queries, *args):
+            return [MonteCarloCorrelation(
+                estimate=analytic_correlation(CorrelationQuery(
+                    profile, spectrum, t, points_cos_angle(x, y))) + 0.06, stderr=0.01)
+                for t, x, y in queries]
+
+        monkeypatch.setattr(cli, "monte_carlo_correlations", six_off)
+        code = cli.main(["simulate", "--r", "1", "--alpha", "3", "--t", "0.2",
+                         "--d", "0.3,1.571", "--replicas", "100"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_FAIL
+        assert out.splitlines()[0] == "t,d,replicas,seed,estimate,stderr,analytic,z"
+        rows = rows_of(out)
+        assert [(r["t"], r["d"], r["replicas"], r["seed"], r["stderr"]) for r in rows] == [
+            ("0.2", "0.3", "100", "0", "0.01"), ("0.2", "1.571", "100", "0", "0.01")]
+        assert [float(r["estimate"]) for r in rows] == [float(r["analytic"]) + 0.06
+                                                        for r in rows]
+        assert [float(r["z"]) for r in rows] == pytest.approx([6.0, 6.0])
+        assert err == ("FAIL: |z| = 6.00 > 5; estimator and analytic value disagree "
+                       "beyond statistics\n")
 
     @pytest.mark.parametrize("d", ["nan", "inf", "0.3,nan"])
     def test_non_finite_distance_is_config_error(self, d):
@@ -849,6 +890,18 @@ class TestOutOfMemory:
         assert err == f"error: {message}\n"
 
 
+class TestProgramFault:
+    def test_key_error_propagates(self, monkeypatch):
+        # no input leads to a KeyError, so one is a bug: a traceback, not an
+        # exit 2 that blames the command line
+        def lookup_bug(*args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "make_kernel", lookup_bug)
+        with pytest.raises(KeyError, match="'x'"):
+            cli.main(["kernel", "--r", "1", "--t", "0.2", "--theta", "0.1,0.5"])
+
+
 class TestDeterminism:
     CASES = [
         ("kernel", "--r", "1", "--t", "0.3,0.15", "--theta", "0:3.14159:64"),
@@ -885,13 +938,6 @@ class TestDeterminism:
                                      "OMP_NUM_THREADS": "4"})
         assert one.returncode == four.returncode == 0
         assert one.stdout == four.stdout
-
-    def test_output_files_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ("kernel", "--r", "2", "--t", "0.2", "--theta", "0:2.5:32")
-        assert run(*args, "--output", str(a)).returncode == 0
-        assert run(*args, "--output", str(b)).returncode == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestBenchmarkReplay:
@@ -979,3 +1025,16 @@ class TestArgvProperty:
         if code == 2:
             assert out == ""
         assert "Traceback" not in err
+
+
+class TestStdoutOnly:
+    """Every table and report goes to stdout: no subcommand takes `--output`."""
+
+    @pytest.mark.parametrize("base", [0, 1, 3, 4, 5], ids=lambda b: ARGV_BASES[b][0])
+    def test_output_option_is_config_error(self, tmp_path, capsys, base):
+        path = tmp_path / "out.txt"
+        assert cli.main([*mutated_argv(base), "--output", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --output" in err
+        assert not path.exists()

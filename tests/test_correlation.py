@@ -481,6 +481,11 @@ class TestCorrelationDecay:
         with pytest.raises(ValueError, match="one correlation per scale"):
             fit_correlation_decay(PROFILE, SPECTRUM, 0.0, [0.2, 0.1], [0.1])
 
+    def test_fit_refuses_a_vanished_correlation(self):
+        with pytest.raises(NumericFailure, match="^correlation vanished or diverged on "
+                                                 "the grid; cannot fit$"):
+            fit_correlation_decay(PROFILE, SPECTRUM, 0.0, [0.2, 0.1], [0.1, 0.0])
+
     @pytest.mark.parametrize("bad", [-0.1, 0.0, math.nan])
     def test_fit_refuses_a_scale_outside_the_domain(self, bad, capfd):
         # these reached np.log: a RuntimeWarning, or LAPACK errors on stderr

@@ -328,6 +328,11 @@ class TestMonteCarloCorrelation:
             scaled = fields_module._jackknife_correlation(np.ldexp(bx, k), by * 2.0 ** 7)
             assert list(map(float.hex, scaled)) == list(map(float.hex, base))
 
+    def test_jackknife_refuses_an_all_zero_sample(self):
+        with pytest.raises(ValueError, match="^degenerate sample: zero variance at an "
+                                             "evaluation point$"):
+            fields_module._jackknife_correlation(np.zeros(10), np.arange(1.0, 11.0))
+
     def test_same_point_exact(self):
         est, se = monte_carlo_correlation(PROFILE, SPECTRUM, 0.25,
                                           (0.9, 0.1), (0.9, 0.1), 200, seed=0)

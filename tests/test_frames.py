@@ -135,6 +135,10 @@ class TestFrameCoefficients:
                                              "j_range -2..-2"):
             frame_coefficients(f_hat, NeedletProfile(4), [build_grid(2.0, -2)])
 
+    def test_empty_grid_list_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one grid$"):
+            frame_coefficients(np.zeros(3), PROFILE, [])
+
     def test_mixed_dilations_rejected(self):
         # every grid used to be weighted with the first grid's a: 0.27 off
         # here, where the largest coefficient is 0.52
@@ -229,6 +233,10 @@ class TestFrameBounds:
         e2 = np.linalg.eigvalsh(gram_scaled)
         np.testing.assert_allclose(e2, kappa ** 2 * e1, rtol=1e-12)
         assert est.a_hat == pytest.approx(e1[0], rel=1e-10)
+
+    def test_empty_j_range_rejected(self):
+        with pytest.raises(ValueError, match="^j_range must satisfy j_min <= j_max <= 0$"):
+            estimate_frame_bounds(PROFILE, 2.0, (0, -1), 4)
 
     def test_uncovered_degree_rejected(self):
         # j = 0 alone cannot resolve degree 16

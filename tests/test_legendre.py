@@ -254,6 +254,14 @@ class TestGeneratingFunction:
         with pytest.raises(ValueError):
             generating_function_check(1.0, 0.3, 10)
 
+    def test_singular_point_rejected(self):
+        # |xi| < 1, but 1 - 2 xi + xi^2 rounds to 0.0 at eta = 1
+        xi = 1.0 - 2.0 ** -30
+        assert 1.0 - 2.0 * xi + xi * xi == 0.0
+        with pytest.raises(ValueError, match=r"^generating function is singular: "
+                                             r"1 - 2 xi eta \+ xi\^2 <= 0$"):
+            generating_function_check(xi, 1.0, 10)
+
 
 class TestRealSphHarm:
     def test_constant_harmonic(self):
@@ -356,6 +364,11 @@ class TestSphHarmMatrix:
         # these used to return NaN entries with only a RuntimeWarning
         with pytest.raises(ValueError, match="must be finite"):
             sph_harm_matrix(4, [theta], [phi])
+
+    def test_coordinate_lists_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="^theta and phi must be 1-d arrays of equal "
+                                             "length$"):
+            sph_harm_matrix(4, [1.0, 2.0], [0.5])
 
     @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
     def test_non_finite_longitude_is_refused_by_real_sph_harm(self, phi):

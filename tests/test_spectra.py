@@ -1,5 +1,6 @@
 """Power-spectrum families and their regularity conditions."""
 
+import dataclasses
 import math
 import sys
 
@@ -248,6 +249,27 @@ class TestPositiveSpectrum:
             positive_spectrum(ps, 3)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: rational_log_spectrum(3.0, 3.0, [0.0], [1.0]),
+         "^polynomial has no nonzero coefficients$"),
+        (lambda: rational_log_spectrum(3.0, 3.0, [1.0], [1.0], f_name="cos"),
+         r"^unknown F function 'cos'; choose from \['one', 'two_plus_sin'\]$"),
+        (lambda: tabulated_spectrum([1, 2], [1.0], 3.0),
+         "^degree and value lists differ in length$"),
+        (lambda: tabulated_spectrum([0, 1], [1.0, 1.0], 3.0),
+         "^tabulated degrees must be >= 1$"),
+        (lambda: spectrum_eval(dataclasses.replace(power_spectrum(3.0), family="white_noise"), 2),
+         "^unknown spectrum family 'white_noise'$"),
+        (lambda: verify_derivative_decay(power_spectrum(3.0), 2, (10, 5)),
+         "^window must satisfy 1 <= l_min < l_max$"),
+    ], ids=["zero-P", "unknown-F", "table-lengths", "degree-0", "unknown-family",
+            "window-10:5"])
+    def test_message(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestTabulatedAndFiles:
     def test_tabulated_lookup_and_missing_degree(self):
         ps = tabulated_spectrum([1, 2, 3], [1.0, 0.125, 0.037], 3.0)
@@ -301,6 +323,12 @@ class TestTabulatedAndFiles:
         path.write_text("l,c_l\n")
         ps = load_spectrum_csv(path, 3.0)
         assert spectrum_eval(ps, 4) == 0.0
+
+    def test_csv_skips_comment_and_blank_rows(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("# c_l = l^-3\nl,c_l\n1,1.0\n\n# degree 2\n2,0.125\n")
+        ps = load_spectrum_csv(path, 3.0)
+        assert (ps.table_l, ps.table_c) == ((1, 2), (1.0, 0.125))
 
     def test_json_power(self, tmp_path):
         path = tmp_path / "spec.json"
