@@ -95,10 +95,11 @@ def _scales(text: str) -> tuple[float, ...]:
 
 
 def _int_pair(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"range {text!r} must be min:max")
-    return int(parts[0]), int(parts[1])
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise ValueError(f"range {text!r} must be min:max with integer ends") from None
+    return lo, hi
 
 
 def _fmt(value) -> str:

@@ -1,9 +1,9 @@
 """Difference operators on degree-indexed coefficient sequences.
 
 A `CoeffSequence` stores a finite window a_offset .. a_top of a sequence on
-the nonnegative integers; indices outside the window read as zero.  The
-operator realized by `multiply_cos_minus_one` rewrites multiplication of a
-zonal series by (cos theta - 1) as an operation on its coefficients:
+the nonnegative integers; indices outside the window read as zero.  One step
+of `multiply_cos_minus_one_power` rewrites multiplication of a zonal series
+by (cos theta - 1) as an operation on its coefficients:
 
     sum_l out_l Z_l(cos theta) = (cos theta - 1) sum_l a_l Z_l(cos theta)
 
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "CoeffSequence",
-    "multiply_cos_minus_one",
     "multiply_cos_minus_one_power",
 ]
 
@@ -54,20 +53,13 @@ def second_difference_weight(l):
     return l / (2.0 * l + 1.0)
 
 
-def multiply_cos_minus_one(s: CoeffSequence) -> CoeffSequence:
-    """Coefficients of (cos theta - 1) times the zonal series of `s`.
-
-    The result is stored densely from degree 0 and its support extends one
-    degree above the input's.
-    """
-    return multiply_cos_minus_one_power(s, 1)
-
-
 def multiply_cos_minus_one_power(s: CoeffSequence, n: int) -> CoeffSequence:
-    """n-fold application of `multiply_cos_minus_one`.
+    """Coefficients of (cos theta - 1)^n times the zonal series of `s`.
 
-    All n steps work in one array that holds a_l at index l + 1, with zeros
-    at a_{-1} and above the top, so a_{l-1}, a_l and a_{l+1} are three views.
+    The result is stored densely from degree 0 and its support extends n
+    degrees above the input's.  All n steps work in one array that holds a_l
+    at index l + 1, with zeros at a_{-1} and above the top, so a_{l-1}, a_l
+    and a_{l+1} are three views.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -24,7 +24,6 @@ passes that order as a map of flat columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .differences import CoeffSequence
 from .errors import DegreeCapExceeded, NumericFailure
 
 __all__ = [
-    "SphHarmPoint",
     "legendre_series",
     "legendre_series_rows",
     "zonal_eval",
@@ -41,7 +39,6 @@ __all__ = [
     "zonal_series_rows",
     "recursion_residual",
     "generating_function_check",
-    "real_sph_harm",
     "sph_harm_flat_index",
     "sph_harm_flat_repeat",
     "sph_harm_matrix",
@@ -67,24 +64,6 @@ def _check_degree(l: int, lowest: int = 0) -> int:
     if l > cap:
         raise DegreeCapExceeded(f"degree {l} exceeds the configured cap {cap}")
     return l
-
-
-@dataclass(frozen=True)
-class SphHarmPoint:
-    """A spherical-harmonic evaluation request: degree, order, colatitude, longitude."""
-
-    l: int
-    m: int
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if abs(self.m) > self.l:
-            raise ValueError(f"order |m|={abs(self.m)} exceeds degree l={self.l}")
-        if not 0.0 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"colatitude {self.theta!r} outside [0, pi]")
-        if not math.isfinite(self.phi):
-            raise ValueError("harmonic coordinates (theta, phi) must be finite")
 
 
 def _legendre_p(x: float, top: int):
@@ -277,7 +256,7 @@ def recursion_residual(l: int, x: float) -> float:
 def generating_function_check(xi: float, eta: float, terms: int) -> float:
     """|sum_{l<=terms} P_l(eta) xi^l - (1 - 2 xi eta + xi^2)^{-1/2}|."""
     xi = float(xi)
-    if abs(xi) >= 1.0:
+    if not abs(xi) < 1.0:
         raise ValueError("|xi| must be < 1 for the series to converge")
     eta = _check_x(eta)
     disc = 1.0 - 2.0 * xi * eta + xi * xi
@@ -307,20 +286,6 @@ def sph_harm_flat_repeat(per_degree) -> np.ndarray:
     """A vector v_1 .. v_L over degrees, in the flat layout: v_l repeated 2l+1 times."""
     per_degree = np.asarray(per_degree)
     return np.repeat(per_degree, 2 * np.arange(1, per_degree.size + 1) + 1)
-
-
-def real_sph_harm(p: SphHarmPoint) -> float:
-    """Real orthonormal spherical harmonic at (theta, phi).
-
-    m = 0 is the zonal harmonic; m > 0 pairs with sqrt(2) cos(m phi) and
-    m < 0 with sqrt(2) sin(|m| phi).
-    """
-    l = _check_degree(p.l)
-    if l == 0:
-        return _SQRT_INV_4PI
-    rows = _sph_harm_rows(sph_harm_flat_index(l, np.arange(-l, l + 1)),
-                          np.array([float(p.theta)]), np.array([float(p.phi)]))
-    return float(rows[p.m + l, 0])
 
 
 def sph_harm_matrix(lmax: int, theta, phi) -> np.ndarray:

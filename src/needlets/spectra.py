@@ -129,7 +129,7 @@ def rational_log_spectrum(alpha, beta, p_coeffs, q_coeffs, f_name="one",
     q_coeffs = tuple(float(c) for c in q_coeffs)
     if f_name not in F_CATALOG:
         raise ValueError(f"unknown F function {f_name!r}; choose from {sorted(F_CATALOG)}")
-    if any(abs(v) == math.inf for v in (beta, *p_coeffs, *q_coeffs)):
+    if not all(math.isfinite(v) for v in (beta, *p_coeffs, *q_coeffs)):
         raise ValueError("beta, P and Q must be finite")
     deg_p = _poly_degree(p_coeffs)
     deg_q = _poly_degree(q_coeffs)

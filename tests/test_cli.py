@@ -709,15 +709,15 @@ class TestVerifyCommand:
         assert not report["checks"]["envelope"]["passed"]
 
     def test_nan_beta_is_config_error(self, tmp_path):
-        # a NaN beta used to pass the spectrum's own checks; only the series'
-        # positivity check refused it, as "non-positive variance c_2"
+        # a NaN beta used to pass the spectrum's own checks, and was refused
+        # only when the spectrum was evaluated, as a non-positive value
         path = tmp_path / "nan.json"
         path.write_text('{"family": "rational_log", "alpha": 3.0, "beta": NaN,'
                         ' "P": [1.0], "Q": [1.0]}')
         res = run("verify", "--r", "1", "--spectrum", str(path))
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr == "error: spectrum evaluated to a non-positive value\n"
+        assert res.stderr == "error: beta, P and Q must be finite\n"
 
     def test_one_series_loop_per_check(self, count_calls, capsys):
         # series bound: near and far angles; variance; localization.  The
@@ -863,6 +863,20 @@ class TestFrameCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: oversample must be finite and >= 1\n"
+
+
+class TestRangeOptions:
+    @pytest.mark.parametrize("argv, text", [
+        (["frame", "--r", "1", "--L", "2", "--j-range=a:b"], "a:b"),
+        (["frame", "--r", "1", "--L", "2", "--j-range=-2:0:1"], "-2:0:1"),
+        (["verify", "--r", "1", "--alpha", "3", "--window", "10:2e3"], "10:2e3"),
+    ], ids=["frame-letters", "frame-three-parts", "verify-float-end"])
+    def test_unreadable_range_is_config_error_naming_it(self, argv, text, capsys):
+        # a non-integer end used to exit with int()'s own message
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: range {text!r} must be min:max with integer ends\n"
 
 
 class TestOutOfMemory:

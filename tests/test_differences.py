@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from needlets import (
     CoeffSequence,
-    multiply_cos_minus_one,
     multiply_cos_minus_one_power,
     zonal_series,
 )
@@ -45,21 +44,21 @@ def loglog_slope(values: np.ndarray, offset: int, l_min: int, l_max: int) -> flo
 class TestMultiplyCosMinusOne:
     def test_constant_tail_vanishes(self):
         values = np.r_[0.0, np.full(9, 3.0)]  # a_0 = 0, constant on l >= 1
-        out = multiply_cos_minus_one(CoeffSequence(0, values))
+        out = multiply_cos_minus_one_power(CoeffSequence(0, values), 1)
         # both differences vanish on the constant stretch away from the edges
         assert np.max(np.abs(out.values[2:9])) == 0.0
         assert out.values[0] != 0.0 or out.values[1] != 0.0
 
     def test_identity_sequence_gives_first_difference_weight(self):
         seq = CoeffSequence(0, np.arange(12, dtype=float))
-        out = multiply_cos_minus_one(seq)
+        out = multiply_cos_minus_one_power(seq, 1)
         ls = np.arange(11)
         np.testing.assert_allclose(out.values[:11][1:-1], 1.0 / (2 * ls[1:-1] + 1.0),
                                    rtol=1e-14)
 
     def test_multiplication_identity(self):
         seq = CoeffSequence(0, RNG.normal(size=20))
-        out = multiply_cos_minus_one(seq)
+        out = multiply_cos_minus_one_power(seq, 1)
         for x in RNG.uniform(-1, 1, 50):
             lhs = series_value(out, x)
             rhs = (x - 1.0) * series_value(seq, x)
@@ -67,16 +66,10 @@ class TestMultiplyCosMinusOne:
 
     def test_identity_with_offset_window(self):
         seq = CoeffSequence(3, RNG.normal(size=8))
-        out = multiply_cos_minus_one(seq)
+        out = multiply_cos_minus_one_power(seq, 1)
         for x in RNG.uniform(-1, 1, 10):
             assert series_value(out, x) == pytest.approx(
                 (x - 1.0) * series_value(seq, x), abs=1e-11)
-
-    def test_single_application_equals_power_one(self):
-        seq = CoeffSequence(0, RNG.normal(size=10))
-        one = multiply_cos_minus_one(seq)
-        pow1 = multiply_cos_minus_one_power(seq, 1)
-        np.testing.assert_array_equal(one.values, pow1.values)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_iterated_identity(self, n):
@@ -128,11 +121,10 @@ class TestFrozenReference:
         self.assert_bits_of_reference(seq, n)
         assert multiply_cos_minus_one_power(seq, n).values.size == 2 + 7 + n
 
-    @pytest.mark.parametrize("transform", [multiply_cos_minus_one,
-                                           lambda s: multiply_cos_minus_one_power(s, 3)])
-    def test_empty_window_is_refused(self, transform):
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_window_is_refused(self, n):
         with pytest.raises(ValueError, match=r"^empty coefficient sequence$"):
-            transform(CoeffSequence(4, []))
+            multiply_cos_minus_one_power(CoeffSequence(4, []), n)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_power_below_one_is_refused(self, n):

@@ -13,12 +13,10 @@ from scipy.special import eval_legendre, lpmv
 from needlets import (
     DegreeCapExceeded,
     NeedletProfile,
-    SphHarmPoint,
     generating_function_check,
     kernel_eval,
     legendre_series,
     make_kernel,
-    real_sph_harm,
     recursion_residual,
     sph_harm_flat_index,
     sph_harm_matrix,
@@ -112,6 +110,11 @@ def reference_real_sph_harm(l, m, theta, phi):
     if m > 0:
         return math.sqrt(2.0) * plm * math.cos(am * phi)
     return math.sqrt(2.0) * plm * math.sin(am * phi)
+
+
+def harmonic(l, m, theta, phi):
+    """Y_{l,m}(theta, phi) for l >= 1, read from a one-point `sph_harm_matrix`."""
+    return float(sph_harm_matrix(l, [theta], [phi])[0, sph_harm_flat_index(l, m)])
 
 
 def degree_columns(l):
@@ -254,6 +257,11 @@ class TestGeneratingFunction:
         with pytest.raises(ValueError):
             generating_function_check(1.0, 0.3, 10)
 
+    def test_nan_xi_rejected(self):
+        # |nan| >= 1 is false, so a NaN xi used to return NaN
+        with pytest.raises(ValueError, match=r"^\|xi\| must be < 1 for the series to converge$"):
+            generating_function_check(math.nan, 0.3, 10)
+
     def test_singular_point_rejected(self):
         # |xi| < 1, but 1 - 2 xi + xi^2 rounds to 0.0 at eta = 1
         xi = 1.0 - 2.0 ** -30
@@ -264,12 +272,8 @@ class TestGeneratingFunction:
 
 
 class TestRealSphHarm:
-    def test_constant_harmonic(self):
-        value = real_sph_harm(SphHarmPoint(0, 0, 1.1, 2.2))
-        assert value == pytest.approx(1 / math.sqrt(4 * math.pi), rel=1e-15)
-
     def test_degree_one_pole(self):
-        value = real_sph_harm(SphHarmPoint(1, 0, 0.0, 0.0))
+        value = harmonic(1, 0, 0.0, 0.0)
         assert value == pytest.approx(math.sqrt(3 / (4 * math.pi)), rel=1e-15)
 
     def test_matches_scipy_construction(self):
@@ -278,7 +282,7 @@ class TestRealSphHarm:
             m = int(RNG.integers(-l, l + 1))
             theta = RNG.uniform(0, math.pi)
             phi = RNG.uniform(0, 2 * math.pi)
-            mine = real_sph_harm(SphHarmPoint(l, m, theta, phi))
+            mine = harmonic(l, m, theta, phi)
             ref = reference_real_sph_harm(l, m, theta, phi)
             assert mine == pytest.approx(ref, abs=1e-12)
 
@@ -289,29 +293,26 @@ class TestRealSphHarm:
         nodes, weights = np.polynomial.legendre.leggauss(2 * lmax + 2)
         nphi = 4 * lmax + 5
         phis = np.arange(nphi) * 2 * math.pi / nphi
-        pairs = [(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
-        vals = np.array([[real_sph_harm(SphHarmPoint(l, m, math.acos(x), p))
-                          for x in nodes for p in phis] for (l, m) in pairs])
+        thetas = np.repeat(np.arccos(nodes), nphi)
+        # Y_00 = 1/sqrt(4 pi) on the first row, then the flat layout l = 1 .. lmax
+        vals = np.vstack([np.full(thetas.size, 1 / math.sqrt(4 * math.pi)),
+                          sph_harm_matrix(lmax, thetas, np.tile(phis, nodes.size)).T])
         w = np.repeat(weights, nphi) * (2 * math.pi / nphi)
         gram = vals @ (w[None, :] * vals).T
-        np.testing.assert_allclose(gram, np.eye(len(pairs)), atol=1e-8)
+        np.testing.assert_allclose(gram, np.eye((lmax + 1) ** 2), atol=1e-8)
 
     def test_unsold_identity_high_degree(self):
         # sum_m Y_{l,m}^2 = (2l+1)/(4 pi); probes stability far past l = 150
         l = 200
         theta, phi = 1.234, 0.567
-        total = math.fsum(real_sph_harm(SphHarmPoint(l, m, theta, phi)) ** 2
-                          for m in range(-l, l + 1))
+        row = sph_harm_matrix(l, [theta], [phi])[0]
+        total = math.fsum(row[sph_harm_flat_index(l, m)] ** 2 for m in range(-l, l + 1))
         assert total == pytest.approx((2 * l + 1) / (4 * math.pi), rel=1e-11)
-
-    def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
-            SphHarmPoint(2, 3, 0.5, 0.5)
 
     def test_degree_cap_guard(self, monkeypatch):
         monkeypatch.setenv(DEGREE_CAP_ENV, "16")
         with pytest.raises(DegreeCapExceeded):
-            real_sph_harm(SphHarmPoint(17, 0, 0.5, 0.5))
+            sph_harm_matrix(17, [0.5], [0.5])
 
 
 class TestSphHarmMatrix:
@@ -320,10 +321,8 @@ class TestSphHarmMatrix:
         phis = RNG.uniform(0, 2 * math.pi, 5)
         mat = sph_harm_matrix(6, thetas, phis)
         for i in range(5):
-            for l in range(1, 7):
-                for m in range(-l, l + 1):
-                    ref = real_sph_harm(SphHarmPoint(l, m, thetas[i], phis[i]))
-                    assert mat[i, sph_harm_flat_index(l, m)] == pytest.approx(ref, abs=1e-13)
+            ref = sph_harm_matrix(6, [thetas[i]], [phis[i]])[0]
+            assert np.array_equal(mat[i].view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("lmax", [1, 2, 16, 24, 116])
     def test_bit_identical_to_double_loop(self, lmax):
@@ -343,7 +342,7 @@ class TestSphHarmMatrix:
         # at degree l is back in range
         for theta, m in ((0.3, 700), (0.05, 150), (math.pi - 0.05, 120)):
             l = 1000
-            mine = real_sph_harm(SphHarmPoint(l, m, theta, 0.4))
+            mine = harmonic(l, m, theta, 0.4)
             ref = jacobi_real_sph_harm(l, m, theta, 0.4)
             assert abs(ref) > 1e-250
             assert abs(mine - float(ref)) <= 1e-10 * abs(float(ref))
@@ -354,9 +353,6 @@ class TestSphHarmMatrix:
         assert np.all(np.isfinite(mine))
         assert np.array_equal(mine.view(np.int64),
                               sph_harm_matrix(40, [1.0], [reduced]).view(np.int64))
-        point = real_sph_harm(SphHarmPoint(40, 40, 1.0, huge))
-        assert math.isfinite(point)
-        assert float.hex(point) == float.hex(real_sph_harm(SphHarmPoint(40, 40, 1.0, reduced)))
 
     @pytest.mark.parametrize("theta, phi", [(math.nan, 1.0), (1.0, math.inf),
                                             (1.0, -math.inf)])
@@ -370,31 +366,15 @@ class TestSphHarmMatrix:
                                              "length$"):
             sph_harm_matrix(4, [1.0, 2.0], [0.5])
 
-    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
-    def test_non_finite_longitude_is_refused_by_real_sph_harm(self, phi):
-        with pytest.raises(ValueError, match="must be finite"):
-            real_sph_harm(SphHarmPoint(4, 2, 1.0, phi))
-
-    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
-    def test_non_finite_longitude_is_refused_at_degree_zero(self, phi):
-        # Y_00 is constant, and used to be returned at any longitude
-        message = r"^harmonic coordinates \(theta, phi\) must be finite$"
-        with pytest.raises(ValueError, match=message):
-            real_sph_harm(SphHarmPoint(0, 0, 1.0, phi))
-
-    def test_nan_colatitude_is_refused_by_the_point(self):
-        # the request itself refuses it, before any harmonic is evaluated
-        with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
-            SphHarmPoint(4, 2, math.nan, 1.0)
-
     def test_scaled_seed_single_degree_matches_matrix_bits(self):
         # at theta = 0.01 the sectoral seed of these orders is below the normal
         # range, so their recurrence runs scaled, yet Y_{300,m} is back in range
         l, theta, phi = 300, 0.01, 0.4
         row = sph_harm_matrix(l, [theta], [phi])[0]
+        single = _sph_harm_rows(degree_columns(l), np.array([theta]), np.array([phi]))[:, 0]
         for m in (160, -166, 172):
             assert abs(m) * math.log2(math.sin(theta)) < -1050
-            value = real_sph_harm(SphHarmPoint(l, m, theta, phi))
+            value = float(single[m + l])
             assert abs(value) > 2.0 ** -960
             assert float.hex(value) == float.hex(float(row[sph_harm_flat_index(l, m)]))
 

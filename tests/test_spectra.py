@@ -108,17 +108,17 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             rational_log_spectrum(3.0, 2.0, [1.0], [1.0])
 
-    # each of these passed the checks, which NaN compared false against,
-    # and evaluated to NaN variances
-    @pytest.mark.parametrize("beta, p, q, message", [
-        (math.nan, [1.0], [1.0], "inconsistent rational-log spectrum"),
-        (3.0, [math.nan], [1.0], "positive leading coefficients"),
-        (3.0, [1.0], [math.nan], "positive leading coefficients"),
-        (4.0, [math.nan, 1.0], [1.0], r"positive on \[1, inf\)"),
+    # each of these passed the checks, which NaN compared false against, and
+    # evaluated to NaN variances; unvalidated, a NaN beta was still accepted
+    @pytest.mark.parametrize("beta, p, q", [
+        (math.nan, [1.0], [1.0]),
+        (3.0, [math.nan], [1.0]),
+        (3.0, [1.0], [math.nan]),
+        (4.0, [math.nan, 1.0], [1.0]),
     ], ids=["beta", "P", "Q", "P-constant"])
-    def test_constructor_rejects_nan_parameters(self, beta, p, q, message):
-        with pytest.raises(ValueError, match=message):
-            rational_log_spectrum(3.0, beta, p, q)
+    def test_constructor_rejects_nan_parameters(self, beta, p, q):
+        with pytest.raises(ValueError, match="^beta, P and Q must be finite$"):
+            rational_log_spectrum(3.0, beta, p, q, validate=False)
 
     # each of these evaluated to c_l = inf, which passed the positivity checks
     @pytest.mark.parametrize("beta, p, q", [
@@ -150,9 +150,9 @@ class TestEnvelope:
             positive_spectrum(ps, 10)
 
     def test_nan_beta_never_evaluates_to_nan(self):
-        # unvalidated, as the JSON loader builds it: 1^NaN is 1, and every
-        # other degree used to read NaN
-        ps = rational_log_spectrum(3.0, math.nan, [1.0], [1.0], validate=False)
+        # the constructor refuses a NaN beta, so the model is built around
+        # it: 1^NaN is 1, and every other degree used to read NaN
+        ps = dataclasses.replace(rational_log_spectrum(3.0, 3.0, [1.0], [1.0]), beta=math.nan)
         with pytest.raises(ValueError, match="^spectrum evaluated to a non-positive value$"):
             spectrum_eval(ps, [1, 5, 10])
 
