@@ -309,6 +309,12 @@ class TestRealSphHarm:
         total = math.fsum(row[sph_harm_flat_index(l, m)] ** 2 for m in range(-l, l + 1))
         assert total == pytest.approx((2 * l + 1) / (4 * math.pi), rel=1e-11)
 
+    @pytest.mark.parametrize("l, m", [(2, 3), (2, -3), (0, 0)])
+    def test_invalid_order_rejected(self, l, m):
+        # the flat layout starts at l = 1, so Y_00 has no column either
+        with pytest.raises(ValueError, match=rf"^invalid \(l, m\) = \({l}, {m}\) for the flat layout$"):
+            sph_harm_flat_index(l, m)
+
     def test_degree_cap_guard(self, monkeypatch):
         monkeypatch.setenv(DEGREE_CAP_ENV, "16")
         with pytest.raises(DegreeCapExceeded):
@@ -355,11 +361,20 @@ class TestSphHarmMatrix:
                               sph_harm_matrix(40, [1.0], [reduced]).view(np.int64))
 
     @pytest.mark.parametrize("theta, phi", [(math.nan, 1.0), (1.0, math.inf),
-                                            (1.0, -math.inf)])
+                                            (1.0, -math.inf), (1.0, math.nan),
+                                            (math.inf, 1.0), (-math.inf, 1.0)])
     def test_non_finite_coordinates_are_refused(self, theta, phi):
         # these used to return NaN entries with only a RuntimeWarning
         with pytest.raises(ValueError, match="must be finite"):
             sph_harm_matrix(4, [theta], [phi])
+
+    @pytest.mark.parametrize("theta, reflected", [(-0.3, 0.3), (math.pi + 0.3, math.pi - 0.3)])
+    def test_colatitude_outside_range_gives_the_reflected_point(self, theta, reflected):
+        # theta is not checked against [0, pi]; the harmonics of (theta, phi)
+        # there are those of (reflected, phi + pi), up to rounding
+        mine = sph_harm_matrix(6, [theta], [0.7])
+        ref = sph_harm_matrix(6, [reflected], [0.7 + math.pi])
+        np.testing.assert_allclose(mine, ref, rtol=0, atol=2e-15)
 
     def test_coordinate_lists_of_different_lengths_are_refused(self):
         with pytest.raises(ValueError, match="^theta and phi must be 1-d arrays of equal "
